@@ -36,10 +36,9 @@ from functools import lru_cache
 import numpy as np
 
 from .bits import SplitMix64
-from .errors import GuardLimitError
+from .errors import GUARD_BITS, GuardLimitError
+from .functions import bernoulli2
 from .lattice import GeneratingVector, korobov_vector
-
-GUARD_BITS = 26
 
 # merits at a level are normalized by the best Korobov merit at that level
 BASELINE_ELLS = (17797, 1267, 12915)
@@ -75,14 +74,6 @@ class EmbeddedMerit:
     combined: float
 
 
-def _factor_table(n: int) -> np.ndarray:
-    # same arithmetic as functions.bernoulli2, vectorized; u*u is symmetric
-    # under t <-> n - t, so mirrored indices give bit-equal factors
-    x = np.arange(n, dtype=np.float64) / n
-    u = x - 0.5
-    return 1.0 + (u * u - 1.0 / 12.0)
-
-
 def _index_dtype(n: int):
     # products wrap mod 2^16 / 2^32, and n divides both, so masked wrapped
     # products equal products mod n
@@ -112,7 +103,9 @@ def merit(z: GeneratingVector, n_points: int) -> MeritValue:
         raise ValueError(f"generating vector known mod 2^{z.t} cannot drive 2^{t} nodes")
     comps = _canonical_components(z.components, n_points)
     dt = _index_dtype(n_points)
-    w = _factor_table(n_points)
+    # bernoulli2 squares x - 1/2, so mirrored indices k, n - k give
+    # bit-equal factors
+    w = 1.0 + bernoulli2(np.arange(n_points) / n_points)
     k = np.arange(n_points, dtype=dt)
     mask = dt(n_points - 1)
     vals = np.ones(n_points)
@@ -226,8 +219,8 @@ def cbc_construct(
     n_base = 1 << m
     n_ext = 1 << ext
     sample = _sample_candidates(n_ext) if candidate_policy == "sampled" else None
-    wb = _factor_table(n_base)
-    we = _factor_table(n_ext)
+    wb = 1.0 + bernoulli2(np.arange(n_base) / n_base)
+    we = 1.0 + bernoulli2(np.arange(n_ext) / n_ext)
     dtype = _index_dtype(n_ext)
     jb = np.arange(n_base, dtype=dtype)
     je = np.arange(n_ext, dtype=dtype)

@@ -121,6 +121,12 @@ def cmd_tables(args) -> int:
                 rel = abs(got - expected) / abs(expected)
                 ok = rel <= rtol
                 all_match = all_match and ok
+                if not ok:
+                    print(
+                        f"mismatch: s={ref.s} m={ref.m} r={ref.r} ell={ref.ell} {scheme} {stat}: "
+                        f"expected {expected!r}, computed {got!r}",
+                        file=sys.stderr,
+                    )
                 checks.append(
                     {
                         "scheme": scheme,

@@ -25,7 +25,6 @@ from typing import Sequence
 from .functions import PeriodicFunction
 from .lattice import DyadicPoint, Rank1Rule
 from .shifts import GridShift, RealShift
-from .summation import KahanSum, kahan_sum
 
 DualIndex = tuple[int, ...]
 
@@ -150,25 +149,22 @@ def shift_error_series(
     a RealShift, a GridShift, a DyadicPoint, or a float sequence.
     """
     c = _shift_floats(shift, rule.s)
-    acc = KahanSum()
     if any(c):
         two_pi = 2.0 * math.pi
-        for h in dual_points(rule, box):
-            phase = two_pi * sum(hi * ci for hi, ci in zip(h, c))
-            acc.add(math.cos(phase) * f.fourier_coeff(h))
+        terms = (
+            math.cos(two_pi * sum(hi * ci for hi, ci in zip(h, c))) * f.fourier_coeff(h)
+            for h in dual_points(rule, box)
+        )
     else:
-        for h in dual_points(rule, box):
-            acc.add(f.fourier_coeff(h))
-    return SeriesResult(acc.value, f.coefficient_tail_bound(box.H, 1), box.H)
+        terms = (f.fourier_coeff(h) for h in dual_points(rule, box))
+    return SeriesResult(math.fsum(terms), f.coefficient_tail_bound(box.H, 1), box.H)
 
 
 def cp_variance_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox) -> SeriesResult:
     """Truncated dual series for Var(Q_u f) under uniform real shifts."""
-    acc = KahanSum()
-    for h in dual_points(rule, box):
-        coeff = f.fourier_coeff(h)
-        acc.add(coeff * coeff)
-    return SeriesResult(acc.value, f.coefficient_tail_bound(box.H, 2), box.H)
+    coeffs = (f.fourier_coeff(h) for h in dual_points(rule, box))
+    value = math.fsum(c * c for c in coeffs)
+    return SeriesResult(value, f.coefficient_tail_bound(box.H, 2), box.H)
 
 
 def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox) -> SeriesResult:
@@ -186,9 +182,9 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     H = box.H
     duals = dual_points(rule, box)
     coeffs = [f.fourier_coeff(h) for h in duals]
-    acc = KahanSum()
+    outer = []
     for h, ch in zip(duals, coeffs):
-        inner = KahanSum()
+        inner = []
         for k, ck in zip(duals, coeffs):
             ok = True
             all_zero = True
@@ -203,9 +199,9 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
                 l.append(li)
             if not ok or all_zero:
                 continue
-            inner.add(ck * f.fourier_coeff(tuple(l)))
-        acc.add(ch * inner.value)
+            inner.append(ck * f.fourier_coeff(tuple(l)))
+        outer.append(ch * math.fsum(inner))
     tail1 = f.coefficient_tail_bound(H, 1)
-    box_sum = kahan_sum(abs(c) for c in coeffs)
+    box_sum = math.fsum(abs(c) for c in coeffs)
     tail = 3.0 * tail1 * (box_sum + tail1)
-    return SeriesResult(acc.value, tail, H)
+    return SeriesResult(math.fsum(outer), tail, H)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and the work guard shared across the package."""
+
+# exhaustive enumerations and node arrays are refused above 2^26 entries
+GUARD_BITS = 26
 
 
 class GuardLimitError(ValueError):

@@ -13,8 +13,9 @@ import math
 from abc import ABC, abstractmethod
 from typing import Sequence
 
+import numpy as np
+
 from .lattice import DyadicPoint
-from .summation import kahan_sum
 
 # evaluated about x = 1/2 so that x and 1 - x give bitwise-equal results
 # for dyadic x (the offset and the squaring are exact)
@@ -23,12 +24,9 @@ _B4_C = 7.0 / 240.0
 
 TWO_PI_SQ = 2.0 * math.pi**2
 
-# largest bit depth for which per-coordinate factor tables are cached
-_TABLE_DEPTH_LIMIT = 20
 
-
-def bernoulli2(x: float) -> float:
-    """B2(x) = x^2 - x + 1/6 for x in [0, 1)."""
+def bernoulli2(x):
+    """B2(x) = x^2 - x + 1/6 for x in [0, 1); x may be a float or an array."""
     u = x - 0.5
     return u * u - _B2_C
 
@@ -43,7 +41,8 @@ class PeriodicFunction(ABC):
     """A real integrand on [0,1)^s, one-periodic in every coordinate.
 
     Exact dyadic evaluation is the primary interface; float evaluation
-    exists for the idealized real-shift estimator.  known_integral and the
+    exists for the idealized real-shift estimator, and eval_batch evaluates
+    whole node arrays for the randomized evaluators.  known_integral and the
     Fourier model are optional: operations that need them fail fast when
     they are absent.
     """
@@ -63,6 +62,17 @@ class PeriodicFunction(ABC):
     @abstractmethod
     def eval_real(self, xs: Sequence[float]) -> float:
         """Value at float coordinates in [0, 1)."""
+
+    def eval_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Values at the points with coordinates xs[0], xs[1], ... in [0, 1).
+
+        xs has shape (s, ...); the result has shape xs.shape[1:].  Dyadic
+        nodes n / 2^t are exact floats for t <= 52.  The default evaluates
+        eval_real point by point; integrands with a vectorized form
+        override it.
+        """
+        points = xs.reshape(len(xs), -1).T.tolist()
+        return np.array([self.eval_real(p) for p in points], dtype=float).reshape(xs.shape[1:])
 
     def fourier_coeff(self, h: Sequence[int]) -> float:
         raise NotImplementedError(f"{type(self).__name__} has no Fourier coefficient model")
@@ -90,7 +100,6 @@ class ProductBernoulliFn(PeriodicFunction):
         if s < 1:
             raise ValueError(f"dimension must be >= 1, got {s}")
         self._s = s
-        self._tables: dict[int, list[float]] = {}
 
     @property
     def s(self) -> int:
@@ -100,29 +109,23 @@ class ProductBernoulliFn(PeriodicFunction):
         """Per-coordinate factor 1 + B2(x)."""
         return 1.0 + bernoulli2(x)
 
-    def _factor_table(self, t: int) -> list[float]:
-        table = self._tables.get(t)
-        if table is None:
-            scale = 1.0 / (1 << t)
-            table = [1.0 + bernoulli2(i * scale) for i in range(1 << t)]
-            self._tables[t] = table
-        return table
-
     def eval(self, point: DyadicPoint) -> float:
-        if point.s != self._s:
-            raise ValueError(f"dimension mismatch: point has {point.s}, function has {self._s}")
-        if point.t <= _TABLE_DEPTH_LIMIT:
-            table = self._factor_table(point.t)
-            out = 1.0
-            for n in point.nums:
-                out *= table[n]
-            return out
         return self.eval_real(point.as_floats())
 
     def eval_real(self, xs: Sequence[float]) -> float:
         if len(xs) != self._s:
             raise ValueError(f"dimension mismatch: got {len(xs)}, expected {self._s}")
         out = 1.0
+        for x in xs:
+            out *= 1.0 + bernoulli2(x)
+        return out
+
+    def eval_batch(self, xs: np.ndarray) -> np.ndarray:
+        # the same operations in the same coordinate order as eval_real, so
+        # every value is bitwise equal to it
+        if len(xs) != self._s:
+            raise ValueError(f"dimension mismatch: got {len(xs)}, expected {self._s}")
+        out = np.ones(xs.shape[1:])
         for x in xs:
             out *= 1.0 + bernoulli2(x)
         return out
@@ -177,4 +180,4 @@ def grid_mean_b2(n: int) -> float:
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
     scale = 1.0 / n
-    return kahan_sum(bernoulli2(j * scale) for j in range(n)) * scale
+    return math.fsum(bernoulli2(j * scale) for j in range(n)) * scale

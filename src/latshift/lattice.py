@@ -4,13 +4,69 @@ Nodes are kept as exact dyadic rationals (integer numerators over a shared
 power-of-two denominator) and all node arithmetic is integer arithmetic.
 Floating point only enters when an integrand is evaluated, so biases at the
 1e-9 scale are not polluted by node rounding.
+
+`lattice_numerators` is the vectorized node kernel every randomized
+evaluator uses; `Rank1Rule.node` is the per-point reference it is tested
+against.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .errors import GUARD_BITS, GuardLimitError
+
+# node numerators live in uint64; products wrap mod 2^64, which 2^t divides
+NODE_DTYPE_BITS = 64
+_U64_MASK = (1 << NODE_DTYPE_BITS) - 1
+
+
+def as_uint64(values: Iterable[int]) -> np.ndarray:
+    """Non-negative integers reduced mod 2^64, as a uint64 array.
+
+    The reduction loses nothing for node arithmetic mod 2^t with t <= 64.
+    """
+    return np.array([v & _U64_MASK for v in values], dtype=np.uint64)
+
+
+def lattice_numerators(
+    steps: Sequence[int],
+    t: int,
+    n: int,
+    offsets: np.ndarray | None = None,
+) -> np.ndarray:
+    """Node numerators (j * steps[i] + offsets[i, b]) mod 2^t for j < n.
+
+    Row i holds coordinate i.  Without offsets the result has shape (s, n);
+    with uint64 offsets of shape (s, B) it has shape (s, B, n), one block of
+    n nodes per offset column.  The three node sets of the package are all
+    of this form:
+
+    * rule nodes j * z / 2^m: steps z, depth m;
+    * coset w of an embedded pair, extension nodes (j << sr) | w: steps
+      z << sr, offsets w * z, depth m + sr;
+    * a rule on the grid 2^-t displaced by shift numerators v: steps
+      z << (t - m), offsets v.
+
+    Refuses more than 2^GUARD_BITS nodes, and depths beyond the 64-bit
+    numerators, before allocating anything.
+    """
+    blocks = 1 if offsets is None else offsets.shape[1]
+    if n * blocks > 1 << GUARD_BITS:
+        raise GuardLimitError(f"{n * blocks} nodes exceed the 2^{GUARD_BITS} node guard")
+    if t > NODE_DTYPE_BITS:
+        raise GuardLimitError(
+            f"node depth 2^-{t} exceeds the {NODE_DTYPE_BITS}-bit node numerators"
+        )
+    nums = as_uint64(steps)[:, None] * np.arange(n, dtype=np.uint64)
+    if offsets is not None:
+        nums = nums[:, None, :] + offsets[:, :, None]
+    np.bitwise_and(nums, np.uint64((1 << t) - 1), out=nums)
+    return nums
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,42 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import Callable
 
-from .errors import GuardLimitError, IdentityCheckError
+import numpy as np
+
+from .errors import GUARD_BITS, GuardLimitError, IdentityCheckError
 from .functions import PeriodicFunction
-from .lattice import DyadicPoint, EmbeddedPair, Rank1Rule
-from .shifts import GridShift, ScalarShift, eval_grid_shifted, eval_scalar_shifted
-from .summation import chunked_map, chunked_sum, kahan_sum
-
-# exhaustive enumeration is refused above 2^26 shift values / nodes
-GUARD_BITS = 26
+from .lattice import EmbeddedPair, Rank1Rule, as_uint64, lattice_numerators
+from .shifts import coset_means, grid_shift_means
 
 MEAN_IDENTITY_RTOL = 1e-12
+
+# shifts are enumerated in blocks of about this many nodes, which bounds the
+# node arrays whatever the shift-space size
+BLOCK_NODES = 1 << 16
+
+# perfbench/tracing.py binds spans at kahan_sum and chunked_map, so both names stay
+kahan_sum = math.fsum
+
+
+def chunked_map(block_values: Callable[[int, int], np.ndarray], n: int, block: int) -> np.ndarray:
+    """block_values(lo, hi) over consecutive blocks of range(n), concatenated in order."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return np.concatenate([block_values(lo, min(lo + block, n)) for lo in range(0, n, block)])
+
+
+def _shifts_per_block(m: int) -> int:
+    return max(1, BLOCK_NODES >> m)
+
+
+def _grid_numerators(idx: np.ndarray, s: int, r: int) -> np.ndarray:
+    """Grid point idx as s numerators over 2^r: consecutive r-bit fields of
+    idx, the first coordinate highest.  Shape (s, len(idx))."""
+    mask = np.uint64((1 << r) - 1)
+    return np.stack([(idx >> np.uint64((s - 1 - k) * r)) & mask for k in range(s)])
 
 
 @dataclass(frozen=True)
@@ -74,7 +99,7 @@ class MomentReport:
 
 def _report(
     scheme: str,
-    values: list[float],
+    values: np.ndarray,
     f: PeriodicFunction,
     check_value: float,
 ) -> MomentReport:
@@ -83,10 +108,11 @@ def _report(
     # the mean is accumulated about the known integral, and the bias is kept
     # as that offset sum directly: biases near 1e-9 would otherwise lose
     # digits to the rounding of 1 + bias
-    delta = kahan_sum(v - offset for v in values) / n
+    delta = kahan_sum((values - offset).tolist()) / n
     mean = offset + delta
-    var = kahan_sum((v - mean) ** 2 for v in values) / n
-    mu3 = kahan_sum((v - mean) ** 3 for v in values) / n
+    dev = values - mean
+    var = kahan_sum((dev**2).tolist()) / n
+    mu3 = kahan_sum((dev**3).tolist()) / n
     rel = abs(mean - check_value) / abs(check_value) if check_value != 0.0 else abs(mean)
     if rel > MEAN_IDENTITY_RTOL:
         raise IdentityCheckError(
@@ -101,19 +127,13 @@ def _report(
         variance=var,
         sd=math.sqrt(var),
         mu3=mu3,
-        shift_space_size=len(values),
+        shift_space_size=n,
         method="enumeration",
         mean_check_rel_err=rel,
     )
 
 
-def moments_grid_shift(
-    rule: Rank1Rule,
-    f: PeriodicFunction,
-    r: int,
-    *,
-    threads: int | None = None,
-) -> MomentReport:
+def moments_grid_shift(rule: Rank1Rule, f: PeriodicFunction, r: int) -> MomentReport:
     """Exact moments of the grid-shifted rule over all 2^(r*s) shifts.
 
     Requires r >= m: only then does every shifted node inherit the shift's
@@ -125,34 +145,28 @@ def moments_grid_shift(
         raise ValueError(f"grid resolution r={r} below rule resolution m={rule.m}")
     if r * s > GUARD_BITS:
         raise GuardLimitError(f"shift space 2^{r * s} exceeds the 2^{GUARD_BITS} guard")
-    mask = (1 << r) - 1
 
-    def one(idx: int) -> float:
-        nums = tuple((idx >> ((s - 1 - k) * r)) & mask for k in range(s))
-        return eval_grid_shifted(rule, f, GridShift(nums, r))
+    def block(lo: int, hi: int) -> np.ndarray:
+        offsets = _grid_numerators(np.arange(lo, hi, dtype=np.uint64), s, r)
+        return grid_shift_means(rule, f, offsets, r)
 
-    values = chunked_map(one, 1 << (r * s), threads=threads)
+    values = chunked_map(block, 1 << (r * s), _shifts_per_block(rule.m))
     return _report("grid-shift", values, f, rectangle_rule_mean(f, s, r))
 
 
-def moments_scalar_shift(
-    pair: EmbeddedPair,
-    f: PeriodicFunction,
-    *,
-    threads: int | None = None,
-) -> MomentReport:
+def moments_scalar_shift(pair: EmbeddedPair, f: PeriodicFunction) -> MomentReport:
     """Exact moments of the scalar-shifted rule over all 2^sr shifts."""
     if pair.sr > GUARD_BITS:
         raise GuardLimitError(f"shift space 2^{pair.sr} exceeds the 2^{GUARD_BITS} guard")
+    if pair.ext > GUARD_BITS:
+        raise GuardLimitError(f"node count 2^{pair.ext} exceeds the 2^{GUARD_BITS} guard")
+    values = chunked_map(
+        lambda lo, hi: coset_means(pair, f, lo, hi), 1 << pair.sr, _shifts_per_block(pair.m)
+    )
+    return _report("scalar-shift", values, f, extended_rule_value(pair, f))
 
-    def one(wnum: int) -> float:
-        return eval_scalar_shifted(pair, f, ScalarShift(wnum, pair.sr))
 
-    values = chunked_map(one, 1 << pair.sr, threads=threads)
-    return _report("scalar-shift", values, f, extended_rule_value(pair, f, threads=threads))
-
-
-def rectangle_rule_mean(f: PeriodicFunction, s: int, r: int, *, threads: int | None = None) -> float:
+def rectangle_rule_mean(f: PeriodicFunction, s: int, r: int) -> float:
     """Equal-weight mean of f over the full product grid {0..2^r-1}^s / 2^r.
 
     For product integrands exposing a per-coordinate factor this is the
@@ -174,25 +188,27 @@ def rectangle_rule_mean(f: PeriodicFunction, s: int, r: int, *, threads: int | N
             f"grid of 2^{r * s} points exceeds the 2^{GUARD_BITS} guard and "
             "the integrand has no per-coordinate factorization"
         )
-    mask = n - 1
-
-    def term(idx: int) -> float:
-        nums = tuple((idx >> ((s - 1 - k) * r)) & mask for k in range(s))
-        return f.eval(DyadicPoint(nums, r))
-
     total = 1 << (r * s)
-    return chunked_sum(term, total, threads=threads) / total
+    xs = _grid_numerators(np.arange(total, dtype=np.uint64), s, r) * (1.0 / n)
+    return kahan_sum(f.eval_batch(xs).tolist()) / total
 
 
-def extended_rule_value(pair: EmbeddedPair, f: PeriodicFunction, *, threads: int | None = None) -> float:
-    """Direct evaluation of the 2^(m+sr)-point extension of the pair."""
+def extended_rule_value(pair: EmbeddedPair, f: PeriodicFunction) -> float:
+    """Direct evaluation of the 2^(m+sr)-point extension of the pair.
+
+    The nodes k * z / 2^(m+sr) are evaluated in blocks of consecutive k and
+    summed in one correctly rounded sum: a route independent of the coset
+    enumeration whose mean it checks.
+    """
     if pair.ext > GUARD_BITS:
         raise GuardLimitError(f"node count 2^{pair.ext} exceeds the 2^{GUARD_BITS} guard")
-    rule = pair.extended_rule()
+    z = pair.z.components
+    n = 1 << pair.ext
+    size = min(n, BLOCK_NODES)
     off = f.known_integral if f.known_integral is not None else 0.0
 
-    def term(k: int) -> float:
-        return f.eval(rule.node(k)) - off
+    def block(lo: int) -> list[float]:
+        nums = lattice_numerators(z, pair.ext, size, as_uint64(lo * c for c in z)[:, None])
+        return (f.eval_batch(nums[:, 0] * (1.0 / n)) - off).tolist()
 
-    n = rule.n_points
-    return off + chunked_sum(term, n, threads=threads) / n
+    return off + kahan_sum(chain.from_iterable(block(lo) for lo in range(0, n, size))) / n

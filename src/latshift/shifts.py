@@ -11,9 +11,11 @@ Three randomizations of a rank-1 rule are implemented:
   pair, so that one draw of s*r bits advances the base lattice into one of
   the 2^sr cosets of its 2^(m+sr)-point extension.
 
-Every dyadic evaluator accumulates f(x) - If (when the integral is known)
-with compensated summation and adds If back at the end, keeping cancellation
-error near 1e-13 absolute even over 2^16 terms.
+Every evaluator builds its nodes with the vectorized kernel
+`lattice.lattice_numerators`, evaluates them in one `eval_batch` call, and
+sums f(x) - If (when the integral is known) with the correctly rounded
+`math.fsum` before adding If back, so a mean does not depend on the order
+of its nodes.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
+import numpy as np
+
 from .functions import PeriodicFunction
-from .lattice import DyadicPoint, EmbeddedPair, Rank1Rule
-from .summation import chunked_sum, kahan_sum
+from .lattice import DyadicPoint, EmbeddedPair, Rank1Rule, as_uint64, lattice_numerators
 
 
 @dataclass(frozen=True)
@@ -139,18 +142,44 @@ def _offset(f: PeriodicFunction) -> float:
     return f.known_integral if f.known_integral is not None else 0.0
 
 
-def eval_rule(rule: Rank1Rule, f: PeriodicFunction, *, threads: int | None = None) -> float:
+def _row_means(values: np.ndarray, off: float) -> np.ndarray:
+    """Mean of each row of values (the last axis), as off + fsum(row - off) / n."""
+    n = values.shape[-1]
+    rows = (values - off).reshape(-1, n).tolist()
+    return np.array([off + math.fsum(row) / n for row in rows])
+
+
+def grid_shift_means(rule: Rank1Rule, f: PeriodicFunction, offsets: np.ndarray, t: int) -> np.ndarray:
+    """Means of f over the rule nodes displaced by a block of grid shifts.
+
+    offsets holds the shift numerators over 2^t (t >= m), one shift per
+    column of its (s, B) shape; the result has one mean per shift.
+    """
+    steps = [c << (t - rule.m) for c in rule.z.components]
+    nums = lattice_numerators(steps, t, rule.n_points, offsets)
+    return _row_means(f.eval_batch(nums * (1.0 / (1 << t))), _offset(f))
+
+
+def coset_means(pair: EmbeddedPair, f: PeriodicFunction, lo: int, hi: int) -> np.ndarray:
+    """Means of f over the base-rule cosets lo .. hi - 1 of the pair.
+
+    Coset w is the extension nodes (j << sr) | w, j < 2^m, formed exactly
+    in integer arithmetic at depth m + sr; the equivalent float expression
+    {(j + w)/2^m * z} would corrupt biases at the 1e-9 scale.
+    """
+    z = pair.z.components
+    w = np.arange(hi - lo, dtype=np.uint64) + as_uint64([lo])
+    offsets = as_uint64(z)[:, None] * w
+    nums = lattice_numerators([c << pair.sr for c in z], pair.ext, 1 << pair.m, offsets)
+    return _row_means(f.eval_batch(nums * (1.0 / (1 << pair.ext))), _offset(f))
+
+
+def eval_rule(rule: Rank1Rule, f: PeriodicFunction) -> float:
     """Plain (unshifted) rule value: the mean of f over all nodes."""
-    return eval_grid_shifted(rule, f, GridShift((0,) * rule.s, 0), threads=threads)
+    return eval_grid_shifted(rule, f, GridShift((0,) * rule.s, 0))
 
 
-def eval_grid_shifted(
-    rule: Rank1Rule,
-    f: PeriodicFunction,
-    shift: GridShift,
-    *,
-    threads: int | None = None,
-) -> float:
+def eval_grid_shifted(rule: Rank1Rule, f: PeriodicFunction, shift: GridShift) -> float:
     """Mean of f over the rule nodes displaced by the grid shift.
 
     Nodes at depth m and the shift at depth r combine exactly at depth
@@ -159,50 +188,18 @@ def eval_grid_shifted(
     if shift.s != rule.s:
         raise ValueError(f"dimension mismatch: shift has {shift.s}, rule has {rule.s}")
     t = max(rule.m, shift.r)
-    mask = (1 << t) - 1
-    zs = [(zi << (t - rule.m)) & mask for zi in (c % (1 << rule.m) for c in rule.z.components)]
-    vs = [n << (t - shift.r) for n in shift.nums]
-    off = _offset(f)
-
-    def term(j: int) -> float:
-        point = DyadicPoint(tuple((j * zi + vi) & mask for zi, vi in zip(zs, vs)), t)
-        return f.eval(point) - off
-
-    n = rule.n_points
-    return off + chunked_sum(term, n, threads=threads) / n
+    offsets = as_uint64(v << (t - shift.r) for v in shift.nums)[:, None]
+    return float(grid_shift_means(rule, f, offsets, t)[0])
 
 
-def eval_scalar_shifted(
-    pair: EmbeddedPair,
-    f: PeriodicFunction,
-    shift: ScalarShift,
-    *,
-    threads: int | None = None,
-) -> float:
-    """Mean of f over the base-rule coset selected by the scalar shift.
-
-    Coset nodes are formed exactly in integer arithmetic at depth m + sr;
-    the equivalent float expression {(j + w)/2^m * z} would corrupt biases
-    at the 1e-9 scale.
-    """
+def eval_scalar_shifted(pair: EmbeddedPair, f: PeriodicFunction, shift: ScalarShift) -> float:
+    """Mean of f over the base-rule coset selected by the scalar shift."""
     if shift.sr != pair.sr:
         raise ValueError(f"bit-depth mismatch: shift has {shift.sr}, pair has {pair.sr}")
-    off = _offset(f)
-
-    def term(j: int) -> float:
-        return f.eval(pair.coset_node(j, shift.wnum)) - off
-
-    n = 1 << pair.m
-    return off + chunked_sum(term, n, threads=threads) / n
+    return float(coset_means(pair, f, shift.wnum, shift.wnum + 1)[0])
 
 
-def eval_real_shifted(
-    rule: Rank1Rule,
-    f: PeriodicFunction,
-    shift: RealShift,
-    *,
-    threads: int | None = None,
-) -> float:
+def eval_real_shifted(rule: Rank1Rule, f: PeriodicFunction, shift: RealShift) -> float:
     """Mean of f over nodes displaced by an arbitrary real shift.
 
     The idealized estimator: fractional parts are taken in floating point,
@@ -211,18 +208,10 @@ def eval_real_shifted(
     """
     if shift.s != rule.s:
         raise ValueError(f"dimension mismatch: shift has {shift.s}, rule has {rule.s}")
-    node_floats = [rule.node(j).as_floats() for j in range(rule.n_points)]
-    off = _offset(f)
-
-    def term(j: int) -> float:
-        xs = []
-        for x, u in zip(node_floats[j], shift.u):
-            v = x + u
-            xs.append(v - 1.0 if v >= 1.0 else v)
-        return f.eval_real(xs) - off
-
-    n = rule.n_points
-    return off + chunked_sum(term, n, threads=threads) / n
+    nums = lattice_numerators(rule.z.components, rule.m, rule.n_points)
+    v = nums * (1.0 / rule.n_points) + np.array(shift.u)[:, None]
+    xs = np.where(v >= 1.0, v - 1.0, v)
+    return float(_row_means(f.eval_batch(xs), _offset(f))[0])
 
 
 @dataclass(frozen=True)
@@ -254,8 +243,8 @@ def estimate_mean(
     if q == 0:
         raise ValueError("need at least one shift replicate")
     values = tuple(evaluator(shift) for shift in shifts)
-    mean = kahan_sum(values) / q
+    mean = math.fsum(values) / q
     if q == 1:
         return ReplicateEstimate(values, mean, None)
-    var = kahan_sum((v - mean) ** 2 for v in values) / (q - 1)
+    var = math.fsum((v - mean) ** 2 for v in values) / (q - 1)
     return ReplicateEstimate(values, mean, math.sqrt(var))

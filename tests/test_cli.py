@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -140,6 +141,16 @@ class TestEstimateCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("scheme", ["grid", "ideal"])
+    def test_node_guard_exit_code(self, capsys, scheme):
+        # 2^40 nodes: the node kernel refuses them before allocating
+        code, _, err = run(
+            capsys, "estimate", "--scheme", scheme, "--s", "1", "--m", "40", "--r", "4",
+            "--ell", "1", "--bits", "seed:1",
+        )
+        assert code == 2
+        assert "guard" in err
+
     def test_bit_exhaustion_is_validation_error(self, capsys, tmp_path):
         p = tmp_path / "short.txt"
         p.write_text("0" * 5)  # one bit short of the s*r = 6 needed
@@ -196,6 +207,23 @@ class TestTablesCommand:
         assert failures == []
         assert artifact["all_match"] is True
         assert code == 0
+
+    def test_check_reports_mismatches_on_stderr(self, capsys, monkeypatch, tmp_path):
+        from latshift import cli
+
+        cells = list(cli.REFERENCE_CELLS)
+        cells[0] = dataclasses.replace(cells[0], bias_grid=2.0e-3)
+        monkeypatch.setattr(cli, "REFERENCE_CELLS", tuple(cells))
+        out_path = tmp_path / "tables.json"
+        code = main(["tables", "--check", "--out", str(out_path)])
+        err = capsys.readouterr().err
+        artifact = json.loads(out_path.read_text())
+        computed = artifact["cells"][0]["checks"][0]["computed"]
+        assert code == 3
+        assert artifact["all_match"] is False
+        assert err.splitlines() == [
+            f"mismatch: s=3 m=4 r=4 ell=17797 grid-shift bias: expected 0.002, computed {computed!r}"
+        ]
 
     def test_csv_output(self, capsys):
         code, out, _ = run(capsys, "tables", "--format", "csv")

@@ -24,7 +24,6 @@ from latshift import (
     rectangle_rule_mean,
     scalar_shift_to_bits,
 )
-from latshift.summation import kahan_sum
 
 from conftest import rel_err
 
@@ -127,7 +126,7 @@ class TestExhaustiveShiftMeans:
                 for a in range(1 << r)
                 for b in range(1 << r)
             ]
-            mean = 1.0 + kahan_sum(v - 1.0 for v in vals) / len(vals)
+            mean = 1.0 + math.fsum(v - 1.0 for v in vals) / len(vals)
             assert rel_err(mean, rect) < 1e-12
             assert rel_err(mean, closed) < 1e-12
             means.append(mean)
@@ -142,7 +141,7 @@ class TestExhaustiveShiftMeans:
         for ell in (17797, 1267):
             pair = EmbeddedPair(m, sr, korobov_vector(ell, s, m + sr))
             vals = [eval_scalar_shifted(pair, f, ScalarShift(w, sr)) for w in range(1 << sr)]
-            mean = 1.0 + kahan_sum(v - 1.0 for v in vals) / len(vals)
+            mean = 1.0 + math.fsum(v - 1.0 for v in vals) / len(vals)
             assert rel_err(mean, extended_rule_value(pair, f)) < 1e-12
 
 
@@ -157,8 +156,8 @@ class TestRealShiftUnbiasedness:
             eval_real_shifted(rule, f, RealShift((rng.random(), rng.random())))
             for _ in range(q)
         ]
-        mean = kahan_sum(vals) / q
-        sd = math.sqrt(kahan_sum((v - mean) ** 2 for v in vals) / (q - 1))
+        mean = math.fsum(vals) / q
+        sd = math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / (q - 1))
         assert abs(mean - 1.0) < 4.0 * sd / math.sqrt(q)
 
 
@@ -189,5 +188,5 @@ class TestEstimateMean:
         q = est.q
         assert rel_err(est.mean, extended_rule_value(pair, f)) < 1e-12
         # sample variance (divisor q-1) vs exact population variance
-        pop_var = kahan_sum((v - est.mean) ** 2 for v in est.values) / q
+        pop_var = math.fsum((v - est.mean) ** 2 for v in est.values) / q
         assert est.sd == pytest.approx(math.sqrt(pop_var * q / (q - 1)), rel=1e-12)
