@@ -8,23 +8,31 @@ is scored at both of its levels; the combined figure is the worse of the
 two per-level merits, each normalized by the best Korobov baseline merit
 at that level.
 
-The construction is greedy: component d is chosen from all odd candidates
-below 2^(m+sr) to minimize the combined figure of the partial vector.  Two
-exact reductions keep the scan at desk scale without changing its result:
+The construction is greedy: component d is chosen from the odd candidates
+c <= 2^(m+sr-1) to minimize the combined figure of the partial vector,
+with ties broken by the smallest candidate.  The reference integrand is
+reflection symmetric and merits are evaluated in a canonical component
+order, so c and its mirror 2^ext - c have bit-equal merits and only the
+lower half is a candidate.
 
-* the reference integrand is reflection symmetric, and merits are evaluated
-  in a canonical component order, so candidate c and its mirror 2^ext - c
-  have bit-equal merits -- only the lower half is scanned, and the
-  smallest-candidate tie rule picks the lower representative anyway;
-* the base-level merit depends on the candidate only through its residue
-  mod 2^m, so once some candidate's combined figure is at hand, whole
-  residue classes whose base figure already exceeds it cannot contain the
-  argmin and are skipped.
+Each step is a fast CBC scan (Nuyens & Cools, Math. Comp. 75, 2006; for
+embedded pairs Cools, Kuo & Nuyens, SIAM J. Sci. Comput. 28, 2006): the
+merit of every candidate at a level is sum_k p[k] w[k c mod 2^t] for the
+node product p of the chosen components, and `unit_scan` computes all of
+them at once by FFT over the powers of 5.  The scan comes with a stated
+bound on its gap to the canonical `merit` value.  Selection is exact:
 
-Ranking inside the scan uses fast matrix arithmetic; final selection
-re-scores a shortlist (everything within a safety margin of the scan
-minimum) through the canonical merit path, so the reported merits and the
-selection are mutually consistent.
+* candidates whose combined figure is provably above the smallest upper
+  bound are dropped (`_near_min`), first on the scanned base figures;
+* the base figure depends on c only through its mirror class mod 2^m, so
+  the classes still in the running get their canonical `merit` value;
+* a candidate whose extended term provably stays at or below its base
+  term has combined figure exactly the base figure; only the remaining
+  true near-ties are re-scored through `embedded_merit`.
+
+The winner is the lexicographic minimum of (canonical combined figure,
+candidate), so the result equals a greedy search that re-scores every
+candidate canonically.
 """
 
 from __future__ import annotations
@@ -49,13 +57,6 @@ FULL_SCAN_BITS = 16
 
 SAMPLE_SIZE = 4096
 SAMPLE_SEED = 7777
-
-# covers the gap between fast-ranked scan values and canonical merit values
-# (normalized units); candidates this close to the scan minimum are re-scored
-SHORTLIST_MARGIN = 0.01
-
-_CHUNK = 256
-
 
 @dataclass(frozen=True)
 class MeritValue:
@@ -144,21 +145,101 @@ def embedded_merit(z: GeneratingVector, m: int, sr: int) -> EmbeddedMerit:
     return EmbeddedMerit(base, extended, combined)
 
 
-def _candidate_classes(n_base: int) -> list[int]:
-    if n_base == 1:
-        return [0]
-    return list(range(1, n_base, 2))
+def _powers_of_five(count: int, n: int) -> np.ndarray:
+    """5^a mod n for a < count (a power of two), built by doubling."""
+    pw = np.ones(count, dtype=np.int64)
+    h, f = 1, 5 % n
+    while h < count:
+        pw[h : 2 * h] = (pw[:h] * f) % n
+        h, f = 2 * h, f * f % n
+    return pw
 
 
-def _class_candidates(res: int, n_base: int, n_ext: int, policy_sample: np.ndarray | None):
-    dtype = _index_dtype(n_ext)
-    if policy_sample is not None:
-        if n_base == 1:
-            return policy_sample
-        return policy_sample[policy_sample % n_base == res]
-    step = 2 if n_base == 1 else n_base
-    start = 1 if n_base == 1 else res
-    return np.arange(start, n_ext // 2 + 1, step, dtype=dtype)
+def unit_scan(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """sum_k p[k] w[k c mod n] for every odd c <= max(n/2, 1), by FFT.
+
+    n = len(p) = len(w) is a power of two and both tables are symmetric:
+    p[k] = p[n - k] and w[k] = w[n - k].  Entry c >> 1 of the result
+    belongs to c.
+
+    The indices k = 2^v u with u odd form one class per valuation v.
+    Modulo 2^L, L = t - v >= 2, the odd units are {+-1} x <5>, so with
+    u = +-5^a and c = +-5^b the class contributes 2 sum_a P[a] W[a + b],
+    P[a] = p[2^v 5^a], W[a] = w[2^v 5^a]: a cyclic correlation of length
+    2^(L-2), computed by FFT and read back at b mod 2^(L-2).  The classes
+    L = 1 and k = 0 are constants.  Cost O(n log n).
+
+    The second value bounds |result - exact sum of the given floats| for
+    every entry.  An FFT output errs by at most eps_F = 8u (log2 N + 2)
+    times the 1-norm of its input (componentwise bound, u the unit
+    roundoff), which after the product and the inverse transform gives
+    eps_F (|P|_1 |W|_2 + |P|_2 |W|_1) + (eps_F + 3u) |P|_2 |W|_2 per
+    correlation; accumulating the classes adds (t + 2) u per unit of
+    magnitude, and the total is doubled to cover second-order terms.
+    """
+    n = len(p)
+    t = n.bit_length() - 1
+    count = max(n // 4, 1)
+    u = np.finfo(float).eps / 2
+    pow5 = _powers_of_five(count, n)
+    sums = np.zeros(count)
+    consts = [p[0] * w[0]]
+    err = size = 0.0
+    for v in range(t):
+        L = t - v
+        if L == 1:
+            consts.append(p[n >> 1] * w[n >> 1])
+            continue
+        N = 1 << (L - 2)
+        idx = (pow5[:N] & ((1 << L) - 1)) << v
+        P, W = p[idx], w[idx]
+        corr = np.fft.irfft(np.conj(np.fft.rfft(P)) * np.fft.rfft(W), n=N)
+        view = sums.reshape(-1, N)
+        view += 2.0 * corr
+        p1, p2 = float(np.abs(P).sum()), math.sqrt(float((P * P).sum()))
+        w1, w2 = float(np.abs(W).sum()), math.sqrt(float((W * W).sum()))
+        eps_f = 8 * u * (math.log2(N) + 2)
+        err += 2.0 * (eps_f * (p1 * w2 + p2 * w1) + (eps_f + 3 * u) * p2 * w2)
+        size += 2.0 * p2 * w2
+    size += sum(abs(x) for x in consts)
+    out = np.empty(count)
+    out[np.minimum(pow5, n - pow5) >> 1] = sums + math.fsum(consts)
+    err += (t + 2) * u * size + u * float(np.abs(out).max())
+    return out, 2.0 * err
+
+
+def _scan_merits(p: np.ndarray, w: np.ndarray, d: int, rows: np.ndarray, norm: float):
+    """Normalized merits of (partial vector, c) for odd c = rows, with bounds.
+
+    p is the node product of the d - 1 chosen components and w the factor
+    table at one level.  Returns estimates of merit(..., n).value / norm,
+    as the canonical path computes it, and per-entry bounds on the gap.
+    """
+    n = len(p)
+    u = np.finfo(float).eps / 2
+    # sum_k (p w_c - 1) = sum p' + sum w' + sum p' w'_c with p' = p - 1 and
+    # w' = w - 1: the scan sees only the small parts
+    p1, w1 = p - 1.0, w - 1.0
+    sums, scan_err = unit_scan(p1, w1)
+    sums = sums[rows >> 1]
+    const = float(p1.sum() + w1.sum())
+    est = (const + sums) / n / norm
+    # this path (d - 1 factors, - 1, pairwise sums of p' and w') and the
+    # canonical one (d factors, - 1, pairwise sum) round each term by at
+    # most (2d + 3 depth) u times the largest product, where numpy's
+    # pairwise sum passes a term through at most depth = t + 18 additions
+    depth = n.bit_length() + 17
+    big = float(p.max() * w.max())
+    gap = scan_err + 1.01 * (2 * d + 3 * depth) * u * big * n
+    gap = gap + 4 * u * (abs(const) + np.abs(sums))
+    return est, 2.0 * (gap / n / norm + 2 * u * np.abs(est))
+
+
+def _near_min(b_lo, b_hi, e, e_err) -> np.ndarray:
+    """Indices whose combined figure max(b, e) can still be the minimum."""
+    lo = np.maximum(b_lo, e - e_err)
+    hi = np.maximum(b_hi, e + e_err)
+    return np.flatnonzero(lo <= hi.min())
 
 
 def _sample_candidates(n_ext: int) -> np.ndarray:
@@ -218,61 +299,48 @@ def cbc_construct(
 
     n_base = 1 << m
     n_ext = 1 << ext
-    sample = _sample_candidates(n_ext) if candidate_policy == "sampled" else None
-    wb = 1.0 + bernoulli2(np.arange(n_base) / n_base)
+    if candidate_policy == "sampled":
+        cands = _sample_candidates(n_ext).astype(np.int64)
+    else:
+        cands = 2 * np.arange(n_ext // 4 or n_ext // 2, dtype=np.int64) + 1
+    if len(cands) == 0:
+        raise ValueError("empty candidate set at dimension 2")
+    # the base merit depends on c only through its mirror class mod 2^m
+    classes = np.minimum(cands % n_base, -cands % n_base)
+
     we = 1.0 + bernoulli2(np.arange(n_ext) / n_ext)
     dtype = _index_dtype(n_ext)
-    jb = np.arange(n_base, dtype=dtype)
     je = np.arange(n_ext, dtype=dtype)
-    mask_b = dtype(n_base - 1)
     mask_e = dtype(n_ext - 1)
+    pe = np.ones(n_ext)
 
     comps = [1]
     for d in range(2, s + 1):
         rb, re = _normalizers(d, m, sr)
-        pb = np.ones(n_base)
-        pe = np.ones(n_ext)
-        for c in comps:
-            pb = pb * wb[(jb * dtype(c % n_base)) & mask_b]
-            pe = pe * we[(je * dtype(c % n_ext)) & mask_e]
+        pe = pe * we[(je * dtype(comps[-1] % n_ext)) & mask_e]
+        prefix = tuple(comps)
 
-        classes = []
-        for res in _candidate_classes(n_base):
-            vb = float(pb @ wb[(jb * dtype(res)) & mask_b]) / n_base - 1.0
-            classes.append((vb / rb, res))
-        classes.sort()
+        # node k of the base level is node k 2^sr of the extended one, with
+        # bit-equal factor table and product
+        b, b_err = _scan_merits(pe[:: 1 << sr], we[:: 1 << sr], d, classes, rb)
+        if sr == 0:
+            e, e_err = np.full(len(cands), -np.inf), np.zeros(len(cands))
+        else:
+            e, e_err = _scan_merits(pe, we, d, cands, re)
+        keep = _near_min(b - b_err, b + b_err, e, e_err)
 
-        best = math.inf
-        shortlist: list[tuple[float, int]] = []
-        for base_norm, res in classes:
-            if base_norm > best + SHORTLIST_MARGIN:
-                break
-            cands = _class_candidates(res, n_base, n_ext, sample)
-            for lo in range(0, len(cands), _CHUNK):
-                cc = cands[lo : lo + _CHUNK]
-                idx = je[:, None] * cc[None, :]
-                np.bitwise_and(idx, mask_e, out=idx)
-                ve = (pe @ we.take(idx)) / n_ext - 1.0
-                comb = np.maximum(base_norm, ve / re)
-                keep = comb <= best + SHORTLIST_MARGIN
-                shortlist.extend(zip(comb[keep].tolist(), cc[keep].tolist()))
-                lowest = float(comb.min())
-                if lowest < best:
-                    best = lowest
-        if not shortlist:
-            raise ValueError(f"empty candidate set at dimension {d}")
-
-        # canonical re-score of everything within the margin of the scan
-        # minimum; (combined, candidate) lexicographic minimum is the winner
-        chosen = None
-        for scan_comb, cand in shortlist:
-            if scan_comb > best + SHORTLIST_MARGIN:
-                continue
-            trial = GeneratingVector(tuple(comps) + (int(cand),), t)
-            em = embedded_merit(trial, m, sr)
-            key = (em.combined, int(cand))
-            if chosen is None or key < chosen:
-                chosen = key
-        comps.append(chosen[1])
+        # canonical base figures for the classes still in the running; a
+        # candidate whose extended term cannot reach its base term then has
+        # combined == b exactly, and only the rest are re-scored
+        bk = np.zeros(n_base // 2 + 1)
+        for r in np.unique(classes[keep]).tolist():
+            bk[r] = merit(GeneratingVector(prefix + (max(r, 1),), t), n_base).value / rb
+        bk = bk[classes[keep]]
+        near = _near_min(bk, bk, e[keep], e_err[keep])
+        keep, comb = keep[near], bk[near]
+        for j in np.flatnonzero(e[keep] + e_err[keep] > comb):
+            trial = GeneratingVector(prefix + (int(cands[keep[j]]),), t)
+            comb[j] = embedded_merit(trial, m, sr).combined
+        comps.append(int(cands[keep[comb == comb.min()]].min()))
 
     return GeneratingVector(tuple(comps), t)

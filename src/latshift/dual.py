@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
+from .errors import GUARD_BITS, GuardLimitError
 from .functions import PeriodicFunction
 from .lattice import DyadicPoint, Rank1Rule
 from .shifts import GridShift, RealShift
@@ -99,9 +100,14 @@ def dual_points(rule: Rank1Rule, box: TruncationBox) -> list[DualIndex]:
     The congruence is solved for the last coordinate: for each choice of
     h_1..h_{s-1} the residue of h_s mod 2^m is forced (every component of z
     is odd, hence invertible), and h_s then steps by 2^m across the box.
+    Refuses more than 2^GUARD_BITS prefixes (box points when n = 1) before
+    enumerating any.
     """
     n = rule.n_points
     h_range = range(-box.H, box.H + 1)
+    prefixes = len(h_range) ** (rule.s if n == 1 else rule.s - 1)
+    if prefixes > 1 << GUARD_BITS:
+        raise GuardLimitError(f"{prefixes} box prefixes exceed the 2^{GUARD_BITS} guard")
     if n == 1:
         pts = [h for h in product(h_range, repeat=rule.s) if any(h)]
         return pts
@@ -173,7 +179,8 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     Iterates h and k over the box duals and keeps l = h - k when it is
     nonzero and inside the box (it is automatically dual: a lattice is
     closed under subtraction).  Real coefficients are assumed, which makes
-    the result real.  Cost is quadratic in the number of box duals.
+    the result real.  Cost is quadratic in the number of box duals, so more
+    than 2^GUARD_BITS pairs are refused before any is formed.
 
     The reported tail bound is crude: a term is lost only if one of the
     three indices leaves the box, so three times the single-index tail
@@ -181,6 +188,8 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     """
     H = box.H
     duals = dual_points(rule, box)
+    if len(duals) ** 2 > 1 << GUARD_BITS:
+        raise GuardLimitError(f"{len(duals)}^2 dual pairs exceed the 2^{GUARD_BITS} guard")
     coeffs = [f.fourier_coeff(h) for h in duals]
     outer = []
     for h, ch in zip(duals, coeffs):

@@ -1,4 +1,13 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latshift import (
     GeneratingVector,
@@ -11,7 +20,8 @@ from latshift import (
     korobov_vector,
     merit,
 )
-from latshift.cbc import _normalizers, _sample_candidates
+from latshift.cbc import _normalizers, _sample_candidates, _scan_merits, unit_scan
+from latshift.functions import bernoulli2
 
 from conftest import rel_err
 
@@ -108,7 +118,106 @@ class TestEmbeddedMerit:
         assert em_good.combined < em_bad.combined
 
 
+def _two_product(a, b):
+    """a * b as an exact unevaluated sum hi + lo (Veltkamp/Dekker)."""
+
+    def split(x):
+        c = 134217729.0 * x  # 2^27 + 1
+        hi = c - (c - x)
+        return hi, x - hi
+
+    hi = a * b
+    ah, al = split(a)
+    bh, bl = split(b)
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _node_product(comps, n):
+    """Factor table w and node product p of the components at n nodes."""
+    w = 1.0 + bernoulli2(np.arange(n) / n)
+    k = np.arange(n)
+    p = np.ones(n)
+    for c in comps:
+        p = p * w[(k * c) % n]
+    return p, w
+
+
+def _odd_vectors(t):
+    n = 1 << t
+    odd = st.integers(0, max(n // 2 - 1, 0)).map(lambda i: 2 * i + 1)
+    return st.lists(odd, min_size=1, max_size=4)
+
+
+class TestUnitScan:
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.integers(1, 12), data=st.data())
+    def test_matches_direct_gather_within_reported_bound(self, t, data):
+        # symmetric tables, as the construction passes them: the node
+        # product of a random odd partial vector, raw or less one
+        n = 1 << t
+        p, w = _node_product(data.draw(_odd_vectors(t)), n)
+        if data.draw(st.booleans()):
+            p, w = p - 1.0, w - 1.0
+        sums, bound = unit_scan(p, w)
+        assert len(sums) == max(n // 4, 1)
+        k = np.arange(n)
+        for i, got in enumerate(sums.tolist()):
+            # exact sum_k p[k] w[k c mod n] minus the scan, rounded once
+            hi, lo = _two_product(p, w[(k * (2 * i + 1)) % n])
+            gap = abs(math.fsum(np.concatenate([hi, lo, [-got]])))
+            assert gap <= bound, (2 * i + 1, gap, bound)
+
+    @settings(max_examples=25, deadline=None)
+    @given(t=st.integers(1, 10), data=st.data())
+    def test_estimates_bracket_canonical_merits(self, t, data):
+        prefix = tuple(data.draw(_odd_vectors(t)))
+        d = len(prefix) + 1
+        n = 1 << t
+        p, w = _node_product(prefix, n)
+        cands = 2 * np.arange(max(n // 4, 1)) + 1
+        norm = _normalizers(d, t, 0)[0]
+        est, err = _scan_merits(p, w, d, cands, norm)
+        for c, e, bound in zip(cands.tolist(), est.tolist(), err.tolist()):
+            canonical = merit(GeneratingVector(prefix + (c,), t), n).value / norm
+            assert abs(e - canonical) <= bound, (c, e, canonical, bound)
+
+
+def _greedy_reference(s, m, sr):
+    """Greedy CBC re-scoring every odd candidate c <= 2^(ext-1) canonically."""
+    ext = m + sr
+    comps = (1,)
+    for _ in range(2, s + 1):
+        keys = [
+            (embedded_merit(GeneratingVector(comps + (c,), max(ext, 1)), m, sr).combined, c)
+            for c in range(1, (1 << ext) // 2 + 1, 2)
+        ]
+        comps += (min(keys)[1],)
+    return comps
+
+
 class TestCbcConstruct:
+    @pytest.mark.parametrize(
+        "s,m,sr",
+        [(s, m, sr) for s in (1, 2, 3) for m in range(4) for sr in range(7) if m + sr > 0]
+        # tie-dominated: every base figure is 1.0, so combined == 1.0 ties
+        + [(2, 2, 10)],
+    )
+    def test_equals_canonical_greedy_search(self, s, m, sr):
+        assert cbc_construct(s, m, sr).components == _greedy_reference(s, m, sr)
+
+    @pytest.mark.parametrize(
+        "shape,z",
+        [
+            # benchmark shapes (s, m, sr), from perfbench/expected.json
+            ((2, 8, 8), (1, 6755)),
+            ((3, 2, 12), (1, 989, 351)),
+            ((3, 5, 9), (1, 1145, 411)),
+            ((2, 5, 10), (1, 5831)),
+        ],
+    )
+    def test_pinned_vectors(self, shape, z):
+        assert cbc_construct(*shape).components == z
+
     def test_first_component_fixed(self):
         assert cbc_construct(1, 4, 8).components == (1,)
 
@@ -160,6 +269,31 @@ class TestCbcConstruct:
 
 
 class TestSampledPolicy:
+    def test_pinned_vector_at_extension_18(self):
+        assert cbc_construct(2, 4, 14).components == (1, 16617)
+
+    def test_extension_20_fits_in_bounded_memory(self):
+        # the scan allocates O(2^ext) floats, independent of the sample size
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+            "from latshift import cbc_construct\n"
+            "print(cbc_construct(2, 4, 16).components)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        # one BLAS thread: per-thread buffers would count against the cap
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # a canonical re-score of all 4096 sampled candidates picks 21415
+        assert proc.stdout.strip() == "(1, 21415)"
+
     def test_sample_is_deterministic_odd_lower_half(self):
         n_ext = 1 << 18
         a = _sample_candidates(n_ext)

@@ -172,6 +172,15 @@ class TestDualCommand:
         assert [5, 1] in artifact["points"]
         assert artifact["count"] == len(artifact["points"])
 
+    def test_box_guard_exit_code(self, capsys):
+        # (2H+1)^2 = 4e10 prefixes: refused before enumerating
+        code, out, err = run(
+            capsys, "dual", "--s", "3", "--m", "2", "--ell", "5", "--H", "100000"
+        )
+        assert code == 2
+        assert out == ""
+        assert "guard" in err
+
 
 class TestCbcCommand:
     def test_small_search_beats_worst_candidate(self, capsys):

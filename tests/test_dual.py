@@ -9,6 +9,7 @@ from latshift import (
     CumulantSet,
     DyadicPoint,
     GeneratingVector,
+    GuardLimitError,
     ProductBernoulliFn,
     Rank1Rule,
     RealShift,
@@ -104,6 +105,15 @@ class TestDualPoints:
     def test_box_validation(self):
         with pytest.raises(ValueError):
             TruncationBox(0)
+
+    def test_guard_on_prefix_count(self):
+        # (2H+1)^(s-1) prefixes, or (2H+1)^s box points for a single node
+        rule = Rank1Rule(2, korobov_vector(5, 3, 2))
+        with pytest.raises(GuardLimitError, match="box prefixes"):
+            dual_points(rule, TruncationBox(100000))
+        single = Rank1Rule(0, GeneratingVector((1, 1, 1, 1), 1))
+        with pytest.raises(GuardLimitError):
+            dual_points(single, TruncationBox(45))  # 91^4 > 2^26
 
 
 class TestShiftErrorSeries:
@@ -250,6 +260,12 @@ class TestThirdMomentSeries:
 
     def test_constant_function_gives_zero(self):
         assert third_moment_series(self.rule, ConstantFn(1), TruncationBox(8)).value == 0.0
+
+    def test_guard_on_pair_count(self):
+        # 8194 duals of the single-node rule: 8194^2 pairs exceed 2^26
+        rule = Rank1Rule(0, GeneratingVector((1,), 1))
+        with pytest.raises(GuardLimitError, match="dual pairs"):
+            third_moment_series(rule, self.f, TruncationBox(4097))
 
 
 class TestCumulants:
