@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bits import SplitMix64
-from .errors import GUARD_BITS, GuardLimitError
+from .errors import GuardLimitError, guard
 from .functions import bernoulli2
 from .lattice import GeneratingVector, korobov_vector
 
@@ -97,9 +97,8 @@ def merit(z: GeneratingVector, n_points: int) -> MeritValue:
     """
     if n_points < 1 or n_points & (n_points - 1):
         raise ValueError(f"node count must be a power of two, got {n_points}")
+    guard(n_points, "merit nodes")
     t = n_points.bit_length() - 1
-    if t > GUARD_BITS:
-        raise GuardLimitError(f"node count 2^{t} exceeds the 2^{GUARD_BITS} guard")
     if z.t < t:
         raise ValueError(f"generating vector known mod 2^{z.t} cannot drive 2^{t} nodes")
     comps = _canonical_components(z.components, n_points)
@@ -281,8 +280,7 @@ def cbc_construct(
     if m < 0 or sr < 0:
         raise ValueError(f"need m >= 0 and sr >= 0, got m={m}, sr={sr}")
     ext = m + sr
-    if ext > GUARD_BITS:
-        raise GuardLimitError(f"extension 2^{ext} exceeds the 2^{GUARD_BITS} guard")
+    guard(1 << ext, "extension nodes")
     if candidate_policy not in ("auto", "full", "sampled"):
         raise ValueError(f"unknown candidate policy {candidate_policy!r}")
     if candidate_policy == "auto":

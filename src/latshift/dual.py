@@ -11,20 +11,22 @@ moments of the ideally shifted rule:
   (h, k) with both k and h - k nonzero, of f^(h) f^*(k) f^*(h - k).
 
 Sums are truncated to a symmetric box |h_i| <= H; each result carries a
-computable (crude, monotone-in-H) bound on the discarded tail.  Cumulant
-scaling then transports single-replicate moments to the replicate mean.
+computable (crude, monotone-in-H) bound on the discarded tail.  The box
+duals are built once, as one integer array solved in closed form for the
+last coordinate; `dual_points` is its tuple view.  Cumulant scaling then
+transports single-replicate moments to the replicate mean.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Sequence
 
-from .errors import GUARD_BITS, GuardLimitError
+import numpy as np
+
+from .errors import guard
 from .functions import PeriodicFunction
-from .lattice import DyadicPoint, Rank1Rule
+from .lattice import NODE_DTYPE_BITS, DyadicPoint, Rank1Rule
 from .shifts import GridShift, RealShift
 
 DualIndex = tuple[int, ...]
@@ -37,8 +39,9 @@ class TruncationBox:
     H: int
 
     def __post_init__(self) -> None:
-        if self.H < 1:
-            raise ValueError(f"box bound must be >= 1, got {self.H}")
+        # below 2^62, box coordinates and their differences fit int64
+        if not 1 <= self.H < 1 << 62:
+            raise ValueError(f"box bound must be in [1, 2^62), got {self.H}")
 
 
 @dataclass(frozen=True)
@@ -94,35 +97,38 @@ def mean_cumulants(single: CumulantSet, q: int) -> CumulantSet:
     )
 
 
-def dual_points(rule: Rank1Rule, box: TruncationBox) -> list[DualIndex]:
-    """All nonzero h with |h_i| <= H and h . z = 0 (mod 2^m).
+def _dual_array(rule: Rank1Rule, box: TruncationBox) -> np.ndarray:
+    """`dual_points` as a (D, s) int64 array, one row per dual."""
+    s, H, n = rule.s, box.H, rule.n_points
+    width = 2 * H + 1
+    per = -(-width // n)
+    guard(width ** (s - 1) * per, "candidate duals over the box prefixes")
+    prefixes = np.indices((width,) * (s - 1)).reshape(s - 1, width ** (s - 1)).T - H
+    z = [c & (n - 1) for c in rule.z.components]
+    # uint64 arithmetic wraps exactly mod n up to n = 2^64
+    wide = np.uint64 if rule.m <= NODE_DTYPE_BITS else object
+    partial = prefixes.astype(wide) @ np.array(z[:-1], dtype=wide)
+    # h_s = offset - H is the smallest solution >= -H; an offset >= width
+    # leaves none in the box, so clipping at width loses nothing
+    offset = ((0 - partial) * pow(z[-1], -1, n) + H) & (n - 1)
+    offset = np.minimum(offset, width).astype(np.int64)
+    hs = offset[:, None] - H + min(n, width) * np.arange(per)
+    keep = hs <= H
+    duals = np.column_stack((np.repeat(prefixes, keep.sum(axis=1), axis=0), hs[keep]))
+    return duals[duals.any(axis=1)]
 
-    The congruence is solved for the last coordinate: for each choice of
-    h_1..h_{s-1} the residue of h_s mod 2^m is forced (every component of z
-    is odd, hence invertible), and h_s then steps by 2^m across the box.
-    Refuses more than 2^GUARD_BITS prefixes (box points when n = 1) before
-    enumerating any.
+
+def dual_points(rule: Rank1Rule, box: TruncationBox) -> list[DualIndex]:
+    """All nonzero h with |h_i| <= H and h . z = 0 (mod 2^m), in lexicographic order.
+
+    The congruence is solved for the last coordinate, for all prefixes
+    h_1..h_{s-1} of the box at once: every component of z is odd, hence
+    invertible mod 2^m, so a prefix forces the residue of h_s mod 2^m, and
+    h_s then steps by 2^m across the box.  Refuses more than 2^GUARD_BITS
+    candidates (box prefixes times the h_s one prefix can take) before
+    building any.
     """
-    n = rule.n_points
-    h_range = range(-box.H, box.H + 1)
-    prefixes = len(h_range) ** (rule.s if n == 1 else rule.s - 1)
-    if prefixes > 1 << GUARD_BITS:
-        raise GuardLimitError(f"{prefixes} box prefixes exceed the 2^{GUARD_BITS} guard")
-    if n == 1:
-        pts = [h for h in product(h_range, repeat=rule.s) if any(h)]
-        return pts
-    z = rule.z.components
-    zs_inv = pow(z[-1] % n, -1, n)
-    out: list[DualIndex] = []
-    for prefix in product(h_range, repeat=rule.s - 1):
-        partial = sum(hi * zi for hi, zi in zip(prefix, z)) % n
-        residue = (-partial * zs_inv) % n
-        first = -box.H + ((residue - (-box.H)) % n)
-        for hs in range(first, box.H + 1, n):
-            if hs == 0 and not any(prefix):
-                continue
-            out.append(prefix + (hs,))
-    return out
+    return list(map(tuple, _dual_array(rule, box).tolist()))
 
 
 def _shift_floats(shift, s: int) -> tuple[float, ...]:
@@ -155,14 +161,11 @@ def shift_error_series(
     a RealShift, a GridShift, a DyadicPoint, or a float sequence.
     """
     c = _shift_floats(shift, rule.s)
-    if any(c):
-        two_pi = 2.0 * math.pi
-        terms = (
-            math.cos(two_pi * sum(hi * ci for hi, ci in zip(h, c))) * f.fourier_coeff(h)
-            for h in dual_points(rule, box)
-        )
-    else:
-        terms = (f.fourier_coeff(h) for h in dual_points(rule, box))
+    two_pi = 2.0 * math.pi
+    terms = (
+        math.cos(two_pi * sum(hi * ci for hi, ci in zip(h, c))) * f.fourier_coeff(h)
+        for h in dual_points(rule, box)
+    )
     return SeriesResult(math.fsum(terms), f.coefficient_tail_bound(box.H, 1), box.H)
 
 
@@ -176,41 +179,31 @@ def cp_variance_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox)
 def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox) -> SeriesResult:
     """Truncated dual double sum for the third central moment of Q_u f.
 
-    Iterates h and k over the box duals and keeps l = h - k when it is
-    nonzero and inside the box (it is automatically dual: a lattice is
-    closed under subtraction).  Real coefficients are assumed, which makes
-    the result real.  Cost is quadratic in the number of box duals, so more
-    than 2^GUARD_BITS pairs are refused before any is formed.
+    For each box dual h, sums over the box duals k with l = h - k nonzero
+    and inside the box.  Such an l is itself a box dual (a lattice is closed
+    under subtraction), so its coefficient is looked up, not recomputed.
+    Real coefficients are assumed, which makes the result real.  Cost is
+    quadratic in the number of box duals, so more than 2^GUARD_BITS pairs
+    are refused before any is formed.
 
     The reported tail bound is crude: a term is lost only if one of the
     three indices leaves the box, so three times the single-index tail
     times a bound on the unconstrained double sum covers the remainder.
     """
     H = box.H
-    duals = dual_points(rule, box)
-    if len(duals) ** 2 > 1 << GUARD_BITS:
-        raise GuardLimitError(f"{len(duals)}^2 dual pairs exceed the 2^{GUARD_BITS} guard")
-    coeffs = [f.fourier_coeff(h) for h in duals]
+    duals = _dual_array(rule, box)
+    guard(len(duals) ** 2, "dual pairs")
+    coeffs = np.array([f.fourier_coeff(h) for h in map(tuple, duals.tolist())], dtype=float)
+    # keys in the balanced base 2H + 1 increase with the lexicographic row order
+    radix = (2 * H + 1) ** np.arange(rule.s - 1, -1, -1)
+    keys = duals @ radix
     outer = []
-    for h, ch in zip(duals, coeffs):
-        inner = []
-        for k, ck in zip(duals, coeffs):
-            ok = True
-            all_zero = True
-            l = []
-            for hi, ki in zip(h, k):
-                li = hi - ki
-                if li < -H or li > H:
-                    ok = False
-                    break
-                if li != 0:
-                    all_zero = False
-                l.append(li)
-            if not ok or all_zero:
-                continue
-            inner.append(ck * f.fourier_coeff(tuple(l)))
-        outer.append(ch * math.fsum(inner))
+    for h, ch in zip(duals, coeffs.tolist()):
+        l = h - duals
+        keep = (np.abs(l) <= H).all(axis=1) & l.any(axis=1)
+        cl = coeffs[np.searchsorted(keys, l[keep] @ radix)]
+        outer.append(ch * math.fsum((coeffs[keep] * cl).tolist()))
     tail1 = f.coefficient_tail_bound(H, 1)
-    box_sum = math.fsum(abs(c) for c in coeffs)
+    box_sum = math.fsum(abs(c) for c in coeffs.tolist())
     tail = 3.0 * tail1 * (box_sum + tail1)
     return SeriesResult(math.fsum(outer), tail, H)

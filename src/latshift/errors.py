@@ -12,6 +12,17 @@ class GuardLimitError(ValueError):
     """
 
 
+def guard(count: int, what: str) -> None:
+    """Refuse a request for more than 2^GUARD_BITS items, before any is made.
+
+    count is the number of items needed and what names them.
+    """
+    if count > 1 << GUARD_BITS:
+        # str() refuses ints of more than a few thousand digits
+        size = count if count < 1 << 64 else f"at least 2^{count.bit_length() - 1}"
+        raise GuardLimitError(f"{size} {what} exceed the 2^{GUARD_BITS} guard")
+
+
 class IdentityCheckError(RuntimeError):
     """An internal cross-check identity failed beyond its tolerance.
 

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import GUARD_BITS, GuardLimitError
+from .errors import GuardLimitError, guard
 
 # node numerators live in uint64; products wrap mod 2^64, which 2^t divides
 NODE_DTYPE_BITS = 64
@@ -56,8 +56,7 @@ def lattice_numerators(
     numerators, before allocating anything.
     """
     blocks = 1 if offsets is None else offsets.shape[1]
-    if n * blocks > 1 << GUARD_BITS:
-        raise GuardLimitError(f"{n * blocks} nodes exceed the 2^{GUARD_BITS} node guard")
+    guard(n * blocks, "nodes")
     if t > NODE_DTYPE_BITS:
         raise GuardLimitError(
             f"node depth 2^-{t} exceeds the {NODE_DTYPE_BITS}-bit node numerators"

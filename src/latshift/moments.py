@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GUARD_BITS, GuardLimitError, IdentityCheckError
+from .errors import GUARD_BITS, IdentityCheckError, guard
 from .functions import PeriodicFunction
 from .lattice import EmbeddedPair, Rank1Rule, as_uint64, lattice_numerators
 from .shifts import coset_means, grid_shift_means
@@ -35,7 +35,8 @@ MEAN_IDENTITY_RTOL = 1e-12
 # node arrays whatever the shift-space size
 BLOCK_NODES = 1 << 16
 
-# perfbench/tracing.py binds spans at kahan_sum and chunked_map, so both names stay
+# perfbench binds spans at kahan_sum and chunked_map and reads GUARD_BITS
+# here, so all three names stay
 kahan_sum = math.fsum
 
 
@@ -105,14 +106,15 @@ def _report(
 ) -> MomentReport:
     offset = f.known_integral if f.known_integral is not None else 0.0
     n = len(values)
+    # each sum lists the values a block at a time, so no full-length copy is held
+    blocks = [values[lo : lo + BLOCK_NODES] for lo in range(0, n, BLOCK_NODES)]
     # the mean is accumulated about the known integral, and the bias is kept
     # as that offset sum directly: biases near 1e-9 would otherwise lose
     # digits to the rounding of 1 + bias
-    delta = kahan_sum((values - offset).tolist()) / n
+    delta = kahan_sum(chain.from_iterable((v - offset).tolist() for v in blocks)) / n
     mean = offset + delta
-    dev = values - mean
-    var = kahan_sum((dev**2).tolist()) / n
-    mu3 = kahan_sum((dev**3).tolist()) / n
+    var = kahan_sum(chain.from_iterable(((v - mean) ** 2).tolist() for v in blocks)) / n
+    mu3 = kahan_sum(chain.from_iterable(((v - mean) ** 3).tolist() for v in blocks)) / n
     rel = abs(mean - check_value) / abs(check_value) if check_value != 0.0 else abs(mean)
     if rel > MEAN_IDENTITY_RTOL:
         raise IdentityCheckError(
@@ -143,8 +145,7 @@ def moments_grid_shift(rule: Rank1Rule, f: PeriodicFunction, r: int) -> MomentRe
     s = rule.s
     if r < rule.m:
         raise ValueError(f"grid resolution r={r} below rule resolution m={rule.m}")
-    if r * s > GUARD_BITS:
-        raise GuardLimitError(f"shift space 2^{r * s} exceeds the 2^{GUARD_BITS} guard")
+    guard(1 << (r * s), "grid shifts")
 
     def block(lo: int, hi: int) -> np.ndarray:
         offsets = _grid_numerators(np.arange(lo, hi, dtype=np.uint64), s, r)
@@ -156,10 +157,8 @@ def moments_grid_shift(rule: Rank1Rule, f: PeriodicFunction, r: int) -> MomentRe
 
 def moments_scalar_shift(pair: EmbeddedPair, f: PeriodicFunction) -> MomentReport:
     """Exact moments of the scalar-shifted rule over all 2^sr shifts."""
-    if pair.sr > GUARD_BITS:
-        raise GuardLimitError(f"shift space 2^{pair.sr} exceeds the 2^{GUARD_BITS} guard")
-    if pair.ext > GUARD_BITS:
-        raise GuardLimitError(f"node count 2^{pair.ext} exceeds the 2^{GUARD_BITS} guard")
+    guard(1 << pair.sr, "scalar shifts")
+    guard(1 << pair.ext, "extension nodes")
     values = chunked_map(
         lambda lo, hi: coset_means(pair, f, lo, hi), 1 << pair.sr, _shifts_per_block(pair.m)
     )
@@ -183,12 +182,8 @@ def rectangle_rule_mean(f: PeriodicFunction, s: int, r: int) -> float:
         scale = 1.0 / n
         coord_mean = kahan_sum(factor(i * scale) for i in range(n)) / n
         return coord_mean**s
-    if r * s > GUARD_BITS:
-        raise GuardLimitError(
-            f"grid of 2^{r * s} points exceeds the 2^{GUARD_BITS} guard and "
-            "the integrand has no per-coordinate factorization"
-        )
     total = 1 << (r * s)
+    guard(total, "grid points of an integrand with no per-coordinate factorization")
     xs = _grid_numerators(np.arange(total, dtype=np.uint64), s, r) * (1.0 / n)
     return kahan_sum(f.eval_batch(xs).tolist()) / total
 
@@ -200,10 +195,9 @@ def extended_rule_value(pair: EmbeddedPair, f: PeriodicFunction) -> float:
     summed in one correctly rounded sum: a route independent of the coset
     enumeration whose mean it checks.
     """
-    if pair.ext > GUARD_BITS:
-        raise GuardLimitError(f"node count 2^{pair.ext} exceeds the 2^{GUARD_BITS} guard")
-    z = pair.z.components
     n = 1 << pair.ext
+    guard(n, "extension nodes")
+    z = pair.z.components
     size = min(n, BLOCK_NODES)
     off = f.known_integral if f.known_integral is not None else 0.0
 

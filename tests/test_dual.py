@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -58,6 +60,49 @@ class NoModelFn(ConstantFn):
     coefficient_tail_bound = PeriodicFunction.coefficient_tail_bound
 
 
+def pairwise_third_moment(duals, f, H):
+    """Reference double sum over dual pairs: for each h, the k with
+    l = h - k nonzero and inside the box, each coefficient evaluated afresh."""
+    coeffs = [f.fourier_coeff(h) for h in duals]
+    outer = []
+    for h, ch in zip(duals, coeffs):
+        inner = []
+        for k, ck in zip(duals, coeffs):
+            l = tuple(hi - ki for hi, ki in zip(h, k))
+            if any(l) and all(-H <= li <= H for li in l):
+                inner.append(ck * f.fourier_coeff(l))
+        outer.append(ch * math.fsum(inner))
+    return math.fsum(outer)
+
+
+@st.composite
+def rules_and_boxes(draw):
+    """Small rules, including s = 1, the single-node m = 0 and depths past
+    64 bits, with components near +-1 mod 2^m so large m still has duals."""
+    s = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 5) | st.sampled_from([63, 64, 65]))
+    t = max(m, 1)
+    odd = st.integers(0, 4) | st.integers(0, 1 << 70)
+    comps = [
+        (draw(st.sampled_from([1, -1])) * (2 * draw(odd) + 1)) % (1 << t) for _ in range(s)
+    ]
+    H = draw(st.integers(1, {1: 9, 2: 5, 3: 3}[s]))
+    return Rank1Rule(m, GeneratingVector(tuple(comps), t)), H
+
+
+@settings(max_examples=40, deadline=None)
+@given(rules_and_boxes())
+def test_solver_and_third_moment_match_references(case):
+    rule, H = case
+    pts = dual_points(rule, TruncationBox(H))
+    expected = sorted(brute_force_duals(rule, H))
+    assert pts == expected
+    assert all(type(hi) is int for h in pts for hi in h)
+    f = ProductBernoulliFn(rule.s)
+    value = third_moment_series(rule, f, TruncationBox(H)).value
+    assert value == pairwise_third_moment(expected, f, H)
+
+
 class TestDualPoints:
     def test_known_members(self):
         rule = Rank1Rule(3, GeneratingVector((1, 3), 3))
@@ -105,6 +150,13 @@ class TestDualPoints:
     def test_box_validation(self):
         with pytest.raises(ValueError):
             TruncationBox(0)
+
+    def test_box_bound_keeps_int64_coordinates(self):
+        rule = Rank1Rule(61, GeneratingVector((1,), 61))
+        H = (1 << 62) - 1
+        assert dual_points(rule, TruncationBox(H)) == [(-(1 << 61),), (1 << 61,)]
+        with pytest.raises(ValueError):
+            TruncationBox(1 << 62)
 
     def test_guard_on_prefix_count(self):
         # (2H+1)^(s-1) prefixes, or (2H+1)^s box points for a single node

@@ -195,15 +195,20 @@ class TestGuardsAndValidation:
         with pytest.raises(GuardLimitError):
             moments_scalar_shift(pair, f)
 
+    def test_guard_names_huge_counts_by_size(self):
+        # 2^15000 has more digits than str() converts by default
+        f = ProductBernoulliFn(3)
+        rule = Rank1Rule(3, korobov_vector(1267, 3, 3))
+        with pytest.raises(GuardLimitError, match=r"at least 2\^15000 grid shifts"):
+            moments_grid_shift(rule, f, 5000)
+
 
 class TestDeterminism:
-    def test_thread_count_does_not_change_reports(self, monkeypatch):
+    def test_reports_are_deterministic(self):
         s, m, r = 2, 3, 3
         f = ProductBernoulliFn(s)
         rule = Rank1Rule(m, korobov_vector(17797, s, m))
         pair = EmbeddedPair(m, s * r, korobov_vector(17797, s, m + s * r))
-        monkeypatch.setenv("LATSHIFT_THREADS", "1")
         a = (moments_grid_shift(rule, f, r), moments_scalar_shift(pair, f))
-        monkeypatch.setenv("LATSHIFT_THREADS", "4")
         b = (moments_grid_shift(rule, f, r), moments_scalar_shift(pair, f))
         assert a == b
