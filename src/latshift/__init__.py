@@ -28,7 +28,7 @@ from .dual import (
     third_moment_series,
 )
 from .errors import BitsExhaustedError, GuardLimitError, IdentityCheckError
-from .functions import PeriodicFunction, ProductBernoulliFn, bernoulli2, bernoulli4, grid_mean_b2
+from .functions import PeriodicFunction, ProductBernoulliFn, bernoulli2
 from .lattice import DyadicPoint, EmbeddedPair, GeneratingVector, Rank1Rule, korobov_vector
 from .moments import (
     MomentReport,
@@ -82,7 +82,6 @@ __all__ = [
     "SeriesResult",
     "TruncationBox",
     "bernoulli2",
-    "bernoulli4",
     "bits_to_grid_shift",
     "bits_to_scalar_shift",
     "cbc_construct",
@@ -95,7 +94,6 @@ __all__ = [
     "eval_rule",
     "eval_scalar_shifted",
     "extended_rule_value",
-    "grid_mean_b2",
     "grid_shift_to_bits",
     "korobov_vector",
     "load_bit_file",

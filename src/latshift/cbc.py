@@ -27,8 +27,10 @@ bound on its gap to the canonical `merit` value.  Selection is exact:
 * the base figure depends on c only through its mirror class mod 2^m, so
   the classes still in the running get their canonical `merit` value;
 * a candidate whose extended term provably stays at or below its base
-  term has combined figure exactly the base figure; only the remaining
-  true near-ties are re-scored through `embedded_merit`.
+  term has combined figure exactly the base figure; the remaining true
+  near-ties are re-scored through `embedded_merit` best first by their
+  lower bound, only while one can still beat or tie the best exact
+  figure (`_lazy_min`).
 
 The winner is the lexicographic minimum of (canonical combined figure,
 candidate), so the result equals a greedy search that re-scores every
@@ -47,6 +49,7 @@ from .bits import SplitMix64
 from .errors import GuardLimitError, guard
 from .functions import bernoulli2
 from .lattice import GeneratingVector, korobov_vector
+from .moments import BLOCK_NODES
 
 # merits at a level are normalized by the best Korobov merit at that level
 BASELINE_ELLS = (17797, 1267, 12915)
@@ -103,16 +106,22 @@ def merit(z: GeneratingVector, n_points: int) -> MeritValue:
         raise ValueError(f"generating vector known mod 2^{z.t} cannot drive 2^{t} nodes")
     comps = _canonical_components(z.components, n_points)
     dt = _index_dtype(n_points)
-    # bernoulli2 squares x - 1/2, so mirrored indices k, n - k give
-    # bit-equal factors
-    w = 1.0 + bernoulli2(np.arange(n_points) / n_points)
-    k = np.arange(n_points, dtype=dt)
     mask = dt(n_points - 1)
-    vals = np.ones(n_points)
-    for c in comps:
-        vals = vals * w[(k * dt(c)) & mask]
-    value = float(np.sum(vals - 1.0)) / n_points
-    return MeritValue(value, n_points)
+    size = min(n_points, BLOCK_NODES)
+    sums = []
+    for lo in range(0, n_points, size):
+        k = np.arange(lo, lo + size, dtype=dt)
+        vals = np.ones(size)
+        for c in comps:
+            # bernoulli2 squares x - 1/2, so mirrored indices k, n - k give
+            # bit-equal factors
+            vals = vals * (1.0 + bernoulli2(((k * dt(c)) & mask) / float(n_points)))
+        sums.append(np.sum(vals - 1.0))
+    # adjacent block sums halved pairwise: numpy's own summation tree for a
+    # power-of-two length, so the value equals np.sum over all nodes
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return MeritValue(float(sums[0]) / n_points, n_points)
 
 
 @lru_cache(maxsize=None)
@@ -241,6 +250,36 @@ def _near_min(b_lo, b_hi, e, e_err) -> np.ndarray:
     return np.flatnonzero(lo <= hi.min())
 
 
+def _lazy_min(cands, comb, lo, open_, rescore) -> int:
+    """Candidate of the lexicographic minimum of (combined figure, candidate).
+
+    comb holds the exact combined figures of the entries that are not open;
+    an open entry's figure is at least lo and costs one rescore(c) call.
+    Open entries are resolved in order of lo until none can go below the
+    best exact figure, then only the smaller candidates whose lo reaches it
+    (they could tie it), smallest first.
+    """
+    best, win = math.inf, math.inf
+    closed = ~open_
+    if closed.any():
+        best = float(comb[closed].min())
+        win = int(cands[closed & (comb == best)].min())
+    pending = np.flatnonzero(open_)
+    pending = pending[np.argsort(lo[pending], kind="stable")].tolist()
+    lo, cands = lo.tolist(), cands.tolist()
+    i = 0
+    while i < len(pending) and lo[pending[i]] < best:
+        c = cands[pending[i]]
+        val = rescore(c)
+        if (val, c) < (best, win):
+            best, win = val, c
+        i += 1
+    for c in sorted(cands[j] for j in pending[i:] if lo[j] <= best and cands[j] < win):
+        if rescore(c) == best:
+            return c
+    return win
+
+
 def _sample_candidates(n_ext: int) -> np.ndarray:
     """Fixed pseudorandom draw of odd candidates in the lower half."""
     half_odds = n_ext // 4
@@ -336,9 +375,11 @@ def cbc_construct(
         bk = bk[classes[keep]]
         near = _near_min(bk, bk, e[keep], e_err[keep])
         keep, comb = keep[near], bk[near]
-        for j in np.flatnonzero(e[keep] + e_err[keep] > comb):
-            trial = GeneratingVector(prefix + (int(cands[keep[j]]),), t)
-            comb[j] = embedded_merit(trial, m, sr).combined
-        comps.append(int(cands[keep[comb == comb.min()]].min()))
+        e_lo, e_hi = e[keep] - e_err[keep], e[keep] + e_err[keep]
+
+        def rescore(c: int) -> float:
+            return embedded_merit(GeneratingVector(prefix + (c,), t), m, sr).combined
+
+        comps.append(_lazy_min(cands[keep], comb, np.maximum(comb, e_lo), e_hi > comb, rescore))
 
     return GeneratingVector(tuple(comps), t)

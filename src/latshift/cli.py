@@ -1,8 +1,9 @@
 """Command-line surface: tables, moments, estimate, dual, cbc.
 
-Artifacts are JSON (default) or CSV, written to stdout or --out.  Every
-artifact embeds the resolved configuration, so re-running with the emitted
-configuration reproduces it byte for byte (given a seeded bit source).
+Artifacts are JSON, written to stdout or --out; tables, moments and cbc
+also write CSV with --format csv.  Every artifact embeds the resolved
+configuration, so re-running with the emitted configuration reproduces it
+byte for byte (given a seeded bit source).
 
 Exit codes: 0 success, 1 validation error, 2 guard violation, 3 reference
 mismatch in check mode.
@@ -15,15 +16,17 @@ import csv
 import io
 import json
 import sys
+from itertools import chain
+from typing import Iterable, Iterator
 
 from . import __version__
 from .bits import BitSource, parse_bit_source
 from .cbc import cbc_construct, embedded_merit
-from .dual import TruncationBox, dual_points
+from .dual import TruncationBox, _dual_array
 from .errors import GuardLimitError
 from .functions import ProductBernoulliFn
 from .lattice import EmbeddedPair, GeneratingVector, Rank1Rule, korobov_vector
-from .moments import MomentReport, moments_grid_shift, moments_scalar_shift
+from .moments import BLOCK_NODES, MomentReport, moments_grid_shift, moments_scalar_shift
 from .reference import REFERENCE_CELLS
 from .shifts import (
     BitString,
@@ -72,12 +75,14 @@ def _print5(x: float) -> str:
     return f"{x:.4e}"
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str | Iterable[str], out_path: str | None) -> None:
+    """Write the artifact, given whole or as consecutive pieces."""
+    chunks = [text] if isinstance(text, str) else text
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _json_artifact(obj: dict) -> str:
@@ -245,18 +250,28 @@ def cmd_moments(args) -> int:
     return EXIT_OK
 
 
+def _json_point_rows(duals) -> Iterator[str]:
+    """The rows of duals as the entries of an indent-2 JSON list at depth 1,
+    written a block at a time; each block but the last ends with a comma."""
+    for lo in range(0, len(duals), BLOCK_NODES):
+        rows = duals[lo : lo + BLOCK_NODES].tolist()
+        text = ",\n".join("    [\n" + ",\n".join(f"      {v}" for v in h) + "\n    ]" for h in rows)
+        yield text + (",\n" if lo + len(rows) < len(duals) else "\n")
+
+
 def cmd_dual(args) -> int:
     rule = Rank1Rule(args.m, _vector_from_args(args, max(args.m, 1)))
-    points = dual_points(rule, TruncationBox(args.H))
+    duals = _dual_array(rule, TruncationBox(args.H))
     config = {"s": args.s, "m": args.m, "ell": args.ell, "z": args.z, "H": args.H}
-    artifact = {
-        "command": "dual",
-        "version": __version__,
-        "config": config,
-        "count": len(points),
-        "points": [list(h) for h in points],
-    }
-    _emit(_json_artifact(artifact), args.out)
+    text = _json_artifact(
+        {"command": "dual", "version": __version__, "config": config, "count": len(duals), "points": []}
+    )
+    if len(duals):
+        # the artifact as json.dumps(indent=2) prints it, without holding
+        # the points as Python objects or as one string
+        head, tail = text.rsplit("[]", 1)
+        text = chain((head, "[\n"), _json_point_rows(duals), ("  ]", tail))
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -303,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ell", type=int, help="Korobov multiplier for z = (1, ell, ell^2, ...)")
         p.add_argument("--z", type=str, help="explicit generating vector, comma separated")
 
-    def add_output_args(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def add_output_args(p, formats=True):
+        if formats:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", type=str, help="write the artifact to this path instead of stdout")
 
     p_tables = sub.add_parser("tables", help="reproduce the built-in bias/SD comparison tables")
@@ -319,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument(
         "--bits", type=str, default="os", help="bit source: seed:N, os, or file:PATH[:FORMAT]"
     )
-    add_output_args(p_est)
+    # estimate and dual write JSON only
+    add_output_args(p_est, formats=False)
     p_est.set_defaults(fn=cmd_estimate)
 
     p_mom = sub.add_parser("moments", help="exact moments over the whole shift space")
@@ -331,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dual = sub.add_parser("dual", help="enumerate dual-lattice points in a box")
     add_rule_args(p_dual, need_r=False)
     p_dual.add_argument("--H", type=int, required=True, help="box bound |h_i| <= H")
-    add_output_args(p_dual)
+    add_output_args(p_dual, formats=False)
     p_dual.set_defaults(fn=cmd_dual)
 
     p_cbc = sub.add_parser("cbc", help="component-by-component generating vector search")

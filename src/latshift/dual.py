@@ -137,7 +137,7 @@ def _shift_floats(shift, s: int) -> tuple[float, ...]:
     if isinstance(shift, RealShift):
         c = shift.u
     elif isinstance(shift, GridShift):
-        c = shift.as_point().as_floats()
+        c = DyadicPoint(shift.nums, shift.r).as_floats()
     elif isinstance(shift, DyadicPoint):
         c = shift.as_floats()
     else:

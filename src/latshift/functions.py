@@ -1,10 +1,9 @@
 """One-periodic integrands, led by the product Bernoulli test function.
 
 The reference integrand is f(x) = prod_i (1 + B2(x_i)) with B2 the degree-2
-Bernoulli polynomial.  Its integral is exactly 1, its Fourier coefficients
-are known in closed form and strictly positive, and its autocorrelation has
-a closed form through B4 -- which makes it the workhorse for every exactness
-check in this package.
+Bernoulli polynomial.  Its integral is exactly 1 and its Fourier
+coefficients are known in closed form and strictly positive, which makes it
+the workhorse for every exactness check in this package.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .lattice import DyadicPoint
 # evaluated about x = 1/2 so that x and 1 - x give bitwise-equal results
 # for dyadic x (the offset and the squaring are exact)
 _B2_C = 1.0 / 12.0
-_B4_C = 7.0 / 240.0
 
 TWO_PI_SQ = 2.0 * math.pi**2
 
@@ -31,20 +29,13 @@ def bernoulli2(x):
     return u * u - _B2_C
 
 
-def bernoulli4(x: float) -> float:
-    """B4(x) = x^4 - 2x^3 + x^2 - 1/30 for x in [0, 1)."""
-    u2 = (x - 0.5) ** 2
-    return u2 * u2 - 0.5 * u2 + _B4_C
-
-
 class PeriodicFunction(ABC):
     """A real integrand on [0,1)^s, one-periodic in every coordinate.
 
-    Exact dyadic evaluation is the primary interface; float evaluation
-    exists for the idealized real-shift estimator, and eval_batch evaluates
-    whole node arrays for the randomized evaluators.  known_integral and the
-    Fourier model are optional: operations that need them fail fast when
-    they are absent.
+    An integrand implements s and eval_batch, which evaluates whole node
+    arrays for the randomized evaluators; eval and eval_real are per-point
+    conveniences over it.  known_integral and the Fourier model are
+    optional: operations that need them fail fast when they are absent.
     """
 
     #: exact value of the integral when known, else None
@@ -56,23 +47,20 @@ class PeriodicFunction(ABC):
         """Dimension."""
 
     @abstractmethod
-    def eval(self, point: DyadicPoint) -> float:
-        """Value at an exact dyadic point."""
-
-    @abstractmethod
-    def eval_real(self, xs: Sequence[float]) -> float:
-        """Value at float coordinates in [0, 1)."""
-
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
         """Values at the points with coordinates xs[0], xs[1], ... in [0, 1).
 
         xs has shape (s, ...); the result has shape xs.shape[1:].  Dyadic
-        nodes n / 2^t are exact floats for t <= 52.  The default evaluates
-        eval_real point by point; integrands with a vectorized form
-        override it.
+        nodes n / 2^t are exact floats for t <= 52.
         """
-        points = xs.reshape(len(xs), -1).T.tolist()
-        return np.array([self.eval_real(p) for p in points], dtype=float).reshape(xs.shape[1:])
+
+    def eval_real(self, xs: Sequence[float]) -> float:
+        """Value at float coordinates in [0, 1)."""
+        return float(self.eval_batch(np.array(xs, dtype=float).reshape(-1, 1))[0])
+
+    def eval(self, point: DyadicPoint) -> float:
+        """Value at a dyadic point."""
+        return self.eval_real(point.as_floats())
 
     def fourier_coeff(self, h: Sequence[int]) -> float:
         raise NotImplementedError(f"{type(self).__name__} has no Fourier coefficient model")
@@ -109,32 +97,13 @@ class ProductBernoulliFn(PeriodicFunction):
         """Per-coordinate factor 1 + B2(x)."""
         return 1.0 + bernoulli2(x)
 
-    def eval(self, point: DyadicPoint) -> float:
-        return self.eval_real(point.as_floats())
-
-    def eval_real(self, xs: Sequence[float]) -> float:
-        if len(xs) != self._s:
-            raise ValueError(f"dimension mismatch: got {len(xs)}, expected {self._s}")
-        out = 1.0
-        for x in xs:
-            out *= 1.0 + bernoulli2(x)
-        return out
-
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        # the same operations in the same coordinate order as eval_real, so
-        # every value is bitwise equal to it
         if len(xs) != self._s:
             raise ValueError(f"dimension mismatch: got {len(xs)}, expected {self._s}")
         out = np.ones(xs.shape[1:])
         for x in xs:
             out *= 1.0 + bernoulli2(x)
         return out
-
-    def coefficient_factor(self, h: int) -> float:
-        """One-dimensional coefficient g(h)."""
-        if h == 0:
-            return 1.0
-        return 1.0 / (TWO_PI_SQ * h * h)
 
     def fourier_coeff(self, h: Sequence[int]) -> float:
         if len(h) != self._s:
@@ -143,15 +112,6 @@ class ProductBernoulliFn(PeriodicFunction):
         for hi in h:
             if hi != 0:
                 out *= 1.0 / (TWO_PI_SQ * hi * hi)
-        return out
-
-    def autocorrelation(self, point: DyadicPoint) -> float:
-        """Integral of f(x) f({x + point}) dx: prod_i (1 - B4({t_i}) / 6)."""
-        if point.s != self._s:
-            raise ValueError(f"dimension mismatch: point has {point.s}, function has {self._s}")
-        out = 1.0
-        for x in point.as_floats():
-            out *= 1.0 - bernoulli4(x) / 6.0
         return out
 
     def coefficient_tail_bound(self, bound: int, power: int) -> float:
@@ -173,11 +133,3 @@ class ProductBernoulliFn(PeriodicFunction):
         else:
             raise NotImplementedError(f"no tail bound for coefficient power {power}")
         return self._s * full_sum ** (self._s - 1) * per_coord_tail
-
-
-def grid_mean_b2(n: int) -> float:
-    """Mean of B2 over the grid {0, 1/n, ..., (n-1)/n}; equals 1/(6 n^2)."""
-    if n < 1:
-        raise ValueError(f"grid size must be >= 1, got {n}")
-    scale = 1.0 / n
-    return math.fsum(bernoulli2(j * scale) for j in range(n)) * scale

@@ -75,8 +75,8 @@ class DyadicPoint:
     Parameters
     ----------
     nums : tuple of int
-        Numerators, each in [0, 2^t).  The fractional part has already been
-        taken, so adding points reduces numerators mod 2^t.
+        Numerators, each in [0, 2^t): the fractional part has already been
+        taken.
     t : int
         Fractional bit depth (denominator 2^t).
     """
@@ -97,23 +97,6 @@ class DyadicPoint:
     @property
     def s(self) -> int:
         return len(self.nums)
-
-    def rescaled(self, t: int) -> "DyadicPoint":
-        """Re-express the same point over the denominator 2^t (t >= self.t)."""
-        if t < self.t:
-            raise ValueError(f"cannot lower bit depth {self.t} to {t}")
-        shift = t - self.t
-        return DyadicPoint(tuple(n << shift for n in self.nums), t)
-
-    def __add__(self, other: "DyadicPoint") -> "DyadicPoint":
-        """Coordinate-wise addition mod 1, aligning to the deeper depth."""
-        if other.s != self.s:
-            raise ValueError(f"dimension mismatch: {self.s} vs {other.s}")
-        t = max(self.t, other.t)
-        a = self.rescaled(t) if self.t < t else self
-        b = other.rescaled(t) if other.t < t else other
-        mask = (1 << t) - 1
-        return DyadicPoint(tuple((x + y) & mask for x, y in zip(a.nums, b.nums)), t)
 
     def as_floats(self) -> tuple[float, ...]:
         # exact for t <= 52 fractional bits, correctly rounded beyond; the
@@ -264,7 +247,6 @@ class EmbeddedPair:
             raise ValueError(
                 f"generating vector known mod 2^{self.z.t} cannot drive a 2^{self.ext}-point extension"
             )
-        object.__setattr__(self, "_ext_rule", Rank1Rule(self.ext, self.z))
 
     @property
     def ext(self) -> int:
@@ -278,16 +260,4 @@ class EmbeddedPair:
         return Rank1Rule(self.m, self.z)
 
     def extended_rule(self) -> Rank1Rule:
-        return self._ext_rule
-
-    def extended_node(self, k: int) -> DyadicPoint:
-        """Node k of the 2^(m+sr)-point extension."""
-        return self._ext_rule.node(k)
-
-    def coset_node(self, j: int, wnum: int) -> DyadicPoint:
-        """Base index j shifted into coset wnum: extension node j * 2^sr + wnum."""
-        if not 0 <= j < (1 << self.m):
-            raise ValueError(f"base index {j} outside [0, 2^{self.m})")
-        if not 0 <= wnum < (1 << self.sr):
-            raise ValueError(f"coset index {wnum} outside [0, 2^{self.sr})")
-        return self.extended_node((j << self.sr) | wnum)
+        return Rank1Rule(self.ext, self.z)

@@ -27,7 +27,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .functions import PeriodicFunction
-from .lattice import DyadicPoint, EmbeddedPair, Rank1Rule, as_uint64, lattice_numerators
+from .lattice import EmbeddedPair, Rank1Rule, as_uint64, lattice_numerators
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,6 @@ class GridShift:
     @property
     def s(self) -> int:
         return len(self.nums)
-
-    def as_point(self) -> DyadicPoint:
-        return DyadicPoint(self.nums, self.r)
 
 
 @dataclass(frozen=True)

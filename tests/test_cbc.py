@@ -20,10 +20,21 @@ from latshift import (
     korobov_vector,
     merit,
 )
+import latshift.cbc as cbc_module
 from latshift.cbc import _normalizers, _sample_candidates, _scan_merits, unit_scan
 from latshift.functions import bernoulli2
 
 from conftest import rel_err
+
+
+def _run_capped(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter on this checkout's sources."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    # one BLAS thread: per-thread buffers would count against an RLIMIT_AS cap
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 class TestMerit:
@@ -81,6 +92,32 @@ class TestMerit:
             gv = GeneratingVector(z, m)
             series = shift_error_series(Rank1Rule(m, gv), f, None, TruncationBox(128))
             assert abs(merit(gv, 1 << m).value - series.value) <= series.tail_bound
+
+    @pytest.mark.parametrize("t", [0, 1, 5, 12, 16, 17, 18, 20])
+    def test_streamed_blocks_equal_full_array_sum(self, t):
+        # the full-array form merit had before it streamed node blocks:
+        # one gathered factor table and one np.sum over all 2^t nodes
+        n = 1 << t
+        w = 1.0 + bernoulli2(np.arange(n) / n)
+        k = np.arange(n, dtype=np.int64)
+        for z in [(1,), (1, 17797), (1, 1267, 12915 * 3), (5, 9, 77, 2 * (n // 3) + 1, 3)]:
+            vals = np.ones(n)
+            for c in sorted(min(c % n, -c % n) for c in z):
+                vals = vals * w[(k * c) & (n - 1)]
+            reference = float(np.sum(vals - 1.0)) / n
+            assert merit(GeneratingVector(z, max(t, 1)), n).value == reference
+
+    def test_guard_size_fits_in_bounded_memory(self):
+        # node blocks are streamed, so 2^26 nodes need no 2^26-entry table
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from latshift import korobov_vector, merit\n"
+            "print(merit(korobov_vector(17797, 3, 26), 1 << 26).value > 0)\n"
+        )
+        proc = _run_capped(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -218,6 +255,20 @@ class TestCbcConstruct:
     def test_pinned_vectors(self, shape, z):
         assert cbc_construct(*shape).components == z
 
+    def test_near_ties_are_resolved_lazily(self, monkeypatch):
+        # open candidates are re-scored best-first by lower bound, and ties
+        # only below the winner; re-scoring all of them took 11 calls here
+        calls = []
+        real = cbc_module.embedded_merit
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cbc_module, "embedded_merit", counting)
+        assert cbc_construct(3, 4, 16).components == (1, 21415, 27461)
+        assert len(calls) <= 2
+
     def test_first_component_fixed(self):
         assert cbc_construct(1, 4, 8).components == (1,)
 
@@ -280,16 +331,7 @@ class TestSampledPolicy:
             "from latshift import cbc_construct\n"
             "print(cbc_construct(2, 4, 16).components)\n"
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        # one BLAS thread: per-thread buffers would count against the cap
-        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = _run_capped(code)
         assert proc.returncode == 0, proc.stderr
         # a canonical re-score of all 4096 sampled candidates picks 21415
         assert proc.stdout.strip() == "(1, 21415)"

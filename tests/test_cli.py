@@ -1,11 +1,24 @@
+import contextlib
 import dataclasses
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latshift import (
     EmbeddedPair,
+    GeneratingVector,
     ProductBernoulliFn,
+    Rank1Rule,
+    TruncationBox,
+    __version__,
+    dual_points,
     eval_rule,
     extended_rule_value,
     korobov_vector,
@@ -162,6 +175,23 @@ class TestEstimateCommand:
         assert "exhausted" in err
 
 
+# Peak RSS of the running process in kB.  After fork and exec, ru_maxrss
+# still carries the high-water mark of the forking process on Linux, so the
+# kernel's VmHWM of the process's own address space is read where it exists.
+_PEAK_RSS_SOURCE = """
+def _peak_rss_kb():
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    import resource
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+"""
+
+
 class TestDualCommand:
     def test_known_point_present(self, capsys):
         code, out, _ = run(
@@ -172,6 +202,61 @@ class TestDualCommand:
         assert [5, 1] in artifact["points"]
         assert artifact["count"] == len(artifact["points"])
 
+    @pytest.mark.parametrize(
+        "s,m,vector,H",
+        [
+            (1, 3, ("--ell", "1"), 1),  # no dual in the box: "points": []
+            (1, 2, ("--ell", "1"), 9),
+            (2, 3, ("--z", "1,3"), 8),
+            (2, 0, ("--ell", "1"), 3),
+            (3, 4, ("--ell", "17797"), 6),
+            (2, 70, ("--ell", "12915"), 2),
+        ],
+    )
+    @pytest.mark.parametrize("rows_per_write", [3, 1 << 16])
+    def test_streamed_artifact_equals_json_dumps(self, capsys, monkeypatch, s, m, vector, H, rows_per_write):
+        from latshift import cli
+
+        monkeypatch.setattr(cli, "BLOCK_NODES", rows_per_write)
+        code, out, _ = run(capsys, "dual", "--s", str(s), "--m", str(m), *vector, "--H", str(H))
+        assert code == 0
+        option, value = vector
+        z = GeneratingVector(
+            tuple(int(c) for c in value.split(",")) if option == "--z" else
+            korobov_vector(int(value), s, max(m, 1)).components,
+            max(m, 1),
+        )
+        points = dual_points(Rank1Rule(m, z), TruncationBox(H))
+        config = {"s": s, "m": m, "ell": int(value) if option == "--ell" else None,
+                  "z": value if option == "--z" else None, "H": H}
+        expected = {"command": "dual", "version": __version__, "config": config,
+                    "count": len(points), "points": [list(h) for h in points]}
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_large_artifact_in_bounded_memory(self, tmp_path):
+        # 1401^2 - 1 points (68 MB of JSON); built as Python lists and one
+        # string this peaked near 1 GB
+        out_path = tmp_path / "dual.json"
+        code = (
+            f"{_PEAK_RSS_SOURCE}\n"
+            "from latshift.cli import main\n"
+            f"rc = main(['dual', '--s', '2', '--m', '0', '--ell', '1', '--H', '700', '--out', {str(out_path)!r}])\n"
+            "print(rc, _peak_rss_kb())\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        rc, peak_kb = map(int, proc.stdout.split())
+        assert rc == 0
+        assert peak_kb < 200 * 1024
+        with open(out_path) as fh:
+            head = fh.read(4096)
+        assert '"count": 1962800,' in head
+        assert out_path.stat().st_size > 1962800 * 20
+
     def test_box_guard_exit_code(self, capsys):
         # (2H+1)^2 = 4e10 prefixes: refused before enumerating
         code, out, err = run(
@@ -180,6 +265,24 @@ class TestDualCommand:
         assert code == 2
         assert out == ""
         assert "guard" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "--scheme", "grid", "--s", "2", "--m", "3", "--r", "3", "--ell", "1267",
+         "--bits", "seed:1"),
+        ("dual", "--s", "2", "--m", "3", "--z", "1,3", "--H", "8"),
+    ],
+)
+def test_format_option_removed_from_json_only_commands(capsys, argv):
+    # estimate and dual write JSON only; --format there used to be ignored
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    json.loads(out)
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 1
+    assert out == ""
 
 
 class TestCbcCommand:
@@ -239,3 +342,61 @@ class TestTablesCommand:
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 1 + 12  # header + 6 cells x 2 schemes
+
+
+def _stdout_of(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def _argv_from_config(command: str, config: dict) -> list[str]:
+    """The command line an artifact's config describes; sr is derived."""
+    argv = [command]
+    for key, value in config.items():
+        if value is not None and key != "sr":
+            argv += [f"--{key}", str(value)]
+    return argv
+
+
+_VECTOR = st.one_of(
+    st.tuples(st.just("--ell"), st.sampled_from([1, 3, 1267, 12915, 17797])),
+    st.tuples(st.just("--z"), st.lists(st.integers(0, 500).map(lambda k: 2 * k + 1), min_size=3, max_size=3)),
+)
+
+
+@st.composite
+def _cli_inputs(draw):
+    """Small valid command lines for moments, estimate, dual and cbc."""
+    command = draw(st.sampled_from(["moments", "estimate", "dual", "cbc"]))
+    s = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 4))
+    # r >= 1: estimates draw s*r >= 1 bits, and m = r = 0 has no vector
+    r = draw(st.integers(1, 6 // s))
+    argv = [command]
+    if command == "cbc":
+        return argv + ["--s", str(s), "--m", str(m), "--r", str(r),
+                       "--policy", draw(st.sampled_from(["auto", "full", "sampled"]))]
+    if command == "moments":
+        scheme = draw(st.sampled_from(["grid", "scalar"]))
+        r = max(r, m) if scheme == "grid" else r
+        argv += ["--scheme", scheme]
+    elif command == "estimate":
+        argv += ["--scheme", draw(st.sampled_from(["grid", "scalar", "ideal"])),
+                 "--q", str(draw(st.integers(1, 3))), "--bits", f"seed:{draw(st.integers(0, 99))}"]
+    argv += ["--s", str(s), "--m", str(m)]
+    argv += ["--H", str(draw(st.integers(1, 4)))] if command == "dual" else ["--r", str(r)]
+    option, value = draw(_VECTOR)
+    argv += [option, ",".join(map(str, value[:s])) if option == "--z" else str(value)]
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(_cli_inputs())
+def test_config_round_trips_byte_for_byte(argv):
+    code, out = _stdout_of(argv)
+    assert code == 0, argv
+    artifact = json.loads(out)
+    rebuilt = _argv_from_config(artifact["command"], artifact["config"])
+    assert _stdout_of(rebuilt) == (0, out), (argv, rebuilt)

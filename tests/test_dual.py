@@ -42,11 +42,8 @@ class ConstantFn(PeriodicFunction):
     def s(self):
         return self._s
 
-    def eval(self, point):
-        return 1.0
-
-    def eval_real(self, xs):
-        return 1.0
+    def eval_batch(self, xs):
+        return np.ones(xs.shape[1:])
 
     def fourier_coeff(self, h):
         return 1.0 if not any(h) else 0.0

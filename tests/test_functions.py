@@ -1,15 +1,18 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from latshift import (
     DyadicPoint,
+    PeriodicFunction,
     ProductBernoulliFn,
     bernoulli2,
-    bernoulli4,
-    grid_mean_b2,
+    rectangle_rule_mean,
 )
+
+from conftest import autocorrelation, bernoulli4, product_bernoulli_point, rel_err
 
 REL = 1e-14
 
@@ -51,9 +54,11 @@ class TestProductBernoulliFn:
             assert f.eval(DyadicPoint(nums, t)) == f.eval(DyadicPoint(mirrored, t))
 
     def test_table_path_matches_direct_path(self):
+        # eval and eval_real go through eval_batch and agree bitwise with
+        # the scalar reference
         f = ProductBernoulliFn(2)
         p = DyadicPoint((13, 40), 6)
-        assert f.eval(p) == f.eval_real(p.as_floats())
+        assert f.eval(p) == f.eval_real(p.as_floats()) == product_bernoulli_point(p.as_floats())
 
     def test_dimension_mismatch(self):
         f = ProductBernoulliFn(2)
@@ -61,6 +66,23 @@ class TestProductBernoulliFn:
             f.eval(DyadicPoint((0, 0, 0), 1))
         with pytest.raises(ValueError):
             f.fourier_coeff((1,))
+
+
+class TestInterface:
+    def test_abstract_members_are_s_and_eval_batch(self):
+        assert PeriodicFunction.__abstractmethods__ == {"s", "eval_batch"}
+
+    def test_per_point_evaluators_derive_from_eval_batch(self):
+        class Sum(PeriodicFunction):
+            s = 2
+
+            def eval_batch(self, xs):
+                return xs[0] + 2.0 * xs[1]
+
+        f = Sum()
+        assert f.eval_real((0.25, 0.5)) == 1.25
+        assert f.eval(DyadicPoint((1, 3), 3)) == 0.125 + 0.75
+        assert f.eval_batch(np.array([[0.5], [0.25]])).tolist() == [1.0]
 
 
 class TestFourierModel:
@@ -114,22 +136,19 @@ class TestFourierModel:
 class TestAutocorrelation:
     def test_at_zero(self):
         for s in (1, 2, 3):
-            f = ProductBernoulliFn(s)
             zero = DyadicPoint((0,) * s, 1)
-            assert f.autocorrelation(zero) == pytest.approx((1 + 1 / 180) ** s, rel=REL)
+            assert autocorrelation(zero) == pytest.approx((1 + 1 / 180) ** s, rel=REL)
 
     def test_at_half(self):
-        f = ProductBernoulliFn(1)
         expected = 1 - (1 / 6) * (7 / 240)
-        assert f.autocorrelation(DyadicPoint((1,), 1)) == pytest.approx(expected, rel=REL)
+        assert autocorrelation(DyadicPoint((1,), 1)) == pytest.approx(expected, rel=REL)
 
     def test_negation_symmetry_exact(self):
-        f = ProductBernoulliFn(2)
         t = 5
         top = 1 << t
         for nums in [(3, 17), (9, 0), (31, 1)]:
             mirrored = tuple((top - n) % top for n in nums)
-            assert f.autocorrelation(DyadicPoint(nums, t)) == f.autocorrelation(
+            assert autocorrelation(DyadicPoint(nums, t)) == autocorrelation(
                 DyadicPoint(mirrored, t)
             )
 
@@ -148,26 +167,28 @@ class TestAutocorrelation:
                     for h2 in range(-H, H + 1)
                     if (h1, h2) != (0, 0)
                 )
-            lhs = f.autocorrelation(DyadicPoint((0,) * s, 1)) - 1.0
+            lhs = autocorrelation(DyadicPoint((0,) * s, 1)) - 1.0
             assert abs(lhs - box) <= f.coefficient_tail_bound(H, 2)
 
 
 class TestGridMeanB2:
+    # the one-dimensional rectangle rule of 1 + B2 is 1 + 1/(6 n^2)
     def test_single_point(self):
-        assert grid_mean_b2(1) == pytest.approx(1 / 6, rel=REL)
+        assert rectangle_rule_mean(ProductBernoulliFn(1), 1, 0) == pytest.approx(7 / 6, rel=REL)
 
     def test_sixteen_points_against_rational_oracle(self):
         oracle = sum(
             Fraction(j, 16) ** 2 - Fraction(j, 16) + Fraction(1, 6) for j in range(16)
         ) / 16
         assert oracle == Fraction(1, 1536)
-        assert grid_mean_b2(16) == pytest.approx(1 / 1536, rel=1e-13)
+        assert rel_err(rectangle_rule_mean(ProductBernoulliFn(1), 1, 4), 1 + 1 / 1536) < 1e-13
 
     def test_closed_form_sweep(self):
+        f = ProductBernoulliFn(1)
         for k in range(1, 11):
             n = 1 << k
-            assert grid_mean_b2(n) == pytest.approx(1.0 / (6 * n * n), rel=1e-13)
+            assert rel_err(rectangle_rule_mean(f, 1, k), 1.0 + 1.0 / (6 * n * n)) < 1e-13
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            grid_mean_b2(0)
+            rectangle_rule_mean(ProductBernoulliFn(1), 1, -1)

@@ -1,4 +1,4 @@
-"""The vectorized node kernel against the per-point reference path."""
+"""The vectorized node kernel against the per-point references in conftest."""
 
 import math
 
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latshift import (
+    DyadicPoint,
     EmbeddedPair,
     GeneratingVector,
     GridShift,
@@ -24,7 +25,7 @@ from latshift.lattice import as_uint64, lattice_numerators
 from latshift.moments import chunked_map
 from latshift.shifts import coset_means
 
-from conftest import rel_err
+from conftest import coset_node, dyadic_add, product_bernoulli_point, rel_err
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -50,7 +51,7 @@ def test_rule_nodes_and_values_match_per_point(cfg):
     points = [rule.node(j) for j in range(rule.n_points)]
     assert nums.T.tolist() == [list(p.nums) for p in points]
     values = f.eval_batch(nums * (1.0 / rule.n_points))
-    assert values.tolist() == [f.eval(p) for p in points]
+    assert values.tolist() == [product_bernoulli_point(p.as_floats()) for p in points]
 
 
 @PROPERTY
@@ -62,10 +63,12 @@ def test_grid_shifted_nodes_match_dyadic_addition(cfg, data):
     t = max(m, r)
     steps = [c << (t - m) for c in z.components]
     nums = lattice_numerators(steps, t, rule.n_points, as_uint64(shift.nums)[:, None] << np.uint64(t - r))
-    points = [(rule.node(j) + shift.as_point()).rescaled(t) for j in range(rule.n_points)]
+    v = DyadicPoint(shift.nums, r)
+    points = [dyadic_add(rule.node(j), v) for j in range(rule.n_points)]
     assert nums[:, 0].T.tolist() == [list(p.nums) for p in points]
     f = ProductBernoulliFn(s)
-    reference = 1.0 + math.fsum(f.eval(p) - 1.0 for p in points) / rule.n_points
+    values = [product_bernoulli_point(p.as_floats()) for p in points]
+    reference = 1.0 + math.fsum(x - 1.0 for x in values) / rule.n_points
     assert eval_grid_shifted(rule, f, shift) == reference
 
 
@@ -79,7 +82,8 @@ def test_coset_blocks_match_per_point_and_single_shift(cfg, block):
     values = chunked_map(lambda lo, hi: coset_means(pair, f, lo, hi), 1 << pair.sr, block)
     for w, value in enumerate(values.tolist()):
         assert value == eval_scalar_shifted(pair, f, ScalarShift(w, pair.sr))
-        reference = 1.0 + math.fsum(f.eval(pair.coset_node(j, w)) - 1.0 for j in range(n)) / n
+        points = [coset_node(pair, j, w) for j in range(n)]
+        reference = 1.0 + math.fsum(product_bernoulli_point(p.as_floats()) - 1.0 for p in points) / n
         assert value == reference
 
 

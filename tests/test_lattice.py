@@ -10,6 +10,8 @@ from latshift import (
     korobov_vector,
 )
 
+from conftest import coset_node, dyadic_add, dyadic_rescaled, extended_node
+
 
 class TestDyadicPoint:
     def test_validation(self):
@@ -20,23 +22,25 @@ class TestDyadicPoint:
         with pytest.raises(ValueError):
             DyadicPoint((), 2)
 
+    # rescaling and addition are the test-side reference arithmetic
     def test_rescale_preserves_value(self):
         p = DyadicPoint((3, 5), 3)
-        q = p.rescaled(7)
+        q = dyadic_rescaled(p, 7)
         assert q.t == 7
         assert [Fraction(n, 1 << 7) for n in q.nums] == [Fraction(n, 1 << 3) for n in p.nums]
+        assert q.as_floats() == p.as_floats()
         with pytest.raises(ValueError):
-            q.rescaled(3)
+            dyadic_rescaled(q, 3)
 
     def test_add_wraps_mod_one(self):
         a = DyadicPoint((3,), 2)
         b = DyadicPoint((3,), 2)
-        assert (a + b).nums == (2,)
+        assert dyadic_add(a, b).nums == (2,)
 
     def test_add_aligns_depths(self):
         a = DyadicPoint((1,), 1)   # 1/2
         b = DyadicPoint((3,), 3)   # 3/8
-        assert (a + b) == DyadicPoint((7,), 3)
+        assert dyadic_add(a, b) == DyadicPoint((7,), 3)
 
     def test_as_floats_exact(self):
         p = DyadicPoint((11, 1), 4)
@@ -107,7 +111,8 @@ class TestRank1Rule:
         n = self.rule.n_points
         for j1 in range(n):
             for j2 in range(n):
-                assert self.rule.node(j1) + self.rule.node(j2) == self.rule.node((j1 + j2) % n)
+                total = dyadic_add(self.rule.node(j1), self.rule.node(j2))
+                assert total == self.rule.node((j1 + j2) % n)
 
     def test_nodes_are_reproducible(self):
         assert self.rule.node(5) == self.rule.node(5)
@@ -122,25 +127,32 @@ class TestEmbeddedPair:
         self.pair = EmbeddedPair(2, 4, GeneratingVector((1, 3), 6))
 
     def test_extended_node_zero(self):
-        assert self.pair.extended_node(0).nums == (0, 0)
+        assert extended_node(self.pair, 0).nums == (0, 0)
+        assert self.pair.extended_rule() == Rank1Rule(6, self.pair.z)
 
     def test_embedding_identity(self):
         base = self.pair.base_rule()
+        ext = self.pair.extended_rule()
         for j in range(base.n_points):
-            assert self.pair.extended_node(j << self.pair.sr) == base.node(j).rescaled(self.pair.ext)
+            assert ext.node(j << self.pair.sr) == dyadic_rescaled(base.node(j), self.pair.ext)
 
     def test_extended_node_korobov_first_index(self):
         pair = EmbeddedPair(4, 12, korobov_vector(17797, 3, 16))
-        assert pair.extended_node(1).nums == (1, 17797, 63257)
-        assert pair.extended_node(1).t == 16
+        assert pair.extended_rule().node(1).nums == (1, 17797, 63257)
+        assert pair.extended_rule().node(1).t == 16
 
     def test_coset_zero_is_base(self):
         base = self.pair.base_rule()
         for j in range(base.n_points):
-            assert self.pair.coset_node(j, 0) == base.node(j).rescaled(self.pair.ext)
+            assert coset_node(self.pair, j, 0) == dyadic_rescaled(base.node(j), self.pair.ext)
 
     def test_coset_definition(self):
-        assert self.pair.coset_node(0, 1) == self.pair.extended_node(1)
+        # coset w is the base lattice advanced by the fractional index w / 2^sr
+        ext = self.pair.extended_rule()
+        step = ext.node(1)
+        for j in range(1 << self.pair.m):
+            for w in range(1, 1 << self.pair.sr):
+                assert coset_node(self.pair, j, w) == dyadic_add(coset_node(self.pair, j, w - 1), step)
 
     @pytest.mark.parametrize("m,sr", [(2, 4), (3, 6)])
     def test_coset_partition(self, m, sr):
@@ -148,15 +160,16 @@ class TestEmbeddedPair:
         seen = set()
         for j in range(1 << m):
             for w in range(1 << sr):
-                seen.add(pair.coset_node(j, w).nums)
-        expected = {pair.extended_node(k).nums for k in range(1 << (m + sr))}
+                seen.add(coset_node(pair, j, w).nums)
+        ext = pair.extended_rule()
+        expected = {ext.node(k).nums for k in range(1 << (m + sr))}
         assert len(seen) == 1 << (m + sr)
         assert seen == expected
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            self.pair.coset_node(1 << self.pair.m, 0)
+            self.pair.base_rule().node(1 << self.pair.m)
         with pytest.raises(ValueError):
-            self.pair.coset_node(0, 1 << self.pair.sr)
+            self.pair.extended_rule().node(1 << self.pair.ext)
         with pytest.raises(ValueError):
-            self.pair.extended_node(1 << self.pair.ext)
+            EmbeddedPair(2, 5, GeneratingVector((1, 3), 6))

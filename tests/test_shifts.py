@@ -5,6 +5,7 @@ import pytest
 
 from latshift import (
     BitString,
+    DyadicPoint,
     EmbeddedPair,
     GridShift,
     ProductBernoulliFn,
@@ -95,7 +96,7 @@ class TestZeroShiftReductions:
         f = ProductBernoulliFn(2)
         rule = Rank1Rule(3, korobov_vector(17797, 2, 3))
         v = GridShift((5, 12), 4)
-        u = RealShift(v.as_point().as_floats())
+        u = RealShift(DyadicPoint(v.nums, v.r).as_floats())
         assert eval_real_shifted(rule, f, u) == eval_grid_shifted(rule, f, v)
 
     def test_dimension_mismatch(self):
