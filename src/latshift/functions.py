@@ -93,8 +93,8 @@ class ProductBernoulliFn(PeriodicFunction):
     def s(self) -> int:
         return self._s
 
-    def factor(self, x: float) -> float:
-        """Per-coordinate factor 1 + B2(x)."""
+    def factor(self, x):
+        """Per-coordinate factor 1 + B2(x); x may be a float or an array."""
         return 1.0 + bernoulli2(x)
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:

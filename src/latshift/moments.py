@@ -13,18 +13,24 @@ independent identity:
 
 Disagreement beyond 1e-12 relative raises IdentityCheckError, since both
 routes are exact up to summation rounding.
+
+Every sum is correctly rounded, bit for bit what `math.fsum` returns: the
+per-shift means come from `fsum.fsum_rows` over whole blocks of shifts,
+and the moment sums and the identity values from `fsum.fsum_blocks`.  The
+grid enumeration visits one shift per lattice-translation class only,
+since every shift in a class gives the same rule value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable
 
 import numpy as np
 
 from .errors import GUARD_BITS, IdentityCheckError, guard
+from .fsum import fsum_blocks, fsum_rows
 from .functions import PeriodicFunction
 from .lattice import EmbeddedPair, Rank1Rule, as_uint64, lattice_numerators
 from .shifts import coset_means, grid_shift_means
@@ -35,8 +41,9 @@ MEAN_IDENTITY_RTOL = 1e-12
 # node arrays whatever the shift-space size
 BLOCK_NODES = 1 << 16
 
-# perfbench binds spans at kahan_sum and chunked_map and reads GUARD_BITS
-# here, so all three names stay
+# nothing in the package calls kahan_sum any more (the sums go through
+# fsum_rows and fsum_blocks); perfbench still binds spans at kahan_sum and
+# chunked_map and reads GUARD_BITS here, so all three names stay
 kahan_sum = math.fsum
 
 
@@ -103,18 +110,28 @@ def _report(
     values: np.ndarray,
     f: PeriodicFunction,
     check_value: float,
+    shift_space_size: int,
 ) -> MomentReport:
+    """Moments of the shift-space distribution that values lists once per class.
+
+    values holds one rule value per class of equally likely shifts, each
+    class the same size, so means over values are means over the space.
+    """
     offset = f.known_integral if f.known_integral is not None else 0.0
     n = len(values)
-    # each sum lists the values a block at a time, so no full-length copy is held
-    blocks = [values[lo : lo + BLOCK_NODES] for lo in range(0, n, BLOCK_NODES)]
+
+    def total(term: Callable[[np.ndarray], np.ndarray]) -> float:
+        # terms are formed a slice at a time, so no full-length temporary is held
+        slices = range(0, n, BLOCK_NODES)
+        return fsum_blocks(lambda: (term(values[lo : lo + BLOCK_NODES]) for lo in slices))
+
     # the mean is accumulated about the known integral, and the bias is kept
     # as that offset sum directly: biases near 1e-9 would otherwise lose
     # digits to the rounding of 1 + bias
-    delta = kahan_sum(chain.from_iterable((v - offset).tolist() for v in blocks)) / n
+    delta = total(lambda v: v - offset) / n
     mean = offset + delta
-    var = kahan_sum(chain.from_iterable(((v - mean) ** 2).tolist() for v in blocks)) / n
-    mu3 = kahan_sum(chain.from_iterable(((v - mean) ** 3).tolist() for v in blocks)) / n
+    var = total(lambda v: (v - mean) ** 2) / n
+    mu3 = total(lambda v: (v - mean) ** 3) / n
     rel = abs(mean - check_value) / abs(check_value) if check_value != 0.0 else abs(mean)
     if rel > MEAN_IDENTITY_RTOL:
         raise IdentityCheckError(
@@ -129,7 +146,7 @@ def _report(
         variance=var,
         sd=math.sqrt(var),
         mu3=mu3,
-        shift_space_size=n,
+        shift_space_size=shift_space_size,
         method="enumeration",
         mean_check_rel_err=rel,
     )
@@ -141,6 +158,13 @@ def moments_grid_shift(rule: Rank1Rule, f: PeriodicFunction, r: int) -> MomentRe
     Requires r >= m: only then does every shifted node inherit the shift's
     grid distribution, which is what makes the mean identity (and the whole
     moment analysis) valid.
+
+    Shifting by a rule node permutes the nodes, so the 2^(r*s) shifts fall
+    into classes of 2^m with one rule value each.  z_1 is odd, so the shifts
+    whose first coordinate lies below 2^(r-m) / 2^r (index below
+    2^(r*s-m)) hold one shift per class, and only they are enumerated.  A
+    correctly rounded sum of 2^m exact copies is 2^m times the sum of one
+    copy, so the reported moments are bitwise those of the full space.
     """
     s = rule.s
     if r < rule.m:
@@ -151,8 +175,8 @@ def moments_grid_shift(rule: Rank1Rule, f: PeriodicFunction, r: int) -> MomentRe
         offsets = _grid_numerators(np.arange(lo, hi, dtype=np.uint64), s, r)
         return grid_shift_means(rule, f, offsets, r)
 
-    values = chunked_map(block, 1 << (r * s), _shifts_per_block(rule.m))
-    return _report("grid-shift", values, f, rectangle_rule_mean(f, s, r))
+    values = chunked_map(block, 1 << (r * s - rule.m), _shifts_per_block(rule.m))
+    return _report("grid-shift", values, f, rectangle_rule_mean(f, s, r), 1 << (r * s))
 
 
 def moments_scalar_shift(pair: EmbeddedPair, f: PeriodicFunction) -> MomentReport:
@@ -162,15 +186,16 @@ def moments_scalar_shift(pair: EmbeddedPair, f: PeriodicFunction) -> MomentRepor
     values = chunked_map(
         lambda lo, hi: coset_means(pair, f, lo, hi), 1 << pair.sr, _shifts_per_block(pair.m)
     )
-    return _report("scalar-shift", values, f, extended_rule_value(pair, f))
+    return _report("scalar-shift", values, f, extended_rule_value(pair, f), 1 << pair.sr)
 
 
 def rectangle_rule_mean(f: PeriodicFunction, s: int, r: int) -> float:
     """Equal-weight mean of f over the full product grid {0..2^r-1}^s / 2^r.
 
-    For product integrands exposing a per-coordinate factor this is the
-    s-th power of the one-dimensional grid mean (cost 2^r instead of
-    2^(r*s)); otherwise the full grid is enumerated under the usual guard.
+    For product integrands exposing a per-coordinate factor (called once,
+    on the array of the 2^r grid coordinates) this is the s-th power of the
+    one-dimensional grid mean (cost 2^r instead of 2^(r*s)); otherwise the
+    full grid is enumerated under the usual guard.
     """
     if s < 1:
         raise ValueError(f"dimension must be >= 1, got {s}")
@@ -179,13 +204,12 @@ def rectangle_rule_mean(f: PeriodicFunction, s: int, r: int) -> float:
     n = 1 << r
     factor = getattr(f, "factor", None)
     if factor is not None:
-        scale = 1.0 / n
-        coord_mean = kahan_sum(factor(i * scale) for i in range(n)) / n
+        coord_mean = float(fsum_rows(factor(np.arange(n) * (1.0 / n))[None, :])[0]) / n
         return coord_mean**s
     total = 1 << (r * s)
     guard(total, "grid points of an integrand with no per-coordinate factorization")
     xs = _grid_numerators(np.arange(total, dtype=np.uint64), s, r) * (1.0 / n)
-    return kahan_sum(f.eval_batch(xs).tolist()) / total
+    return float(fsum_rows(f.eval_batch(xs)[None, :])[0]) / total
 
 
 def extended_rule_value(pair: EmbeddedPair, f: PeriodicFunction) -> float:
@@ -201,8 +225,8 @@ def extended_rule_value(pair: EmbeddedPair, f: PeriodicFunction) -> float:
     size = min(n, BLOCK_NODES)
     off = f.known_integral if f.known_integral is not None else 0.0
 
-    def block(lo: int) -> list[float]:
+    def block(lo: int) -> np.ndarray:
         nums = lattice_numerators(z, pair.ext, size, as_uint64(lo * c for c in z)[:, None])
-        return (f.eval_batch(nums[:, 0] * (1.0 / n)) - off).tolist()
+        return f.eval_batch(nums[:, 0] * (1.0 / n)) - off
 
-    return off + kahan_sum(chain.from_iterable(block(lo) for lo in range(0, n, size))) / n
+    return off + fsum_blocks(lambda: map(block, range(0, n, size))) / n

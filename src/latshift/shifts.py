@@ -13,9 +13,10 @@ Three randomizations of a rank-1 rule are implemented:
 
 Every evaluator builds its nodes with the vectorized kernel
 `lattice.lattice_numerators`, evaluates them in one `eval_batch` call, and
-sums f(x) - If (when the integral is known) with the correctly rounded
-`math.fsum` before adding If back, so a mean does not depend on the order
-of its nodes.
+sums f(x) - If (when the integral is known) per shift with
+`fsum.fsum_rows`, which rounds correctly (equal to `math.fsum` bit for bit)
+in a few whole-array passes, before adding If back, so a mean does not
+depend on the order of its nodes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
+from .fsum import fsum_rows
 from .functions import PeriodicFunction
 from .lattice import EmbeddedPair, Rank1Rule, as_uint64, lattice_numerators
 
@@ -142,8 +144,7 @@ def _offset(f: PeriodicFunction) -> float:
 def _row_means(values: np.ndarray, off: float) -> np.ndarray:
     """Mean of each row of values (the last axis), as off + fsum(row - off) / n."""
     n = values.shape[-1]
-    rows = (values - off).reshape(-1, n).tolist()
-    return np.array([off + math.fsum(row) / n for row in rows])
+    return off + fsum_rows((values - off).reshape(-1, n)) / n
 
 
 def grid_shift_means(rule: Rank1Rule, f: PeriodicFunction, offsets: np.ndarray, t: int) -> np.ndarray:

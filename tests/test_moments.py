@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latshift import (
     DyadicPoint,
@@ -18,7 +21,9 @@ from latshift import (
     rectangle_rule_mean,
 )
 
+from latshift.moments import _grid_numerators, _report, chunked_map
 from latshift.reference import REFERENCE_CELLS
+from latshift.shifts import grid_shift_means
 
 from conftest import rel_err
 
@@ -106,7 +111,57 @@ class TestExactRationalSpotCheck:
         assert rel_err(rep.mu3, float(sum((q - mean) ** 3 for q in qs) / len(qs))) < 1e-8
 
 
+def full_grid_report(rule: Rank1Rule, f: ProductBernoulliFn, r: int):
+    """The grid-shift report over all 2^(r*s) shifts, every class in full."""
+    s = rule.s
+
+    def block(lo, hi):
+        return grid_shift_means(rule, f, _grid_numerators(np.arange(lo, hi, dtype=np.uint64), s, r), r)
+
+    values = chunked_map(block, 1 << (r * s), 1 << 10)
+    return _report("grid-shift", values, f, rectangle_rule_mean(f, s, r), 1 << (r * s))
+
+
+def report_bits(rep) -> dict:
+    return {k: v.hex() if isinstance(v, float) else v for k, v in rep.to_dict().items()}
+
+
+class TestGridCosetRepresentatives:
+    """Enumerating one shift per lattice-translation class reports the full
+    space's moments bit for bit."""
+
+    CELLS = ((3, 4, 4, 17797), (3, 4, 4, 1267), (3, 4, 4, 12915), (2, 5, 5, 17797), (2, 5, 5, 1267),
+             (2, 5, 5, 12915), (3, 3, 4, 7163), (2, 2, 6, 3))
+
+    @pytest.mark.parametrize("s, m, r, ell", CELLS)
+    def test_cells_match_full_enumeration(self, s, m, r, ell):
+        rule = Rank1Rule(m, korobov_vector(ell, s, m))
+        f = ProductBernoulliFn(s)
+        rep = moments_grid_shift(rule, f, r)
+        assert report_bits(rep) == report_bits(full_grid_report(rule, f, r))
+        assert rep.shift_space_size == 1 << (r * s)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_random_rules_match_full_enumeration(self, s, data):
+        r = data.draw(st.integers(0, 9 // s))
+        m = data.draw(st.integers(0, r))
+        z = tuple(data.draw(st.integers(0, (1 << max(m, 1)) - 1)) | 1 for _ in range(s))
+        rule = Rank1Rule(m, GeneratingVector(z, max(m, 1)))
+        f = ProductBernoulliFn(s)
+        assert report_bits(moments_grid_shift(rule, f, r)) == report_bits(full_grid_report(rule, f, r))
+
+
 class TestRectangleRuleMean:
+    @pytest.mark.parametrize("r", range(15))
+    def test_factor_path_equals_pointwise_fsum(self, r):
+        # the vectorized factor reproduces the per-point factor calls bitwise
+        f = ProductBernoulliFn(3)
+        n = 1 << r
+        expected = (math.fsum(f.factor(i * (1.0 / n)) for i in range(n)) / n) ** 3
+        got = rectangle_rule_mean(f, 3, r)
+        assert type(got) is float and got.hex() == expected.hex()
+
     def test_closed_form_3_4(self):
         f = ProductBernoulliFn(3)
         assert rel_err(rectangle_rule_mean(f, 3, 4), (1 + 1 / 1536) ** 3) < 1e-13
