@@ -13,8 +13,11 @@ moments of the ideally shifted rule:
 Sums are truncated to a symmetric box |h_i| <= H; each result carries a
 computable (crude, monotone-in-H) bound on the discarded tail.  The box
 duals are built once, as one integer array solved in closed form for the
-last coordinate; `dual_points` is its tuple view.  Cumulant scaling then
-transports single-replicate moments to the replicate mean.
+last coordinate; `dual_points` is its tuple view.  The third-moment pairs
+are formed a block of h rows at a time, as whole arrays, and every sum is
+correctly rounded, so the series do not depend on the order of their
+terms.  Cumulant scaling then transports single-replicate moments to the
+replicate mean.
 """
 
 from __future__ import annotations
@@ -25,11 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import guard
+from .fsum import fsum_rows
 from .functions import PeriodicFunction
 from .lattice import NODE_DTYPE_BITS, DyadicPoint, Rank1Rule
 from .shifts import GridShift, RealShift
 
 DualIndex = tuple[int, ...]
+
+# dual pairs per array pass of the third-moment series: the pass holds a few
+# arrays of this many entries, so memory stays flat whatever the dual count
+_PAIR_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -186,24 +194,44 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     quadratic in the number of box duals, so more than 2^GUARD_BITS pairs
     are refused before any is formed.
 
+    The pairs are formed a block of h rows at a time.  Each dual is keyed in
+    the balanced base 4H + 1, whose digits cover the doubled box |l_i| <= 2H
+    that holds every difference h - k.  The key is linear, so key(h) -
+    key(k) names h - k, and one binary search over the sorted dual keys
+    finds every l of the block; zero is not a box dual, so l = 0 is never
+    found.  A pair whose l is not found contributes a zero term, which
+    leaves an exact sum unchanged, so each inner sum from `fsum_rows` is
+    bitwise the `math.fsum` of the kept terms.
+
     The reported tail bound is crude: a term is lost only if one of the
     three indices leaves the box, so three times the single-index tail
     times a bound on the unconstrained double sum covers the remainder.
     """
     H = box.H
     duals = _dual_array(rule, box)
-    guard(len(duals) ** 2, "dual pairs")
+    D = len(duals)
+    guard(D**2, "dual pairs")
     coeffs = np.array([f.fourier_coeff(h) for h in map(tuple, duals.tolist())], dtype=float)
-    # keys in the balanced base 2H + 1 increase with the lexicographic row order
-    radix = (2 * H + 1) ** np.arange(rule.s - 1, -1, -1)
+    # keys increase with the lexicographic row order.  They fit int64: for
+    # s = 1 the key is h itself and |h - k| <= 2H < 2^63; for s >= 2 the
+    # candidate guard gives 3^(s-1) <= (2H + 1)^(s-1) <= 2^26, so s <= 17,
+    # and |key| < (4H + 1)^s / 2 < 2^53
+    radix = np.array([(4 * H + 1) ** i for i in range(rule.s - 1, -1, -1)], dtype=np.int64)
     keys = duals @ radix
-    outer = []
-    for h, ch in zip(duals, coeffs.tolist()):
-        l = h - duals
-        keep = (np.abs(l) <= H).all(axis=1) & l.any(axis=1)
-        cl = coeffs[np.searchsorted(keys, l[keep] @ radix)]
-        outer.append(ch * math.fsum((coeffs[keep] * cl).tolist()))
+    rows = max(1, _PAIR_BLOCK // max(D, 1))
+
+    def block_sums(lo: int) -> np.ndarray:
+        diff = keys[lo : lo + rows, None] - keys  # key of h - k, one row per h
+        idx = np.minimum(np.searchsorted(keys, diff), D - 1)
+        terms = np.zeros(diff.shape)
+        np.multiply(coeffs, coeffs[idx], out=terms, where=keys[idx] == diff)
+        del diff, idx  # freed before fsum_rows copies the terms
+        return fsum_rows(terms)
+
+    inner = np.zeros(D)
+    for lo in range(0, D, rows):
+        inner[lo : lo + rows] = block_sums(lo)
     tail1 = f.coefficient_tail_bound(H, 1)
     box_sum = math.fsum(abs(c) for c in coeffs.tolist())
     tail = 3.0 * tail1 * (box_sum + tail1)
-    return SeriesResult(math.fsum(outer), tail, H)
+    return SeriesResult(math.fsum((coeffs * inner).tolist()), tail, H)

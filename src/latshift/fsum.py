@@ -17,7 +17,10 @@ Sci. Comput. 31(1), 2008):
 A row is settled when its exact sum is known (r = E = 0: s is then the
 IEEE-rounded sum of two floats, ties to even), or when |t| + |r| + E lies
 below half the gap from s to either neighbour (s is then the nearest
-float to the exact sum).  Rows longer than BLOCK_TERMS are reduced a block
+float to the exact sum).  The passes run along the rows when the rows
+are at least as long as they are many, and down the columns of a
+transposed copy otherwise, since numpy reduces a contiguous axis fast only
+for long sums.  Rows longer than BLOCK_TERMS are reduced a block
 at a time and the blocks' parts (s, t, r, two exact floats and one within
 its bound) are reduced once more.  Every other row, including rows with a
 non-finite term or a scale near overflow, goes to math.fsum, and so does
@@ -45,47 +48,49 @@ def _fallback(terms: Iterable[float]) -> float:
     return math.fsum(terms)
 
 
-def _extract(x: np.ndarray, buf: np.ndarray, M: int) -> np.ndarray:
-    """Exact column sums of q = (sigma + x) - sigma; x becomes x - q.
+def _extract(x: np.ndarray, buf: np.ndarray, M: int, axis: int) -> np.ndarray:
+    """Exact sums along axis of q = (sigma + x) - sigma; x becomes x - q.
 
-    sigma is 2^M times the power of two above the column's largest
-    magnitude; buf is a work array of x's shape.
+    sigma is 2^M times the power of two above the largest magnitude of the
+    sum; buf is a work array of x's shape.
     """
-    _, e = np.frexp(np.abs(x, out=buf).max(axis=0))
+    _, e = np.frexp(np.abs(x, out=buf).max(axis=axis, keepdims=True))
     sigma = np.ldexp(1.0, e + M)
     q = np.add(sigma, x, out=buf)
     q -= sigma
     x -= q
-    return q.sum(axis=0)
+    return q.sum(axis=axis)
 
 
-def _parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per column of x: (s, t, r, E, ok) with exact sum in s + t + r +- E.
+def _parts(
+    x: np.ndarray, axis: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per sum along axis of x: (s, t, r, E, ok) with exact sum in s + t + r +- E.
 
-    x holds the terms of each sum down a column, so that every reduction
-    runs along axis 0, which numpy does fast for short sums; it is
-    overwritten.  ok is False for columns the extraction does not cover
-    (non-finite terms or a scale near overflow); their other entries are
-    meaningless.
+    x is overwritten.  numpy reduces fast along a contiguous axis only when
+    the sums are long, so short sums come with their terms down the columns
+    (axis 0) and long ones along the rows (axis 1).  ok is False for sums
+    the extraction does not cover (non-finite terms or a scale near
+    overflow); their other entries are meaningless.
     """
-    n = x.shape[0]
+    n = x.shape[axis]
     M = (n + 1).bit_length()  # ceil(log2(n + 2))
     buf = np.empty_like(x)
-    big = np.abs(x, out=buf).max(axis=0)
+    big = np.abs(x, out=buf).max(axis=axis)
     # sigma = 2^(M + e) must stay at or below 2^1022 so that sigma + x cannot overflow
     ok = np.isfinite(big) & (big < 2.0 ** (1022 - M))
     if not ok.all():
-        x = np.where(ok, x, 0.0)
-    a = _extract(x, buf, M)
-    b = _extract(x, buf, M)
+        x = np.where(np.expand_dims(ok, axis), x, 0.0)
+    a = _extract(x, buf, M, axis)
+    b = _extract(x, buf, M, axis)
     # TwoSum: s + t == a + b exactly
     s = a + b
     bv = s - a
     t = (a - (s - bv)) + (b - bv)
-    r = x.sum(axis=0)
+    r = x.sum(axis=axis)
     # any summation order errs by at most (n - 1) u sum|x| <= n^2 2^-53 max|x|;
     # the bound is doubled for its own rounding
-    err = np.abs(x, out=buf).max(axis=0) * (n * n * 2.0**-52)
+    err = np.abs(x, out=buf).max(axis=axis) * (n * n * 2.0**-52)
     return s, t, r, err, ok
 
 
@@ -99,9 +104,9 @@ def _settled(s: np.ndarray, t: np.ndarray, r: np.ndarray, err: np.ndarray) -> np
     return exact | ((np.abs(t) + np.abs(r) + err) * (1.0 + 2.0**-40) < half_gap)
 
 
-def _reduce(pieces: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(sums, settled) per column of the pieces stacked end to end."""
-    parts = [_parts(x) for x in pieces]
+def _reduce(pieces: Iterable[np.ndarray], axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, settled) per sum of the pieces joined end to end along axis."""
+    parts = [_parts(x, axis) for x in pieces]
     if len(parts) == 1:
         s, t, r, err, ok = parts[0]
     else:
@@ -122,9 +127,11 @@ def fsum_rows(a: np.ndarray) -> np.ndarray:
         return a[:, 0] + 0.0
     if a.size < SHORT_TERMS:
         return np.array([math.fsum(row) for row in a.tolist()]).reshape(rows)
-    sums, settled = _reduce(
-        np.array(a[:, lo : lo + BLOCK_TERMS].T, order="C") for lo in range(0, n, BLOCK_TERMS)
-    )
+    # rows at least as long as they are many are reduced along the rows,
+    # shorter ones down the columns of a transposed copy
+    axis = 1 if n >= rows else 0
+    blocks = (a[:, lo : lo + BLOCK_TERMS] for lo in range(0, n, BLOCK_TERMS))
+    sums, settled = _reduce((np.array(b if axis else b.T, order="C") for b in blocks), axis)
     for i in np.flatnonzero(~settled).tolist():
         sums[i] = _fallback(a[i].tolist())
     return sums

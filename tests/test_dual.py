@@ -25,6 +25,7 @@ from latshift import (
     shift_error_series,
     third_moment_series,
 )
+from latshift import dual as dual_module
 from latshift.functions import PeriodicFunction
 
 from conftest import brute_force_duals, rel_err, variance_closed_form
@@ -50,6 +51,15 @@ class ConstantFn(PeriodicFunction):
 
     def coefficient_tail_bound(self, bound, power):
         return 0.0
+
+
+class ArbitraryCoeffFn(ConstantFn):
+    """Real coefficients with no product structure and no symmetry in h,
+    spread over many binades and of both signs, so the inner sums cancel."""
+
+    def fourier_coeff(self, h):
+        rng = random.Random(repr(tuple(h)))
+        return rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-40, 0)
 
 
 class NoModelFn(ConstantFn):
@@ -309,6 +319,44 @@ class TestThirdMomentSeries:
 
     def test_constant_function_gives_zero(self):
         assert third_moment_series(self.rule, ConstantFn(1), TruncationBox(8)).value == 0.0
+
+    def test_arbitrary_coefficients_match_pairwise_reference(self):
+        f = ArbitraryCoeffFn(2)
+        rules = ((Rank1Rule(3, GeneratingVector((1, 3), 3)), 8), (Rank1Rule(2, korobov_vector(7163, 2, 2)), 5))
+        for rule, H in rules:
+            duals = dual_points(rule, TruncationBox(H))
+            value = third_moment_series(rule, f, TruncationBox(H)).value
+            assert value.hex() == pairwise_third_moment(duals, f, H).hex()
+
+    @pytest.mark.parametrize("rows", range(1, 8))
+    def test_rows_split_across_pair_blocks(self, rows, monkeypatch):
+        # blocks of 1..7 rows over 44 duals: every block size but 1, 2 and 4
+        # leaves a short last block
+        rule = Rank1Rule(4, korobov_vector(17797, 3, 4))
+        H = 4
+        duals = dual_points(rule, TruncationBox(H))
+        assert len(duals) == 44
+        monkeypatch.setattr(dual_module, "_PAIR_BLOCK", rows * len(duals))
+        for f in (ProductBernoulliFn(3), ArbitraryCoeffFn(3)):
+            value = third_moment_series(rule, f, TruncationBox(H)).value
+            assert value.hex() == pairwise_third_moment(duals, f, H).hex()
+
+    def test_empty_dual_set(self):
+        # the multiples of 32 inside |h| <= 1 are 0 only, which is not a dual
+        rule = Rank1Rule(5, GeneratingVector((1,), 5))
+        assert dual_points(rule, TruncationBox(1)) == []
+        res = third_moment_series(rule, self.f, TruncationBox(1))
+        assert res.value.hex() == pairwise_third_moment([], self.f, 1).hex() == (0.0).hex()
+        assert res.tail_bound == 3.0 * self.f.coefficient_tail_bound(1, 1) ** 2
+
+    def test_benchmark_sized_op(self):
+        # a dual op of the benchmark: 306 duals, several pair blocks
+        rule = Rank1Rule(4, korobov_vector(17797, 3, 4))
+        f = ProductBernoulliFn(3)
+        duals = dual_points(rule, TruncationBox(8))
+        assert len(duals) >= 300 and len(duals) ** 2 > dual_module._PAIR_BLOCK
+        value = third_moment_series(rule, f, TruncationBox(8)).value
+        assert value.hex() == pairwise_third_moment(duals, f, 8).hex()
 
     def test_guard_on_pair_count(self):
         # 8194 duals of the single-node rule: 8194^2 pairs exceed 2^26

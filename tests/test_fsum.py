@@ -80,6 +80,18 @@ def test_rows_equal_fsum_bitwise(rows):
 
 
 @PROPERTY
+@given(row_sets())
+def test_row_and_column_layouts_equal_fsum_bitwise(rows):
+    # the drawn rows, mostly at least as long as they are many, go along the
+    # rows; the same rows 41 times over, more rows than terms, go down the
+    # columns of a transposed copy
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fsum_module, "SHORT_TERMS", 0)
+        assert bits(fsum_rows(np.array(rows))) == fsum_reference(rows)
+        assert bits(fsum_rows(np.array(rows * 41))) == fsum_reference(rows) * 41
+
+
+@PROPERTY
 @given(row_sets(), st.integers(1, 7), st.data())
 def test_blocked_rows_and_streams_equal_fsum_bitwise(rows, block, data):
     # short blocks exercise the second reduction of the blocks' parts

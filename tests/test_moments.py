@@ -21,9 +21,10 @@ from latshift import (
     rectangle_rule_mean,
 )
 
+from latshift import moments as moments_module
 from latshift.moments import _grid_numerators, _report, chunked_map
 from latshift.reference import REFERENCE_CELLS
-from latshift.shifts import grid_shift_means
+from latshift.shifts import coset_means, grid_shift_means
 
 from conftest import rel_err
 
@@ -182,6 +183,21 @@ class TestRectangleRuleMean:
         w = Wrapped(2)
         assert rel_err(rectangle_rule_mean(w, 2, 4), rectangle_rule_mean(f, 2, 4)) < 1e-13
 
+    @pytest.mark.parametrize("block", [1 << 16, 5])
+    def test_non_factorized_path_streams_one_fsum(self, block, monkeypatch):
+        # blocks of grid points, the last one short, reduce to the one
+        # correctly rounded sum over the whole grid
+        class Wrapped(ProductBernoulliFn):
+            factor = None
+
+        monkeypatch.setattr(moments_module, "BLOCK_NODES", block)
+        f = Wrapped(2)
+        for r in range(7):
+            n = 1 << r
+            xs = _grid_numerators(np.arange(n * n, dtype=np.uint64), 2, r) * (1.0 / n)
+            expected = math.fsum(f.eval_batch(xs).tolist()) / (n * n)
+            assert rectangle_rule_mean(f, 2, r).hex() == expected.hex()
+
     def test_non_factorized_guard(self):
         class Wrapped(ProductBernoulliFn):
             factor = None
@@ -256,6 +272,35 @@ class TestGuardsAndValidation:
         rule = Rank1Rule(3, korobov_vector(1267, 3, 3))
         with pytest.raises(GuardLimitError, match=r"at least 2\^15000 grid shifts"):
             moments_grid_shift(rule, f, 5000)
+
+
+class TestReportSums:
+    def test_mu3_is_fsum_of_cubed_deviations(self):
+        # the scalar (2,4,6) cell at ell = 5709: on an AVX-512 host, cubes
+        # taken by np.power put its mu3 one ulp away from this sum
+        pair = EmbeddedPair(4, 12, korobov_vector(5709, 2, 16))
+        f = ProductBernoulliFn(2)
+        rep = moments_scalar_shift(pair, f)
+        values = coset_means(pair, f, 0, 1 << 12).tolist()
+        d = [v - rep.mean for v in values]
+        assert rep.mu3.hex() == (math.fsum(x * x * x for x in d) / len(d)).hex()
+        assert rep.variance.hex() == (math.fsum(x * x for x in d) / len(d)).hex()
+
+    def test_chunked_map_order_and_values(self):
+        calls = []
+
+        def block_values(lo, hi):
+            calls.append((lo, hi))
+            return np.arange(lo, hi) * 0.5
+
+        for n, block in ((10, 3), (9, 3), (4, 8), (1, 1)):
+            calls.clear()
+            out = chunked_map(block_values, n, block)
+            assert out.dtype == np.float64 and out.tolist() == [0.5 * i for i in range(n)]
+            assert calls == [(lo, min(lo + block, n)) for lo in range(0, n, block)]
+        assert chunked_map(block_values, 0, 4).shape == (0,)
+        with pytest.raises(ValueError):
+            chunked_map(block_values, -1, 4)
 
 
 class TestDeterminism:
