@@ -50,7 +50,10 @@ from .shifts import (
     eval_real_shifted,
     eval_rule,
     eval_scalar_shifted,
+    grid_evaluator,
     grid_shift_to_bits,
+    real_evaluator,
+    scalar_evaluator,
     scalar_shift_to_bits,
 )
 
@@ -94,6 +97,7 @@ __all__ = [
     "eval_rule",
     "eval_scalar_shifted",
     "extended_rule_value",
+    "grid_evaluator",
     "grid_shift_to_bits",
     "korobov_vector",
     "load_bit_file",
@@ -102,7 +106,9 @@ __all__ = [
     "moments_grid_shift",
     "moments_scalar_shift",
     "parse_bit_source",
+    "real_evaluator",
     "rectangle_rule_mean",
+    "scalar_evaluator",
     "scalar_shift_to_bits",
     "shift_error_series",
     "third_moment_series",

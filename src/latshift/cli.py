@@ -34,9 +34,9 @@ from .shifts import (
     bits_to_grid_shift,
     bits_to_scalar_shift,
     estimate_mean,
-    eval_grid_shifted,
-    eval_real_shifted,
-    eval_scalar_shifted,
+    grid_evaluator,
+    real_evaluator,
+    scalar_evaluator,
 )
 
 EXIT_OK = 0
@@ -169,12 +169,11 @@ def cmd_tables(args) -> int:
 
 
 def _draw_shift(args, src: BitSource):
-    if args.scheme == "grid":
-        bs = BitString(src.draw(args.r * args.s), args.r, args.s)
-        return bits_to_grid_shift(bs)
-    if args.scheme == "scalar":
-        bs = BitString(src.draw(args.r * args.s), args.r, args.s)
-        return bits_to_scalar_shift(bs)
+    if args.scheme in ("grid", "scalar"):
+        # r = 0 is a valid finite scheme: the empty shift, which draws no bits
+        n = args.r * args.s
+        bs = BitString(src.draw(n) if n else (), args.r, args.s)
+        return bits_to_grid_shift(bs) if args.scheme == "grid" else bits_to_scalar_shift(bs)
     scale = 1.0 / (1 << IDEAL_BITS_PER_COORD)
     coords = []
     for _ in range(args.s):
@@ -190,13 +189,13 @@ def cmd_estimate(args) -> int:
     src = parse_bit_source(args.bits)
     if args.scheme == "scalar":
         pair = EmbeddedPair(args.m, args.s * args.r, _vector_from_args(args, args.m + args.s * args.r))
-        evaluator = lambda w: eval_scalar_shifted(pair, f, w)
+        evaluator = scalar_evaluator(pair, f)
     else:
         rule = Rank1Rule(args.m, _vector_from_args(args, max(args.m, 1)))
         if args.scheme == "grid":
-            evaluator = lambda v: eval_grid_shifted(rule, f, v)
+            evaluator = grid_evaluator(rule, f, args.r)
         else:
-            evaluator = lambda u: eval_real_shifted(rule, f, u)
+            evaluator = real_evaluator(rule, f)
     shifts = [_draw_shift(args, src) for _ in range(args.q)]
     est = estimate_mean(evaluator, shifts)
     results = {

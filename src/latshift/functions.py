@@ -100,9 +100,16 @@ class ProductBernoulliFn(PeriodicFunction):
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
         if len(xs) != self._s:
             raise ValueError(f"dimension mismatch: got {len(xs)}, expected {self._s}")
+        # factor by factor in one temporary: (u*u - C) + 1.0 is the same
+        # IEEE sum as factor's 1.0 + (u*u - C)
         out = np.ones(xs.shape[1:])
+        tmp = np.empty_like(out)
         for x in xs:
-            out *= 1.0 + bernoulli2(x)
+            np.subtract(x, 0.5, out=tmp)
+            tmp *= tmp
+            tmp -= _B2_C
+            tmp += 1.0
+            out *= tmp
         return out
 
     def fourier_coeff(self, h: Sequence[int]) -> float:

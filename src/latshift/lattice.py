@@ -63,9 +63,23 @@ def lattice_numerators(
         )
     nums = as_uint64(steps)[:, None] * np.arange(n, dtype=np.uint64)
     if offsets is not None:
-        nums = nums[:, None, :] + offsets[:, :, None]
+        return displace(nums, offsets, t)
     np.bitwise_and(nums, np.uint64((1 << t) - 1), out=nums)
     return nums
+
+
+def displace(
+    nums: np.ndarray, offsets: np.ndarray, t: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(nums[i, j] + offsets[i, b]) mod 2^t, shape (s, B, n), in out if given.
+
+    nums is (s, n) uint64 and offsets (s, B) uint64, each known mod 2^t or
+    mod 2^64: the sum wraps mod 2^64, which 2^t divides, so neither needs
+    reducing first.
+    """
+    out = np.add(nums[:, None, :], offsets[:, :, None], out=out)
+    np.bitwise_and(out, np.uint64((1 << t) - 1), out=out)
+    return out
 
 
 @dataclass(frozen=True)

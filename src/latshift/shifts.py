@@ -17,6 +17,17 @@ sums f(x) - If (when the integral is known) per shift with
 `fsum.fsum_rows`, which rounds correctly (equal to `math.fsum` bit for bit)
 in a few whole-array passes, before adding If back, so a mean does not
 depend on the order of its nodes.
+
+Replicates come from prepared evaluators (`grid_evaluator`,
+`scalar_evaluator`, `real_evaluator`): each builds the unshifted base
+nodes once and one node buffer, and each call only adds its shift's offset
+column into that buffer (`lattice.displace`, mod 2^t) before evaluating.
+A node is the same integer (or, for the real shift, the same float) as a
+fresh build would give, so every replicate is bitwise unchanged.  Since
+the buffers are reused, one evaluator must not be called again while a
+call is running (it is not reentrant); the means it returns are Python
+floats and share nothing with it.  `eval_{grid,scalar,real}_shifted` are
+single uses of the same evaluators.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ import numpy as np
 
 from .fsum import fsum_rows
 from .functions import PeriodicFunction
-from .lattice import EmbeddedPair, Rank1Rule, as_uint64, lattice_numerators
+from .lattice import EmbeddedPair, Rank1Rule, as_uint64, displace, lattice_numerators
 
 
 @dataclass(frozen=True)
@@ -172,44 +183,102 @@ def coset_means(pair: EmbeddedPair, f: PeriodicFunction, lo: int, hi: int) -> np
     return _row_means(f.eval_batch(nums * (1.0 / (1 << pair.ext))), _offset(f))
 
 
+def _displaced_means(
+    steps: Sequence[int], t: int, n: int, f: PeriodicFunction
+) -> Callable[[np.ndarray], float]:
+    """Mean of f over the nodes j * steps mod 2^t, j < n, displaced by one
+    uint64 offset column (s,), evaluated in buffers reused across calls."""
+    base = lattice_numerators(steps, t, n)
+    nb = np.empty((len(steps), 1, n), dtype=np.uint64)
+    xb = np.empty(nb.shape)
+    scale = 1.0 / (1 << t)
+    off = _offset(f)
+
+    def mean(col: np.ndarray) -> float:
+        displace(base, col[:, None], t, out=nb)
+        np.multiply(nb, scale, out=xb)
+        return float(_row_means(f.eval_batch(xb), off)[0])
+
+    return mean
+
+
+def grid_evaluator(rule: Rank1Rule, f: PeriodicFunction, r: int) -> Callable[[GridShift], float]:
+    """Prepared mean of f over the rule nodes displaced by an r-bit grid shift.
+
+    Nodes at depth m and the shift at depth r combine exactly at depth
+    max(m, r); no relation between r and m is required here.  Refuses more
+    than 2^GUARD_BITS nodes, or a depth beyond 64 bits, before allocating.
+    Reuses its buffers: not reentrant.
+    """
+    t = max(rule.m, r)
+    mean = _displaced_means([c << (t - rule.m) for c in rule.z.components], t, rule.n_points, f)
+
+    def evaluate(shift: GridShift) -> float:
+        if shift.s != rule.s:
+            raise ValueError(f"dimension mismatch: shift has {shift.s}, rule has {rule.s}")
+        if shift.r != r:
+            raise ValueError(f"bit-depth mismatch: shift has {shift.r}, evaluator has {r}")
+        return mean(as_uint64(v << (t - r) for v in shift.nums))
+
+    return evaluate
+
+
+def scalar_evaluator(pair: EmbeddedPair, f: PeriodicFunction) -> Callable[[ScalarShift], float]:
+    """Prepared mean of f over the base-rule coset a scalar shift selects.
+
+    Coset w is the extension nodes (j << sr) | w = j * (z << sr) + w * z
+    mod 2^(m+sr), j < 2^m.  Refuses as grid_evaluator does; not reentrant.
+    """
+    z = as_uint64(pair.z.components)
+    mean = _displaced_means([c << pair.sr for c in pair.z.components], pair.ext, 1 << pair.m, f)
+
+    def evaluate(shift: ScalarShift) -> float:
+        if shift.sr != pair.sr:
+            raise ValueError(f"bit-depth mismatch: shift has {shift.sr}, pair has {pair.sr}")
+        return mean(z * np.uint64(shift.wnum))
+
+    return evaluate
+
+
+def real_evaluator(rule: Rank1Rule, f: PeriodicFunction) -> Callable[[RealShift], float]:
+    """Prepared mean of f over the rule nodes displaced by a real shift.
+
+    The idealized estimator: fractional parts are taken in floating point,
+    so unlike the dyadic evaluators this one carries ordinary rounding in
+    its point coordinates.  Reuses its buffer: not reentrant.
+    """
+    nodes = lattice_numerators(rule.z.components, rule.m, rule.n_points) * (1.0 / rule.n_points)
+    xb = np.empty_like(nodes)
+    off = _offset(f)
+
+    def evaluate(shift: RealShift) -> float:
+        if shift.s != rule.s:
+            raise ValueError(f"dimension mismatch: shift has {shift.s}, rule has {rule.s}")
+        np.add(nodes, np.array(shift.u)[:, None], out=xb)
+        np.subtract(xb, 1.0, out=xb, where=xb >= 1.0)
+        return float(_row_means(f.eval_batch(xb), off)[0])
+
+    return evaluate
+
+
 def eval_rule(rule: Rank1Rule, f: PeriodicFunction) -> float:
     """Plain (unshifted) rule value: the mean of f over all nodes."""
     return eval_grid_shifted(rule, f, GridShift((0,) * rule.s, 0))
 
 
 def eval_grid_shifted(rule: Rank1Rule, f: PeriodicFunction, shift: GridShift) -> float:
-    """Mean of f over the rule nodes displaced by the grid shift.
-
-    Nodes at depth m and the shift at depth r combine exactly at depth
-    max(m, r); no relation between r and m is required here.
-    """
-    if shift.s != rule.s:
-        raise ValueError(f"dimension mismatch: shift has {shift.s}, rule has {rule.s}")
-    t = max(rule.m, shift.r)
-    offsets = as_uint64(v << (t - shift.r) for v in shift.nums)[:, None]
-    return float(grid_shift_means(rule, f, offsets, t)[0])
+    """Mean of f over the rule nodes displaced by the grid shift."""
+    return grid_evaluator(rule, f, shift.r)(shift)
 
 
 def eval_scalar_shifted(pair: EmbeddedPair, f: PeriodicFunction, shift: ScalarShift) -> float:
     """Mean of f over the base-rule coset selected by the scalar shift."""
-    if shift.sr != pair.sr:
-        raise ValueError(f"bit-depth mismatch: shift has {shift.sr}, pair has {pair.sr}")
-    return float(coset_means(pair, f, shift.wnum, shift.wnum + 1)[0])
+    return scalar_evaluator(pair, f)(shift)
 
 
 def eval_real_shifted(rule: Rank1Rule, f: PeriodicFunction, shift: RealShift) -> float:
-    """Mean of f over nodes displaced by an arbitrary real shift.
-
-    The idealized estimator: fractional parts are taken in floating point,
-    so unlike the dyadic evaluators this one carries ordinary rounding in
-    its point coordinates.
-    """
-    if shift.s != rule.s:
-        raise ValueError(f"dimension mismatch: shift has {shift.s}, rule has {rule.s}")
-    nums = lattice_numerators(rule.z.components, rule.m, rule.n_points)
-    v = nums * (1.0 / rule.n_points) + np.array(shift.u)[:, None]
-    xs = np.where(v >= 1.0, v - 1.0, v)
-    return float(_row_means(f.eval_batch(xs), _offset(f))[0])
+    """Mean of f over nodes displaced by an arbitrary real shift."""
+    return real_evaluator(rule, f)(shift)
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,19 @@ class TestEstimateCommand:
         assert code == 2
         assert "guard" in err
 
+    @pytest.mark.parametrize("scheme", ["grid", "scalar"])
+    def test_zero_bits_per_coordinate_give_the_unshifted_rule(self, capsys, scheme):
+        code, out, _ = run(
+            capsys, "estimate", "--scheme", scheme, "--s", "2", "--m", "3", "--r", "0",
+            "--ell", "1267", "--q", "4", "--bits", "seed:3",
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        rule = Rank1Rule(3, korobov_vector(1267, 2, 3))
+        assert results["replicates"] == [eval_rule(rule, ProductBernoulliFn(2))] * 4
+        assert results["sd"] == 0.0
+        assert results["bits_consumed"] == 0
+
     def test_bit_exhaustion_is_validation_error(self, capsys, tmp_path):
         p = tmp_path / "short.txt"
         p.write_text("0" * 5)  # one bit short of the s*r = 6 needed

@@ -60,6 +60,21 @@ class TestProductBernoulliFn:
         p = DyadicPoint((13, 40), 6)
         assert f.eval(p) == f.eval_real(p.as_floats()) == product_bernoulli_point(p.as_floats())
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_in_place_eval_batch_matches_factor_product(self, s):
+        # the product of the factors 1.0 + B2(x) in the order of factor(),
+        # on dyadic coordinates, their reflections 1 - x, and plain floats
+        rng = np.random.default_rng(s)
+        dyadic = rng.integers(0, 1 << 20, size=(s, 3, 64)) * 2.0**-20
+        xs = np.concatenate([dyadic, 1.0 - dyadic, rng.random((s, 2, 64))], axis=1)
+        expected = np.ones(xs.shape[1:])
+        for x in xs:
+            expected *= 1.0 + bernoulli2(x)
+        got = ProductBernoulliFn(s).eval_batch(xs)
+        assert got.shape == xs.shape[1:]
+        assert got.tobytes() == expected.tobytes()
+        assert got[:3].tobytes() == got[3:6].tobytes()
+
     def test_dimension_mismatch(self):
         f = ProductBernoulliFn(2)
         with pytest.raises(ValueError):

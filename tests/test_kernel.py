@@ -1,6 +1,7 @@
 """The vectorized node kernel against the per-point references in conftest."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,15 @@ from latshift import (
     GuardLimitError,
     ProductBernoulliFn,
     Rank1Rule,
+    RealShift,
     ScalarShift,
     eval_grid_shifted,
     eval_scalar_shifted,
+    grid_evaluator,
     moments_grid_shift,
+    real_evaluator,
     rectangle_rule_mean,
+    scalar_evaluator,
 )
 from latshift.lattice import as_uint64, lattice_numerators
 from latshift.moments import chunked_map
@@ -115,3 +120,111 @@ class TestKernelGuard:
         z = (1 << 64) - 1
         nums = lattice_numerators([z], 64, 4)
         assert nums[0].tolist() == [(j * z) % (1 << 64) for j in range(4)]
+
+
+@st.composite
+def evaluator_cases(draw):
+    """(s, m, r, z, shifts): odd z known to m + s*r bits, and a list of
+    (grid, scalar, real) shift triples; r spans r < m, r = m and r > m."""
+    s = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 10))
+    r = draw(st.integers(0, 12))
+    t = max(m + s * r, 1)
+    z = GeneratingVector(tuple(draw(st.integers(0, (1 << (t - 1)) - 1)) * 2 + 1 for _ in range(s)), t)
+    shift = st.tuples(
+        st.builds(GridShift, st.tuples(*[st.integers(0, (1 << r) - 1)] * s), st.just(r)),
+        st.builds(ScalarShift, st.integers(0, (1 << (s * r)) - 1), st.just(s * r)),
+        st.builds(RealShift, st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * s)),
+    )
+    return s, m, r, z, draw(st.lists(shift, min_size=1, max_size=4))
+
+
+def _reference_mean(points) -> float:
+    values = [product_bernoulli_point(xs) for xs in points]
+    return 1.0 + math.fsum(v - 1.0 for v in values) / len(values)
+
+
+def _real_points(rule: Rank1Rule, u: RealShift):
+    for j in range(rule.n_points):
+        xs = [a + b for a, b in zip(rule.node(j).as_floats(), u.u)]
+        yield [x - 1.0 if x >= 1.0 else x for x in xs]
+
+
+def _prepared(rule: Rank1Rule, pair: EmbeddedPair, f, r: int):
+    return grid_evaluator(rule, f, r), scalar_evaluator(pair, f), real_evaluator(rule, f)
+
+
+class TestPreparedEvaluators:
+    @PROPERTY
+    @given(evaluator_cases())
+    def test_replicates_match_per_point_reference_and_fresh_evaluators(self, case):
+        s, m, r, z, shifts = case
+        rule, pair, f = Rank1Rule(m, z), EmbeddedPair(m, s * r, z), ProductBernoulliFn(s)
+        prepared = _prepared(rule, pair, f, r)
+        for v, w, u in shifts:
+            got = [ev(x) for ev, x in zip(prepared, (v, w, u))]
+            assert all(type(x) is float for x in got)
+            assert got == [ev(x) for ev, x in zip(_prepared(rule, pair, f, r), (v, w, u))]
+            nodes = (
+                [dyadic_add(rule.node(j), DyadicPoint(v.nums, r)).as_floats() for j in range(rule.n_points)],
+                [coset_node(pair, j, w.wnum).as_floats() for j in range(rule.n_points)],
+                _real_points(rule, u),
+            )
+            assert got == [_reference_mean(points) for points in nodes]
+
+    @PROPERTY
+    @given(evaluator_cases(), st.integers(0, 3))
+    def test_interleaved_evaluators_share_no_buffers(self, case, dm):
+        # a second rule of a different size over the same z: any value left
+        # in a buffer by one evaluator would show in the other's results
+        s, m, r, z, shifts = case
+        f = ProductBernoulliFn(s)
+        m2 = max(m - dm, 0)
+        a = _prepared(Rank1Rule(m, z), EmbeddedPair(m, s * r, z), f, r)
+        b = _prepared(Rank1Rule(m2, z), EmbeddedPair(m2, s * r, z), f, r)
+        alone_a = [[ev(x) for ev, x in zip(a, triple)] for triple in shifts]
+        alone_b = [[ev(x) for ev, x in zip(b, triple)] for triple in shifts]
+        mixed_a, mixed_b = [], []
+        for triple in reversed(shifts):
+            mixed_b.append([ev(x) for ev, x in zip(b, triple)])
+            mixed_a.append([ev(x) for ev, x in zip(a, triple)])
+        assert mixed_a[::-1] == alone_a
+        assert mixed_b[::-1] == alone_b
+
+    @PROPERTY
+    @given(evaluator_cases())
+    def test_mismatched_shifts_raise(self, case):
+        s, m, r, z, _ = case
+        rule, pair, f = Rank1Rule(m, z), EmbeddedPair(m, s * r, z), ProductBernoulliFn(s)
+        grid, scalar, real = _prepared(rule, pair, f, r)
+        with pytest.raises(ValueError, match="dimension"):
+            grid(GridShift((0,) * (s + 1), r))
+        with pytest.raises(ValueError, match="bit-depth"):
+            grid(GridShift((0,) * s, r + 1))
+        with pytest.raises(ValueError, match="bit-depth"):
+            scalar(ScalarShift(0, s * r + 1))
+        with pytest.raises(ValueError, match="dimension"):
+            real(RealShift((0.0,) * (s + 1)))
+
+    @pytest.mark.parametrize("build", [
+        lambda z, f: grid_evaluator(Rank1Rule(40, z), f, 4),
+        lambda z, f: scalar_evaluator(EmbeddedPair(40, 4, z), f),
+        lambda z, f: real_evaluator(Rank1Rule(40, z), f),
+    ])
+    def test_construction_above_guard_refused_before_allocating(self, build):
+        z, f = GeneratingVector((1,), 44), ProductBernoulliFn(1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardLimitError, match="guard"):
+                build(z, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_depth_beyond_numerators_refused(self):
+        f = ProductBernoulliFn(1)
+        with pytest.raises(GuardLimitError, match="64-bit"):
+            grid_evaluator(Rank1Rule(2, GeneratingVector((1,), 2)), f, 65)
+        with pytest.raises(GuardLimitError, match="64-bit"):
+            scalar_evaluator(EmbeddedPair(2, 63, GeneratingVector((1,), 65)), f)
