@@ -49,10 +49,13 @@ from .bits import SplitMix64
 from .errors import GuardLimitError, guard
 from .functions import bernoulli2
 from .lattice import GeneratingVector, korobov_vector
-from .moments import BLOCK_NODES
 
 # merits at a level are normalized by the best Korobov merit at that level
 BASELINE_ELLS = (17797, 1267, 12915)
+
+# merit streams the nodes in blocks of this many; its values depend on the
+# block sums' pairwise tree, so the size is fixed
+MERIT_BLOCK = 1 << 16
 
 # full candidate scans are limited to this many extension bits; larger
 # requests must use the sampled policy
@@ -107,7 +110,7 @@ def merit(z: GeneratingVector, n_points: int) -> MeritValue:
     comps = _canonical_components(z.components, n_points)
     dt = _index_dtype(n_points)
     mask = dt(n_points - 1)
-    size = min(n_points, BLOCK_NODES)
+    size = min(n_points, MERIT_BLOCK)
     sums = []
     for lo in range(0, n_points, size):
         k = np.arange(lo, lo + size, dtype=dt)

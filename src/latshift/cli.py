@@ -26,7 +26,7 @@ from .dual import TruncationBox, _dual_array
 from .errors import GuardLimitError
 from .functions import ProductBernoulliFn
 from .lattice import EmbeddedPair, GeneratingVector, Rank1Rule, korobov_vector
-from .moments import BLOCK_NODES, MomentReport, moments_grid_shift, moments_scalar_shift
+from .moments import MomentReport, moments_grid_shift, moments_scalar_shift
 from .reference import REFERENCE_CELLS
 from .shifts import (
     BitString,
@@ -47,6 +47,9 @@ EXIT_CHECK_MISMATCH = 3
 # float bits per coordinate when realizing the idealized real-shift scheme
 IDEAL_BITS_PER_COORD = 53
 
+# dual points written per block of the streamed dual artifact
+BLOCK_NODES = 1 << 16
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; 2 is reserved for guard
@@ -64,11 +67,18 @@ def _parse_z(text: str) -> tuple[int, ...]:
 
 
 def _vector_from_args(args, t: int) -> GeneratingVector:
-    if getattr(args, "z", None):
+    # tested against None, so --ell 0 or an empty --z is refused for its value
+    if getattr(args, "z", None) is not None:
         return GeneratingVector(_parse_z(args.z), t)
-    if getattr(args, "ell", None):
+    if getattr(args, "ell", None) is not None:
         return korobov_vector(args.ell, args.s, t)
     raise ValueError("provide a generating vector via --ell or --z")
+
+
+def _check_r(args) -> None:
+    """Refuse a negative --r before any value is derived from it."""
+    if args.r < 0:
+        raise ValueError(f"--r must be >= 0, got {args.r}")
 
 
 def _print5(x: float) -> str:
@@ -185,6 +195,7 @@ def _draw_shift(args, src: BitSource):
 
 
 def cmd_estimate(args) -> int:
+    _check_r(args)
     f = ProductBernoulliFn(args.s)
     src = parse_bit_source(args.bits)
     if args.scheme == "scalar":
@@ -221,6 +232,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    _check_r(args)
     f = ProductBernoulliFn(args.s)
     if args.scheme == "scalar":
         pair = EmbeddedPair(args.m, args.s * args.r, _vector_from_args(args, args.m + args.s * args.r))
@@ -275,6 +287,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_cbc(args) -> int:
+    _check_r(args)
     z = cbc_construct(args.s, args.m, args.s * args.r, candidate_policy=args.policy)
     em = embedded_merit(z, args.m, args.s * args.r)
     config = {"s": args.s, "m": args.m, "r": args.r, "sr": args.s * args.r, "policy": args.policy}

@@ -20,12 +20,17 @@ below half the gap from s to either neighbour (s is then the nearest
 float to the exact sum).  The passes run along the rows when the rows
 are at least as long as they are many, and down the columns of a
 transposed copy otherwise, since numpy reduces a contiguous axis fast only
-for long sums.  Rows longer than BLOCK_TERMS are reduced a block
-at a time and the blocks' parts (s, t, r, two exact floats and one within
-its bound) are reduced once more.  Every other row, including rows with a
-non-finite term or a scale near overflow, goes to math.fsum, and so does
-an input of fewer than SHORT_TERMS terms in all, where the passes' fixed
-cost (some 50 numpy calls) exceeds math.fsum's.
+for long sums.  The private entry _fsum_columns takes the terms the other
+way round, one sum per column, as the node-major blocks of the moment
+enumerations hold them; it may overwrite its input, so it reduces short
+columns where they lie, with no copy, and asks its caller to form the
+terms again for a column the certificate cannot settle.  Sums longer
+than BLOCK_TERMS are reduced a block at a time and the blocks' parts
+(s, t, r, two exact floats and one within its bound) are reduced once
+more.  Every other sum, including sums with a non-finite term or a scale
+near overflow, goes to math.fsum, and so does an input of fewer than
+SHORT_TERMS terms in all, where the passes' fixed cost (some 50 numpy
+calls) exceeds math.fsum's.
 """
 
 from __future__ import annotations
@@ -118,15 +123,23 @@ def _reduce(pieces: Iterable[np.ndarray], axis: int = 0) -> tuple[np.ndarray, np
     return s, ok & _settled(s, t, r, err)
 
 
+def _short(a: np.ndarray) -> np.ndarray | None:
+    """math.fsum of every row of a when the passes do not pay, else None."""
+    if a.shape[1] == 1:
+        # a one-term sum is its term, and math.fsum gives +0.0 for -0.0
+        return a[:, 0] + 0.0
+    if a.size < SHORT_TERMS:
+        return np.array([math.fsum(row) for row in a.tolist()]).reshape(len(a))
+    return None
+
+
 def fsum_rows(a: np.ndarray) -> np.ndarray:
     """math.fsum of every row of the 2-D float array a, bit for bit."""
     a = np.asarray(a, dtype=np.float64)
     rows, n = a.shape
-    if n == 1:
-        # a one-term sum is its term, and math.fsum gives +0.0 for -0.0
-        return a[:, 0] + 0.0
-    if a.size < SHORT_TERMS:
-        return np.array([math.fsum(row) for row in a.tolist()]).reshape(rows)
+    short = _short(a)
+    if short is not None:
+        return short
     # rows at least as long as they are many are reduced along the rows,
     # shorter ones down the columns of a transposed copy
     axis = 1 if n >= rows else 0
@@ -134,6 +147,31 @@ def fsum_rows(a: np.ndarray) -> np.ndarray:
     sums, settled = _reduce((np.array(b if axis else b.T, order="C") for b in blocks), axis)
     for i in np.flatnonzero(~settled).tolist():
         sums[i] = _fallback(a[i].tolist())
+    return sums
+
+
+def _fsum_columns(x: np.ndarray, terms: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """math.fsum of every column of the C-contiguous 2-D float array x, bit for bit.
+
+    x is overwritten, so the terms are reduced where they lie: columns
+    shorter than they are many are reduced down the columns, longer ones
+    along the rows of a transposed copy (a view for a single column).
+    terms(cols) must give the original (n, len(cols)) terms of the listed
+    columns again; it is called only for columns the certificate cannot
+    settle.
+    """
+    short = _short(x.T)
+    if short is not None:
+        return short
+    n, cols = x.shape
+    axis = 1 if n >= cols else 0
+    if axis:
+        x = np.ascontiguousarray(x.T)
+    blocks = (slice(lo, lo + BLOCK_TERMS) for lo in range(0, n, BLOCK_TERMS))
+    sums, settled = _reduce((x[:, b] if axis else x[b] for b in blocks), axis)
+    bad = np.flatnonzero(~settled)
+    if len(bad):
+        sums[bad] = [_fallback(col) for col in terms(bad).T.tolist()]
     return sums
 
 

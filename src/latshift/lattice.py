@@ -33,18 +33,11 @@ def as_uint64(values: Iterable[int]) -> np.ndarray:
     return np.array([v & _U64_MASK for v in values], dtype=np.uint64)
 
 
-def lattice_numerators(
-    steps: Sequence[int],
-    t: int,
-    n: int,
-    offsets: np.ndarray | None = None,
-) -> np.ndarray:
-    """Node numerators (j * steps[i] + offsets[i, b]) mod 2^t for j < n.
+def lattice_numerators(steps: Sequence[int], t: int, n: int) -> np.ndarray:
+    """Node numerators j * steps[i] mod 2^t for j < n, shape (s, n).
 
-    Row i holds coordinate i.  Without offsets the result has shape (s, n);
-    with uint64 offsets of shape (s, B) it has shape (s, B, n), one block of
-    n nodes per offset column.  The three node sets of the package are all
-    of this form:
+    Row i holds coordinate i.  The three node sets of the package are all
+    of this form, displaced by uint64 offset columns with `displace`:
 
     * rule nodes j * z / 2^m: steps z, depth m;
     * coset w of an embedded pair, extension nodes (j << sr) | w: steps
@@ -55,15 +48,12 @@ def lattice_numerators(
     Refuses more than 2^GUARD_BITS nodes, and depths beyond the 64-bit
     numerators, before allocating anything.
     """
-    blocks = 1 if offsets is None else offsets.shape[1]
-    guard(n * blocks, "nodes")
+    guard(n, "nodes")
     if t > NODE_DTYPE_BITS:
         raise GuardLimitError(
             f"node depth 2^-{t} exceeds the {NODE_DTYPE_BITS}-bit node numerators"
         )
     nums = as_uint64(steps)[:, None] * np.arange(n, dtype=np.uint64)
-    if offsets is not None:
-        return displace(nums, offsets, t)
     np.bitwise_and(nums, np.uint64((1 << t) - 1), out=nums)
     return nums
 
@@ -71,13 +61,14 @@ def lattice_numerators(
 def displace(
     nums: np.ndarray, offsets: np.ndarray, t: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """(nums[i, j] + offsets[i, b]) mod 2^t, shape (s, B, n), in out if given.
+    """(nums[i, j] + offsets[i, b]) mod 2^t, shape (s, n, B), in out if given.
 
-    nums is (s, n) uint64 and offsets (s, B) uint64, each known mod 2^t or
-    mod 2^64: the sum wraps mod 2^64, which 2^t divides, so neither needs
-    reducing first.
+    The layout is node-major: the n nodes displaced by offset column b run
+    down column b.  nums is (s, n) uint64 and offsets (s, B) uint64, each
+    known mod 2^t or mod 2^64: the sum wraps mod 2^64, which 2^t divides,
+    so neither needs reducing first.
     """
-    out = np.add(nums[:, None, :], offsets[:, :, None], out=out)
+    out = np.add(nums[:, :, None], offsets[:, None, :], out=out)
     np.bitwise_and(out, np.uint64((1 << t) - 1), out=out)
     return out
 

@@ -14,11 +14,15 @@ independent identity:
 Disagreement beyond 1e-12 relative raises IdentityCheckError, since both
 routes are exact up to summation rounding.
 
+Both enumerations run through one prepared block evaluator
+(`shifts.DisplacedBlocks`), built once per enumeration, with blocks of
+about BLOCK_NODES nodes so that a block's working set stays in cache.
 Every sum is correctly rounded, bit for bit what `math.fsum` returns: the
-per-shift means come from `fsum.fsum_rows` over whole blocks of shifts,
-and the moment sums and the identity values from `fsum.fsum_blocks`.  The
-grid enumeration visits one shift per lattice-translation class only,
-since every shift in a class gives the same rule value.
+per-shift means are column sums of each node-major block, and the moment
+sums and the identity values come from `fsum.fsum_blocks`, so no result
+depends on the block size.  The grid enumeration visits one shift per
+lattice-translation class only, since every shift in a class gives the
+same rule value.
 """
 
 from __future__ import annotations
@@ -32,17 +36,20 @@ import numpy as np
 from .errors import GUARD_BITS, IdentityCheckError, guard
 from .fsum import fsum_blocks, fsum_rows
 from .functions import PeriodicFunction
-from .lattice import EmbeddedPair, Rank1Rule, as_uint64, lattice_numerators
-from .shifts import coset_means, grid_shift_means
+from .lattice import EmbeddedPair, Rank1Rule, as_uint64
+from .shifts import DisplacedBlocks, coset_blocks, coset_offsets, grid_blocks
 
 MEAN_IDENTITY_RTOL = 1e-12
 
 # shifts are enumerated in blocks of about this many nodes, which bounds the
-# node arrays whatever the shift-space size
-BLOCK_NODES = 1 << 16
+# node arrays whatever the shift-space size.  A block's working set is about
+# 16 s + 40 bytes a node (node and float buffers, the integrand's and the
+# sum's temporaries): 2^14 nodes keep it near 1 MB, inside a core's L2 cache
+# at the dimensions the tables use
+BLOCK_NODES = 1 << 14
 
 # nothing in the package calls kahan_sum any more (the sums go through
-# fsum_rows and fsum_blocks); perfbench still binds spans at kahan_sum and
+# the fsum module); perfbench still binds spans at kahan_sum and
 # chunked_map and reads GUARD_BITS here, so all three names stay
 kahan_sum = math.fsum
 
@@ -184,11 +191,14 @@ def moments_grid_shift(rule: Rank1Rule, f: PeriodicFunction, r: int) -> MomentRe
         raise ValueError(f"grid resolution r={r} below rule resolution m={rule.m}")
     guard(1 << (r * s), "grid shifts")
 
-    def block(lo: int, hi: int) -> np.ndarray:
-        offsets = _grid_numerators(np.arange(lo, hi, dtype=np.uint64), s, r)
-        return grid_shift_means(rule, f, offsets, r)
+    width = _shifts_per_block(rule.m)
+    blocks = grid_blocks(rule, f, r, width)
 
-    values = chunked_map(block, 1 << (r * s - rule.m), _shifts_per_block(rule.m))
+    def block(lo: int, hi: int) -> np.ndarray:
+        return blocks.means(_grid_numerators(np.arange(lo, hi, dtype=np.uint64), s, r))
+
+    values = chunked_map(block, 1 << (r * s - rule.m), width)
+    del blocks  # freed before the identity builds its own buffers
     return _report("grid-shift", values, f, rectangle_rule_mean(f, s, r), 1 << (r * s))
 
 
@@ -196,9 +206,14 @@ def moments_scalar_shift(pair: EmbeddedPair, f: PeriodicFunction) -> MomentRepor
     """Exact moments of the scalar-shifted rule over all 2^sr shifts."""
     guard(1 << pair.sr, "scalar shifts")
     guard(1 << pair.ext, "extension nodes")
-    values = chunked_map(
-        lambda lo, hi: coset_means(pair, f, lo, hi), 1 << pair.sr, _shifts_per_block(pair.m)
-    )
+    width = _shifts_per_block(pair.m)
+    blocks = coset_blocks(pair, f, width)
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        return blocks.means(coset_offsets(pair, lo, hi))
+
+    values = chunked_map(block, 1 << pair.sr, width)
+    del blocks  # freed before the identity builds its own buffers
     return _report("scalar-shift", values, f, extended_rule_value(pair, f), 1 << pair.sr)
 
 
@@ -233,18 +248,19 @@ def rectangle_rule_mean(f: PeriodicFunction, s: int, r: int) -> float:
 def extended_rule_value(pair: EmbeddedPair, f: PeriodicFunction) -> float:
     """Direct evaluation of the 2^(m+sr)-point extension of the pair.
 
-    The nodes k * z / 2^(m+sr) are evaluated in blocks of consecutive k and
-    summed in one correctly rounded sum: a route independent of the coset
-    enumeration whose mean it checks.
+    The nodes k * z / 2^(m+sr) are evaluated in blocks of BLOCK_NODES
+    consecutive k, in the same kind of prepared buffers as the enumeration
+    but in index order, and summed in one correctly rounded sum: a route
+    independent of the coset enumeration whose mean it checks.
     """
     n = 1 << pair.ext
     guard(n, "extension nodes")
     z = pair.z.components
-    size = min(n, BLOCK_NODES)
-    off = f.known_integral if f.known_integral is not None else 0.0
+    blocks = DisplacedBlocks(z, pair.ext, min(n, BLOCK_NODES), f, 1)
 
     def block(lo: int) -> np.ndarray:
-        nums = lattice_numerators(z, pair.ext, size, as_uint64(lo * c for c in z)[:, None])
-        return f.eval_batch(nums[:, 0] * (1.0 / n)) - off
+        # fsum_blocks copies each block before it asks for the next, which
+        # overwrites the buffer; a short last block drops the nodes past n
+        return blocks.values(as_uint64(lo * c for c in z)[:, None])[: n - lo]
 
-    return off + fsum_blocks(lambda: map(block, range(0, n, size))) / n
+    return blocks.off + fsum_blocks(lambda: map(block, range(0, n, blocks.n))) / n

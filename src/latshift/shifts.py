@@ -11,23 +11,29 @@ Three randomizations of a rank-1 rule are implemented:
   pair, so that one draw of s*r bits advances the base lattice into one of
   the 2^sr cosets of its 2^(m+sr)-point extension.
 
-Every evaluator builds its nodes with the vectorized kernel
-`lattice.lattice_numerators`, evaluates them in one `eval_batch` call, and
-sums f(x) - If (when the integral is known) per shift with
-`fsum.fsum_rows`, which rounds correctly (equal to `math.fsum` bit for bit)
-in a few whole-array passes, before adding If back, so a mean does not
-depend on the order of its nodes.
+The dyadic evaluators and both moment enumerations share one prepared
+block evaluator, `DisplacedBlocks`.  It builds the unshifted base node
+numerators once (`lattice.lattice_numerators`), with one uint64 node
+buffer and one float buffer laid out node-major, (s, n, B): the n nodes of
+each of a block's B shifts (or cosets) run down one column.  A block adds
+its offset columns into the node buffer (`lattice.displace`, mod 2^t),
+scales them into the float buffer, evaluates them in one `eval_batch`
+call and subtracts If (when the integral is known); the column sums come
+from `fsum._fsum_columns`, which rounds correctly (equal to `math.fsum`
+bit for bit) in a few whole-array passes and may overwrite the values, so
+no block allocates a node array or a transposed copy of its own.  If is
+added back after the sum, so a mean does not depend on the order of its
+nodes.
 
-Replicates come from prepared evaluators (`grid_evaluator`,
-`scalar_evaluator`, `real_evaluator`): each builds the unshifted base
-nodes once and one node buffer, and each call only adds its shift's offset
-column into that buffer (`lattice.displace`, mod 2^t) before evaluating.
-A node is the same integer (or, for the real shift, the same float) as a
-fresh build would give, so every replicate is bitwise unchanged.  Since
-the buffers are reused, one evaluator must not be called again while a
-call is running (it is not reentrant); the means it returns are Python
-floats and share nothing with it.  `eval_{grid,scalar,real}_shifted` are
-single uses of the same evaluators.
+Replicates are blocks of one column: the prepared evaluators
+`grid_evaluator` and `scalar_evaluator` each build one `DisplacedBlocks`,
+and `real_evaluator` its float base nodes and one buffer.  A node is the
+same integer (or, for the real shift, the same float) as a fresh build
+would give, so every replicate is bitwise unchanged.  Since the buffers
+are reused, one evaluator must not be called again while a call is
+running (it is not reentrant); the means it returns are Python floats and
+share nothing with it.  `eval_{grid,scalar,real}_shifted` are single uses
+of the same evaluators.
 """
 
 from __future__ import annotations
@@ -38,7 +44,8 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .fsum import fsum_rows
+from .errors import guard
+from .fsum import _fsum_columns, fsum_rows
 from .functions import PeriodicFunction
 from .lattice import EmbeddedPair, Rank1Rule, as_uint64, displace, lattice_numerators
 
@@ -158,67 +165,88 @@ def _row_means(values: np.ndarray, off: float) -> np.ndarray:
     return off + fsum_rows((values - off).reshape(-1, n)) / n
 
 
-def grid_shift_means(rule: Rank1Rule, f: PeriodicFunction, offsets: np.ndarray, t: int) -> np.ndarray:
-    """Means of f over the rule nodes displaced by a block of grid shifts.
+class DisplacedBlocks:
+    """Prepared f - If over the nodes j * steps mod 2^t, j < n, displaced by
+    blocks of offset columns.
 
-    offsets holds the shift numerators over 2^t (t >= m), one shift per
-    column of its (s, B) shape; the result has one mean per shift.
+    Built once per enumeration or estimate: the base numerators (s, n), one
+    uint64 node buffer and one float buffer, each for up to `width` offset
+    columns and laid out node-major, (s, n, B), so that the n nodes of each
+    column run down one column.  A call adds its block's offset columns in
+    place (`lattice.displace`), scales into the float buffer, evaluates, and
+    subtracts If; `means` then sums down the columns with a correctly
+    rounded sum that may overwrite the values.  Refuses more than
+    2^GUARD_BITS nodes, or a depth beyond 64 bits, before allocating.  The
+    buffers are reused, so a call must not start while another runs (not
+    reentrant), and the values a call returns are overwritten by the next.
     """
-    steps = [c << (t - rule.m) for c in rule.z.components]
-    nums = lattice_numerators(steps, t, rule.n_points, offsets)
-    return _row_means(f.eval_batch(nums * (1.0 / (1 << t))), _offset(f))
+
+    def __init__(self, steps: Sequence[int], t: int, n: int, f: PeriodicFunction, width: int) -> None:
+        guard(n * width, "nodes")
+        self.base = lattice_numerators(steps, t, n)
+        self.t, self.n, self.f = t, n, f
+        self.off = _offset(f)
+        self._nodes = np.empty(self.base.size * width, dtype=np.uint64)
+        self._xs = np.empty(self._nodes.size)
+
+    def values(self, offsets: np.ndarray) -> np.ndarray:
+        """f - If at the nodes displaced by each uint64 offset column of the
+        (s, B) offsets, B <= width: shape (n, B), in the float buffer."""
+        s, n = self.base.shape
+        size = s * n * offsets.shape[1]
+        nums = displace(self.base, offsets, self.t, out=self._nodes[:size].reshape(s, n, -1))
+        xs = np.multiply(nums, 1.0 / (1 << self.t), out=self._xs[:size].reshape(nums.shape))
+        # the coordinates are spent once f is evaluated, so the values take
+        # their place at the head of the float buffer
+        return np.subtract(self.f.eval_batch(xs), self.off, out=self._xs[: size // s].reshape(n, -1))
+
+    def means(self, offsets: np.ndarray) -> np.ndarray:
+        """Mean of f over the nodes of each offset column, one per column."""
+        sums = _fsum_columns(self.values(offsets), lambda cols: self.values(offsets[:, cols]))
+        return self.off + sums / self.n
 
 
-def coset_means(pair: EmbeddedPair, f: PeriodicFunction, lo: int, hi: int) -> np.ndarray:
-    """Means of f over the base-rule cosets lo .. hi - 1 of the pair.
+def grid_blocks(rule: Rank1Rule, f: PeriodicFunction, r: int, width: int) -> DisplacedBlocks:
+    """The rule nodes, displaced by blocks of r-bit grid shifts.
 
-    Coset w is the extension nodes (j << sr) | w, j < 2^m, formed exactly
-    in integer arithmetic at depth m + sr; the equivalent float expression
-    {(j + w)/2^m * z} would corrupt biases at the 1e-9 scale.
+    Nodes at depth m and the shift at depth r combine exactly at depth
+    t = max(m, r); the offset columns are shift numerators over 2^t.
     """
-    z = pair.z.components
-    w = np.arange(hi - lo, dtype=np.uint64) + as_uint64([lo])
-    offsets = as_uint64(z)[:, None] * w
-    nums = lattice_numerators([c << pair.sr for c in z], pair.ext, 1 << pair.m, offsets)
-    return _row_means(f.eval_batch(nums * (1.0 / (1 << pair.ext))), _offset(f))
+    t = max(rule.m, r)
+    return DisplacedBlocks([c << (t - rule.m) for c in rule.z.components], t, rule.n_points, f, width)
 
 
-def _displaced_means(
-    steps: Sequence[int], t: int, n: int, f: PeriodicFunction
-) -> Callable[[np.ndarray], float]:
-    """Mean of f over the nodes j * steps mod 2^t, j < n, displaced by one
-    uint64 offset column (s,), evaluated in buffers reused across calls."""
-    base = lattice_numerators(steps, t, n)
-    nb = np.empty((len(steps), 1, n), dtype=np.uint64)
-    xb = np.empty(nb.shape)
-    scale = 1.0 / (1 << t)
-    off = _offset(f)
+def coset_blocks(pair: EmbeddedPair, f: PeriodicFunction, width: int) -> DisplacedBlocks:
+    """The base-rule cosets of an embedded pair, by their offsets w * z.
 
-    def mean(col: np.ndarray) -> float:
-        displace(base, col[:, None], t, out=nb)
-        np.multiply(nb, scale, out=xb)
-        return float(_row_means(f.eval_batch(xb), off)[0])
+    Coset w is the extension nodes (j << sr) | w = j * (z << sr) + w * z
+    mod 2^(m+sr), j < 2^m, formed exactly in integer arithmetic; the
+    equivalent float expression {(j + w)/2^m * z} would corrupt biases at
+    the 1e-9 scale.
+    """
+    return DisplacedBlocks([c << pair.sr for c in pair.z.components], pair.ext, 1 << pair.m, f, width)
 
-    return mean
+
+def coset_offsets(pair: EmbeddedPair, lo: int, hi: int) -> np.ndarray:
+    """The offsets w * z (mod 2^64) of the cosets w = lo .. hi - 1, one column each."""
+    return as_uint64(pair.z.components)[:, None] * np.arange(lo, hi, dtype=np.uint64)
 
 
 def grid_evaluator(rule: Rank1Rule, f: PeriodicFunction, r: int) -> Callable[[GridShift], float]:
     """Prepared mean of f over the rule nodes displaced by an r-bit grid shift.
 
-    Nodes at depth m and the shift at depth r combine exactly at depth
-    max(m, r); no relation between r and m is required here.  Refuses more
-    than 2^GUARD_BITS nodes, or a depth beyond 64 bits, before allocating.
-    Reuses its buffers: not reentrant.
+    No relation between r and m is required here.  Refuses as
+    DisplacedBlocks does; reuses its buffers: not reentrant.
     """
-    t = max(rule.m, r)
-    mean = _displaced_means([c << (t - rule.m) for c in rule.z.components], t, rule.n_points, f)
+    blocks = grid_blocks(rule, f, r, 1)
+    up = blocks.t - r
 
     def evaluate(shift: GridShift) -> float:
         if shift.s != rule.s:
             raise ValueError(f"dimension mismatch: shift has {shift.s}, rule has {rule.s}")
         if shift.r != r:
             raise ValueError(f"bit-depth mismatch: shift has {shift.r}, evaluator has {r}")
-        return mean(as_uint64(v << (t - r) for v in shift.nums))
+        return float(blocks.means(as_uint64(v << up for v in shift.nums)[:, None])[0])
 
     return evaluate
 
@@ -226,16 +254,14 @@ def grid_evaluator(rule: Rank1Rule, f: PeriodicFunction, r: int) -> Callable[[Gr
 def scalar_evaluator(pair: EmbeddedPair, f: PeriodicFunction) -> Callable[[ScalarShift], float]:
     """Prepared mean of f over the base-rule coset a scalar shift selects.
 
-    Coset w is the extension nodes (j << sr) | w = j * (z << sr) + w * z
-    mod 2^(m+sr), j < 2^m.  Refuses as grid_evaluator does; not reentrant.
+    Refuses as DisplacedBlocks does; not reentrant.
     """
-    z = as_uint64(pair.z.components)
-    mean = _displaced_means([c << pair.sr for c in pair.z.components], pair.ext, 1 << pair.m, f)
+    blocks = coset_blocks(pair, f, 1)
 
     def evaluate(shift: ScalarShift) -> float:
         if shift.sr != pair.sr:
             raise ValueError(f"bit-depth mismatch: shift has {shift.sr}, pair has {pair.sr}")
-        return mean(z * np.uint64(shift.wnum))
+        return float(blocks.means(coset_offsets(pair, shift.wnum, shift.wnum + 1))[0])
 
     return evaluate
 

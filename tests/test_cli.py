@@ -87,6 +87,32 @@ class TestMomentsCommand:
         code, _, _ = run(capsys, "moments", "--scheme", "bogus", "--s", "2", "--m", "3", "--r", "3")
         assert code == 1
 
+    @pytest.mark.parametrize("vector", [("--ell", "0"), ("--ell", "-3"), ("--z", "")])
+    def test_given_but_invalid_vector_is_refused_for_its_value(self, capsys, vector):
+        code, out, err = run(
+            capsys, "moments", "--scheme", "grid", "--s", "2", "--m", "3", "--r", "3", *vector
+        )
+        assert code == 1 and out == ""
+        assert "provide a generating vector" not in err
+        assert ("ell must be odd and positive" if vector[0] == "--ell" else "--z expects") in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "--scheme", "grid", "--s", "2", "--m", "2", "--ell", "3"),
+        ("moments", "--scheme", "scalar", "--s", "2", "--m", "2", "--ell", "3"),
+        ("estimate", "--scheme", "grid", "--s", "2", "--m", "2", "--ell", "3", "--bits", "seed:1"),
+        ("estimate", "--scheme", "scalar", "--s", "2", "--m", "2", "--ell", "3", "--bits", "seed:1"),
+        ("estimate", "--scheme", "ideal", "--s", "2", "--m", "2", "--ell", "3", "--bits", "seed:1"),
+        ("cbc", "--s", "2", "--m", "2"),
+    ],
+)
+def test_negative_r_is_refused_by_name(capsys, argv):
+    code, out, err = run(capsys, *argv, "--r", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: --r must be >= 0, got -1\n"
+
 
 class TestEstimateCommand:
     def test_zero_bit_file_pins_shift_to_zero(self, capsys, tmp_path):

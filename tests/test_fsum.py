@@ -18,7 +18,7 @@ from latshift import (
     moments_scalar_shift,
 )
 from latshift import fsum as fsum_module
-from latshift.fsum import fsum_blocks, fsum_rows
+from latshift.fsum import _fsum_columns, fsum_blocks, fsum_rows
 
 PROPERTY = settings(max_examples=300, deadline=None)
 
@@ -79,16 +79,27 @@ def test_rows_equal_fsum_bitwise(rows):
         assert bits(fsum_rows(np.array(rows))) == fsum_reference(rows)
 
 
+def column_sums(rows) -> np.ndarray:
+    """_fsum_columns of the rows laid out one sum per column, as the moment
+    blocks hold them; the terms are formed again only for a column the
+    certificate cannot settle."""
+    a = np.array(rows)
+    return _fsum_columns(np.array(a.T, order="C"), lambda cols: a[cols].T)
+
+
 @PROPERTY
 @given(row_sets())
 def test_row_and_column_layouts_equal_fsum_bitwise(rows):
     # the drawn rows, mostly at least as long as they are many, go along the
     # rows; the same rows 41 times over, more rows than terms, go down the
-    # columns of a transposed copy
+    # columns of a transposed copy.  _fsum_columns takes the same sums one
+    # per column and reduces them the other way round
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fsum_module, "SHORT_TERMS", 0)
         assert bits(fsum_rows(np.array(rows))) == fsum_reference(rows)
         assert bits(fsum_rows(np.array(rows * 41))) == fsum_reference(rows) * 41
+        assert bits(column_sums(rows)) == fsum_reference(rows)
+        assert bits(column_sums(rows * 41)) == fsum_reference(rows) * 41
 
 
 @PROPERTY
@@ -99,6 +110,7 @@ def test_blocked_rows_and_streams_equal_fsum_bitwise(rows, block, data):
         mp.setattr(fsum_module, "SHORT_TERMS", 0)
         mp.setattr(fsum_module, "BLOCK_TERMS", block)
         assert bits(fsum_rows(np.array(rows))) == fsum_reference(rows)
+        assert bits(column_sums(rows)) == fsum_reference(rows)
         row = np.array(rows[0])
         cuts = sorted(data.draw(st.lists(st.integers(0, len(row)), max_size=4)))
         pieces = np.split(row, cuts)
@@ -125,9 +137,9 @@ def test_empty_and_degenerate_shapes():
 def test_non_finite_rows_go_to_fsum(monkeypatch):
     monkeypatch.setattr(fsum_module, "SHORT_TERMS", 0)
     rows = [[math.inf, 1.0], [1.0, 2.0], [math.nan, 0.0], [1e308, 1e308 * -0.5]]
-    got = fsum_rows(np.array(rows))
-    assert got[0] == math.inf and got[1] == 3.0 and math.isnan(got[2])
-    assert got[3] == math.fsum(rows[3])
+    for got in (fsum_rows(np.array(rows)), column_sums(rows)):
+        assert got[0] == math.inf and got[1] == 3.0 and math.isnan(got[2])
+        assert got[3] == math.fsum(rows[3])
 
 
 class CountingFallback:
@@ -155,6 +167,36 @@ def test_forced_fallback_is_fsum(monkeypatch):
     assert got[:2].tolist() == [1.0 + 2.0**-52, 1.0 - 2.0**-53]
     assert fsum_blocks(lambda: iter([np.array(rows[0])])) == 1.0 + 2.0**-52
     assert counter.calls == 3
+    # the column entry overwrites its terms, so it asks for the two
+    # unsettled columns again, and only for them
+    asked = []
+    a = np.array(rows)
+
+    def terms(cols):
+        asked.append(cols.tolist())
+        return a[cols].T
+
+    assert bits(_fsum_columns(np.array(a.T, order="C"), terms)) == fsum_reference(rows)
+    assert asked == [[0, 1]] and counter.calls == 5
+
+
+@pytest.mark.parametrize("scheme", ["grid", "scalar"])
+def test_moment_blocks_form_unsettled_columns_again(monkeypatch, scheme):
+    # the block sums overwrite their terms, so a column left to math.fsum
+    # (here every odd one) is formed again from its own offset column
+    f = ProductBernoulliFn(2)
+    if scheme == "grid":
+        report = lambda: moments_grid_shift(Rank1Rule(3, korobov_vector(1267, 2, 3)), f, 5)  # noqa: E731
+    else:
+        report = lambda: moments_scalar_shift(EmbeddedPair(3, 10, korobov_vector(1267, 2, 13)), f)  # noqa: E731
+    expected = {k: v.hex() if isinstance(v, float) else v for k, v in report().to_dict().items()}
+    settled = fsum_module._settled
+    monkeypatch.setattr(
+        fsum_module, "_settled", lambda *parts: settled(*parts) & (np.arange(len(parts[0])) % 2 == 0)
+    )
+    counter = CountingFallback(monkeypatch)
+    got = {k: v.hex() if isinstance(v, float) else v for k, v in report().to_dict().items()}
+    assert got == expected and counter.calls >= 64
 
 
 class TestFallbackCount:

@@ -26,9 +26,9 @@ from latshift import (
     rectangle_rule_mean,
     scalar_evaluator,
 )
-from latshift.lattice import as_uint64, lattice_numerators
+from latshift.lattice import as_uint64, displace, lattice_numerators
 from latshift.moments import chunked_map
-from latshift.shifts import coset_means
+from latshift.shifts import DisplacedBlocks, coset_blocks, coset_offsets
 
 from conftest import coset_node, dyadic_add, product_bernoulli_point, rel_err
 
@@ -67,10 +67,11 @@ def test_grid_shifted_nodes_match_dyadic_addition(cfg, data):
     shift = GridShift(tuple(data.draw(st.integers(0, (1 << r) - 1)) for _ in range(s)), r)
     t = max(m, r)
     steps = [c << (t - m) for c in z.components]
-    nums = lattice_numerators(steps, t, rule.n_points, as_uint64(shift.nums)[:, None] << np.uint64(t - r))
+    offsets = as_uint64(shift.nums)[:, None] << np.uint64(t - r)
+    nums = displace(lattice_numerators(steps, t, rule.n_points), offsets, t)
     v = DyadicPoint(shift.nums, r)
     points = [dyadic_add(rule.node(j), v) for j in range(rule.n_points)]
-    assert nums[:, 0].T.tolist() == [list(p.nums) for p in points]
+    assert nums[:, :, 0].T.tolist() == [list(p.nums) for p in points]
     f = ProductBernoulliFn(s)
     values = [product_bernoulli_point(p.as_floats()) for p in points]
     reference = 1.0 + math.fsum(x - 1.0 for x in values) / rule.n_points
@@ -84,7 +85,8 @@ def test_coset_blocks_match_per_point_and_single_shift(cfg, block):
     pair = EmbeddedPair(m, s * r, z)
     f = ProductBernoulliFn(s)
     n = 1 << m
-    values = chunked_map(lambda lo, hi: coset_means(pair, f, lo, hi), 1 << pair.sr, block)
+    blocks = coset_blocks(pair, f, block)
+    values = chunked_map(lambda lo, hi: blocks.means(coset_offsets(pair, lo, hi)), 1 << pair.sr, block)
     for w, value in enumerate(values.tolist()):
         assert value == eval_scalar_shifted(pair, f, ScalarShift(w, pair.sr))
         points = [coset_node(pair, j, w) for j in range(n)]
@@ -108,9 +110,8 @@ class TestKernelGuard:
             lattice_numerators([1], 40, 1 << 40)
 
     def test_refuses_blocks_above_guard(self):
-        offsets = np.zeros((1, 1 << 11), dtype=np.uint64)
         with pytest.raises(GuardLimitError):
-            lattice_numerators([1], 16, 1 << 16, offsets)
+            DisplacedBlocks([1], 16, 1 << 16, ProductBernoulliFn(1), 1 << 11)
 
     def test_refuses_depth_beyond_numerator_dtype(self):
         with pytest.raises(GuardLimitError, match="64-bit"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,10 +11,14 @@ from latshift import (
     DyadicPoint,
     EmbeddedPair,
     GeneratingVector,
+    GridShift,
     GuardLimitError,
     ProductBernoulliFn,
     Rank1Rule,
+    ScalarShift,
+    eval_grid_shifted,
     eval_rule,
+    eval_scalar_shifted,
     extended_rule_value,
     korobov_vector,
     moments_grid_shift,
@@ -24,7 +29,7 @@ from latshift import (
 from latshift import moments as moments_module
 from latshift.moments import _grid_numerators, _report, chunked_map
 from latshift.reference import REFERENCE_CELLS
-from latshift.shifts import coset_means, grid_shift_means
+from latshift.shifts import coset_blocks, coset_offsets, grid_blocks
 
 from conftest import rel_err
 
@@ -116,8 +121,10 @@ def full_grid_report(rule: Rank1Rule, f: ProductBernoulliFn, r: int):
     """The grid-shift report over all 2^(r*s) shifts, every class in full."""
     s = rule.s
 
+    blocks = grid_blocks(rule, f, r, 1 << 10)
+
     def block(lo, hi):
-        return grid_shift_means(rule, f, _grid_numerators(np.arange(lo, hi, dtype=np.uint64), s, r), r)
+        return blocks.means(_grid_numerators(np.arange(lo, hi, dtype=np.uint64), s, r))
 
     values = chunked_map(block, 1 << (r * s), 1 << 10)
     return _report("grid-shift", values, f, rectangle_rule_mean(f, s, r), 1 << (r * s))
@@ -274,6 +281,68 @@ class TestGuardsAndValidation:
             moments_grid_shift(rule, f, 5000)
 
 
+def fsum_report_bits(values: list[float], check: float) -> dict:
+    """The report fields _report defines, each a math.fsum over the values."""
+    n = len(values)
+    delta = math.fsum(v - 1.0 for v in values) / n
+    mean = 1.0 + delta
+    d = [v - mean for v in values]
+    return {
+        "mean": mean.hex(),
+        "bias": delta.hex(),
+        "variance": (math.fsum(x * x for x in d) / n).hex(),
+        "mu3": (math.fsum(x * x * x for x in d) / n).hex(),
+        "mean_check_rel_err": (abs(mean - check) / abs(check)).hex(),
+    }
+
+
+class TestBlockSizes:
+    """Reports do not depend on how the shifts are blocked: 1 to 7 columns
+    a block (the last block short for 3, 5, 6 and 7) and 2^16 nodes."""
+
+    CELLS = (("scalar", 2, 0, 3), ("scalar", 2, 3, 3), ("grid", 2, 0, 3), ("grid", 2, 2, 3))
+
+    @pytest.mark.parametrize("scheme, s, m, r", CELLS)
+    def test_reports_hex_equal_across_block_sizes(self, scheme, s, m, r, monkeypatch):
+        f = ProductBernoulliFn(s)
+        if scheme == "scalar":
+            pair = EmbeddedPair(m, s * r, korobov_vector(17797, s, m + s * r))
+            values = [eval_scalar_shifted(pair, f, ScalarShift(w, s * r)) for w in range(1 << (s * r))]
+            check = extended_rule_value(pair, f)
+            moments = lambda: moments_scalar_shift(pair, f)  # noqa: E731
+        else:
+            rule = Rank1Rule(m, korobov_vector(17797, s, max(m, 1)))
+            # one shift per lattice-translation class, as moments_grid_shift enumerates
+            nums = _grid_numerators(np.arange(1 << (r * s - m), dtype=np.uint64), s, r)
+            values = [eval_grid_shifted(rule, f, GridShift(tuple(v), r)) for v in nums.T.tolist()]
+            check = rectangle_rule_mean(f, s, r)
+            moments = lambda: moments_grid_shift(rule, f, r)  # noqa: E731
+        expected = fsum_report_bits(values, check)
+        for block in [k << m for k in range(1, 8)] + [1 << 16]:
+            monkeypatch.setattr(moments_module, "BLOCK_NODES", block)
+            if scheme == "scalar":
+                assert extended_rule_value(pair, f).hex() == check.hex(), block
+            got = report_bits(moments())
+            assert {k: got[k] for k in expected} == expected, block
+
+
+class TestBlockMemory:
+    def test_scalar_m0_peak_per_node(self):
+        # s = 4, m = 0: 2^16 one-node cosets.  The values take 8 bytes a
+        # shift; the rest is one block's working set, whatever the cell's
+        # size.  Blocks of 2^16 nodes peaked at 128 bytes a node here.
+        pair = EmbeddedPair(0, 16, korobov_vector(17797, 4, 16))
+        f = ProductBernoulliFn(4)
+        moments_scalar_shift(pair, f)
+        tracemalloc.start()
+        try:
+            moments_scalar_shift(pair, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (1 << 16) < 64
+
+
 class TestReportSums:
     def test_mu3_is_fsum_of_cubed_deviations(self):
         # the scalar (2,4,6) cell at ell = 5709: on an AVX-512 host, cubes
@@ -281,7 +350,7 @@ class TestReportSums:
         pair = EmbeddedPair(4, 12, korobov_vector(5709, 2, 16))
         f = ProductBernoulliFn(2)
         rep = moments_scalar_shift(pair, f)
-        values = coset_means(pair, f, 0, 1 << 12).tolist()
+        values = coset_blocks(pair, f, 1 << 12).means(coset_offsets(pair, 0, 1 << 12)).tolist()
         d = [v - rep.mean for v in values]
         assert rep.mu3.hex() == (math.fsum(x * x * x for x in d) / len(d)).hex()
         assert rep.variance.hex() == (math.fsum(x * x for x in d) / len(d)).hex()
