@@ -24,7 +24,9 @@ for long sums.  The private entry _fsum_columns takes the terms the other
 way round, one sum per column, as the node-major blocks of the moment
 enumerations hold them; it may overwrite its input, so it reduces short
 columns where they lie, with no copy, and asks its caller to form the
-terms again for a column the certificate cannot settle.  Sums longer
+terms again for a column the certificate cannot settle.  Both entries
+lay their terms out for the chosen axis and hand them to one dispatcher,
+_fsum, which overwrites them.  Sums longer
 than BLOCK_TERMS are reduced a block at a time and the blocks' parts
 (s, t, r, two exact floats and one within its bound) are reduced once
 more.  Every other sum, including sums with a non-finite term or a scale
@@ -133,46 +135,47 @@ def _short(a: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def _fsum(x: np.ndarray, axis: int, terms: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """math.fsum of every sum along axis of the C-contiguous 2-D float array x.
+
+    x is overwritten.  terms(i) must give the original terms of the listed
+    sums again, one sum per row; it is called only for sums the
+    certificate cannot settle.
+    """
+    short = _short(x if axis else x.T)
+    if short is not None:
+        return short
+    blocks = (slice(lo, lo + BLOCK_TERMS) for lo in range(0, x.shape[axis], BLOCK_TERMS))
+    sums, settled = _reduce((x[:, b] if axis else x[b] for b in blocks), axis)
+    bad = np.flatnonzero(~settled)
+    if len(bad):
+        sums[bad] = [_fallback(row) for row in terms(bad).tolist()]
+    return sums
+
+
 def fsum_rows(a: np.ndarray) -> np.ndarray:
     """math.fsum of every row of the 2-D float array a, bit for bit."""
     a = np.asarray(a, dtype=np.float64)
     rows, n = a.shape
-    short = _short(a)
-    if short is not None:
-        return short
-    # rows at least as long as they are many are reduced along the rows,
-    # shorter ones down the columns of a transposed copy
+    # rows at least as long as they are many are reduced along the rows of
+    # a copy, shorter ones down the columns of a transposed copy
     axis = 1 if n >= rows else 0
-    blocks = (a[:, lo : lo + BLOCK_TERMS] for lo in range(0, n, BLOCK_TERMS))
-    sums, settled = _reduce((np.array(b if axis else b.T, order="C") for b in blocks), axis)
-    for i in np.flatnonzero(~settled).tolist():
-        sums[i] = _fallback(a[i].tolist())
-    return sums
+    return _fsum(np.array(a if axis else a.T, order="C"), axis, lambda i: a[i])
 
 
 def _fsum_columns(x: np.ndarray, terms: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """math.fsum of every column of the C-contiguous 2-D float array x, bit for bit.
 
-    x is overwritten, so the terms are reduced where they lie: columns
-    shorter than they are many are reduced down the columns, longer ones
-    along the rows of a transposed copy (a view for a single column).
-    terms(cols) must give the original (n, len(cols)) terms of the listed
-    columns again; it is called only for columns the certificate cannot
-    settle.
+    x is overwritten, so columns shorter than they are many are reduced
+    where they lie, with no copy; longer ones go along the rows of a
+    transposed copy (a view for a single column).  terms(cols) must give
+    the original (n, len(cols)) terms of the listed columns again; it is
+    called only for columns the certificate cannot settle.
     """
-    short = _short(x.T)
-    if short is not None:
-        return short
     n, cols = x.shape
-    axis = 1 if n >= cols else 0
-    if axis:
-        x = np.ascontiguousarray(x.T)
-    blocks = (slice(lo, lo + BLOCK_TERMS) for lo in range(0, n, BLOCK_TERMS))
-    sums, settled = _reduce((x[:, b] if axis else x[b] for b in blocks), axis)
-    bad = np.flatnonzero(~settled)
-    if len(bad):
-        sums[bad] = [_fallback(col) for col in terms(bad).T.tolist()]
-    return sums
+    if n < cols:
+        return _fsum(x, 0, lambda c: terms(c).T)
+    return _fsum(np.ascontiguousarray(x.T), 1, lambda c: terms(c).T)
 
 
 def fsum_blocks(blocks: Callable[[], Iterable[np.ndarray]]) -> float:
@@ -180,7 +183,9 @@ def fsum_blocks(blocks: Callable[[], Iterable[np.ndarray]]) -> float:
 
     The terms are reduced at most BLOCK_TERMS at a time; blocks() is called
     a second time, to feed math.fsum, only when the certificate cannot
-    settle the sum.
+    settle the sum.  Both passes copy each block's terms out before they
+    ask for the next block, so blocks() may yield views of one buffer that
+    every block overwrites.
     """
     pieces = (
         np.array(b[lo : lo + BLOCK_TERMS], dtype=np.float64).reshape(-1, 1)
@@ -193,4 +198,4 @@ def fsum_blocks(blocks: Callable[[], Iterable[np.ndarray]]) -> float:
     sums, settled = _reduce(chain(head, pieces))
     if settled[0]:
         return float(sums[0])
-    return _fallback(chain.from_iterable(np.asarray(b).tolist() for b in blocks()))
+    return _fallback(chain.from_iterable(np.ravel(b).tolist() for b in blocks()))

@@ -259,8 +259,8 @@ def extended_rule_value(pair: EmbeddedPair, f: PeriodicFunction) -> float:
     blocks = DisplacedBlocks(z, pair.ext, min(n, BLOCK_NODES), f, 1)
 
     def block(lo: int) -> np.ndarray:
-        # fsum_blocks copies each block before it asks for the next, which
+        # fsum_blocks consumes each block before it asks for the next, which
         # overwrites the buffer; a short last block drops the nodes past n
-        return blocks.values(as_uint64(lo * c for c in z)[:, None])[: n - lo]
+        return blocks.values(as_uint64(lo * c for c in z)[:, None])[: n - lo, 0]
 
     return blocks.off + fsum_blocks(lambda: map(block, range(0, n, blocks.n))) / n

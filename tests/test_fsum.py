@@ -13,11 +13,13 @@ from latshift import (
     ProductBernoulliFn,
     Rank1Rule,
     eval_grid_shifted,
+    extended_rule_value,
     korobov_vector,
     moments_grid_shift,
     moments_scalar_shift,
 )
 from latshift import fsum as fsum_module
+from latshift import moments as moments_module
 from latshift.fsum import _fsum_columns, fsum_blocks, fsum_rows
 
 PROPERTY = settings(max_examples=300, deadline=None)
@@ -197,6 +199,42 @@ def test_moment_blocks_form_unsettled_columns_again(monkeypatch, scheme):
     counter = CountingFallback(monkeypatch)
     got = {k: v.hex() if isinstance(v, float) else v for k, v in report().to_dict().items()}
     assert got == expected and counter.calls >= 64
+
+
+class EdgeFn(ProductBernoulliFn):
+    """The Bernoulli product with a chosen value at the origin, no known integral."""
+
+    known_integral = None
+
+    def __init__(self, s: int, origin: float) -> None:
+        super().__init__(s)
+        self.origin = origin
+
+    def eval_batch(self, xs: np.ndarray) -> np.ndarray:
+        return np.where((xs == 0.0).all(axis=0), self.origin, super().eval_batch(xs))
+
+
+@pytest.mark.parametrize("block", [1 << 16, 1000])
+def test_extended_rule_value_left_to_fsum(monkeypatch, block):
+    # the identity sum reads its blocks from one reused buffer; when the
+    # certificate settles nothing, or a term is not finite, math.fsum reads
+    # them a second time, here in one block and in blocks with a short last
+    pair = EmbeddedPair(3, 10, korobov_vector(1267, 2, 13))
+    n = 1 << pair.ext
+    z = np.array(pair.z.components, dtype=np.uint64)[:, None]
+    xs = (z * np.arange(n, dtype=np.uint64)) % np.uint64(n) * (1.0 / n)
+    f = ProductBernoulliFn(2)
+    expected = f.known_integral + math.fsum((f.eval_batch(xs) - f.known_integral).tolist()) / n
+    monkeypatch.setattr(moments_module, "BLOCK_NODES", block)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fsum_module, "_settled", lambda s, *rest: np.zeros(len(s), dtype=bool))
+        counter = CountingFallback(mp)
+        assert extended_rule_value(pair, f).hex() == expected.hex()
+        assert counter.calls == 1
+    assert extended_rule_value(pair, EdgeFn(2, math.inf)) == math.inf
+    assert math.isnan(extended_rule_value(pair, EdgeFn(2, math.nan)))
+    finite = EdgeFn(2, 1.0)
+    assert extended_rule_value(pair, finite).hex() == (math.fsum(finite.eval_batch(xs).tolist()) / n).hex()
 
 
 class TestFallbackCount:
