@@ -8,6 +8,10 @@ is scored at both of its levels; the combined figure is the worse of the
 two per-level merits, each normalized by the best Korobov baseline merit
 at that level.
 
+`merit` runs on the extended-rule identity's index-order node path
+(`moments._index_blocks`) and sums as one `np.sum` over all nodes would:
+deterministic bit for bit, but unlike the moment sums not correctly rounded.
+
 The construction is greedy: component d is chosen from the odd candidates
 c <= 2^(m+sr-1) to minimize the combined figure of the partial vector,
 with ties broken by the smallest candidate.  The reference integrand is
@@ -47,15 +51,12 @@ import numpy as np
 
 from .bits import SplitMix64
 from .errors import GuardLimitError, guard
-from .functions import bernoulli2
-from .lattice import GeneratingVector, korobov_vector
+from .functions import ProductBernoulliFn, bernoulli2
+from .lattice import GeneratingVector, korobov_vector, lattice_numerators
+from .moments import _index_blocks
 
 # merits at a level are normalized by the best Korobov merit at that level
 BASELINE_ELLS = (17797, 1267, 12915)
-
-# merit streams the nodes in blocks of this many; its values depend on the
-# block sums' pairwise tree, so the size is fixed
-MERIT_BLOCK = 1 << 16
 
 # full candidate scans are limited to this many extension bits; larger
 # requests must use the sampled policy
@@ -81,15 +82,7 @@ class EmbeddedMerit:
     combined: float
 
 
-def _index_dtype(n: int):
-    # products wrap mod 2^16 / 2^32, and n divides both, so masked wrapped
-    # products equal products mod n
-    return np.uint16 if n <= (1 << 16) else np.uint32
-
-
 def _canonical_components(components: tuple[int, ...], n: int) -> tuple[int, ...]:
-    if n == 1:
-        return tuple(0 for _ in components)
     reduced = [c % n for c in components]
     return tuple(sorted(min(c, n - c) for c in reduced))
 
@@ -108,20 +101,12 @@ def merit(z: GeneratingVector, n_points: int) -> MeritValue:
     if z.t < t:
         raise ValueError(f"generating vector known mod 2^{z.t} cannot drive 2^{t} nodes")
     comps = _canonical_components(z.components, n_points)
-    dt = _index_dtype(n_points)
-    mask = dt(n_points - 1)
-    size = min(n_points, MERIT_BLOCK)
-    sums = []
-    for lo in range(0, n_points, size):
-        k = np.arange(lo, lo + size, dtype=dt)
-        vals = np.ones(size)
-        for c in comps:
-            # bernoulli2 squares x - 1/2, so mirrored indices k, n - k give
-            # bit-equal factors
-            vals = vals * (1.0 + bernoulli2(((k * dt(c)) & mask) / float(n_points)))
-        sums.append(np.sum(vals - 1.0))
-    # adjacent block sums halved pairwise: numpy's own summation tree for a
-    # power-of-two length, so the value equals np.sum over all nodes
+    # the integrand squares x - 1/2, so mirrored indices k, n - k give
+    # bit-equal factors.  np.sum splits a power-of-two length into halves
+    # down to 128-term leaves, so while the node blocks are powers of two of
+    # at least 128 nodes, halving their sums pairwise gives np.sum over all
+    # nodes bit for bit
+    sums = [np.sum(b) for b in _index_blocks(comps, t, ProductBernoulliFn(len(comps)))]
     while len(sums) > 1:
         sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
     return MeritValue(float(sums[0]) / n_points, n_points)
@@ -287,12 +272,12 @@ def _sample_candidates(n_ext: int) -> np.ndarray:
     """Fixed pseudorandom draw of odd candidates in the lower half."""
     half_odds = n_ext // 4
     if half_odds < 1:
-        return np.array([], dtype=_index_dtype(n_ext))
+        return np.array([], dtype=np.int64)
     gen = SplitMix64(SAMPLE_SEED)
     chosen: set[int] = set()
     while len(chosen) < min(SAMPLE_SIZE, half_odds):
         chosen.add(2 * (gen.next64() % half_odds) + 1)
-    return np.array(sorted(chosen), dtype=_index_dtype(n_ext))
+    return np.array(sorted(chosen), dtype=np.int64)
 
 
 def cbc_construct(
@@ -340,7 +325,7 @@ def cbc_construct(
     n_base = 1 << m
     n_ext = 1 << ext
     if candidate_policy == "sampled":
-        cands = _sample_candidates(n_ext).astype(np.int64)
+        cands = _sample_candidates(n_ext)
     else:
         cands = 2 * np.arange(n_ext // 4 or n_ext // 2, dtype=np.int64) + 1
     if len(cands) == 0:
@@ -349,15 +334,12 @@ def cbc_construct(
     classes = np.minimum(cands % n_base, -cands % n_base)
 
     we = 1.0 + bernoulli2(np.arange(n_ext) / n_ext)
-    dtype = _index_dtype(n_ext)
-    je = np.arange(n_ext, dtype=dtype)
-    mask_e = dtype(n_ext - 1)
     pe = np.ones(n_ext)
 
     comps = [1]
     for d in range(2, s + 1):
         rb, re = _normalizers(d, m, sr)
-        pe = pe * we[(je * dtype(comps[-1] % n_ext)) & mask_e]
+        pe = pe * we[lattice_numerators([comps[-1]], ext, n_ext)[0]]
         prefix = tuple(comps)
 
         # node k of the base level is node k 2^sr of the extended one, with

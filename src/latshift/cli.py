@@ -69,10 +69,23 @@ def _parse_z(text: str) -> tuple[int, ...]:
 def _vector_from_args(args, t: int) -> GeneratingVector:
     # tested against None, so --ell 0 or an empty --z is refused for its value
     if getattr(args, "z", None) is not None:
-        return GeneratingVector(_parse_z(args.z), t)
+        z = _parse_z(args.z)
+        if len(z) != args.s:
+            raise ValueError(f"--z has {len(z)} components, but --s is {args.s}")
+        return GeneratingVector(z, t)
     if getattr(args, "ell", None) is not None:
         return korobov_vector(args.ell, args.s, t)
     raise ValueError("provide a generating vector via --ell or --z")
+
+
+def _rule_from_args(args) -> Rank1Rule:
+    return Rank1Rule(args.m, _vector_from_args(args, max(args.m, 1)))
+
+
+def _pair_from_args(args) -> EmbeddedPair:
+    # a vector is known to at least one bit, also when m + sr = 0
+    sr = args.s * args.r
+    return EmbeddedPair(args.m, sr, _vector_from_args(args, max(args.m + sr, 1)))
 
 
 def _check_r(args) -> None:
@@ -199,10 +212,9 @@ def cmd_estimate(args) -> int:
     f = ProductBernoulliFn(args.s)
     src = parse_bit_source(args.bits)
     if args.scheme == "scalar":
-        pair = EmbeddedPair(args.m, args.s * args.r, _vector_from_args(args, args.m + args.s * args.r))
-        evaluator = scalar_evaluator(pair, f)
+        evaluator = scalar_evaluator(_pair_from_args(args), f)
     else:
-        rule = Rank1Rule(args.m, _vector_from_args(args, max(args.m, 1)))
+        rule = _rule_from_args(args)
         if args.scheme == "grid":
             evaluator = grid_evaluator(rule, f, args.r)
         else:
@@ -235,11 +247,9 @@ def cmd_moments(args) -> int:
     _check_r(args)
     f = ProductBernoulliFn(args.s)
     if args.scheme == "scalar":
-        pair = EmbeddedPair(args.m, args.s * args.r, _vector_from_args(args, args.m + args.s * args.r))
-        report = moments_scalar_shift(pair, f)
+        report = moments_scalar_shift(_pair_from_args(args), f)
     else:
-        rule = Rank1Rule(args.m, _vector_from_args(args, max(args.m, 1)))
-        report = moments_grid_shift(rule, f, args.r)
+        report = moments_grid_shift(_rule_from_args(args), f, args.r)
     config = {
         "s": args.s,
         "m": args.m,
@@ -271,8 +281,7 @@ def _json_point_rows(duals) -> Iterator[str]:
 
 
 def cmd_dual(args) -> int:
-    rule = Rank1Rule(args.m, _vector_from_args(args, max(args.m, 1)))
-    duals = _dual_array(rule, TruncationBox(args.H))
+    duals = _dual_array(_rule_from_args(args), TruncationBox(args.H))
     config = {"s": args.s, "m": args.m, "ell": args.ell, "z": args.z, "H": args.H}
     text = _json_artifact(
         {"command": "dual", "version": __version__, "config": config, "count": len(duals), "points": []}

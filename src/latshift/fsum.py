@@ -55,13 +55,15 @@ def _fallback(terms: Iterable[float]) -> float:
     return math.fsum(terms)
 
 
-def _extract(x: np.ndarray, buf: np.ndarray, M: int, axis: int) -> np.ndarray:
+def _extract(x: np.ndarray, buf: np.ndarray, M: int, axis: int, big=None) -> np.ndarray:
     """Exact sums along axis of q = (sigma + x) - sigma; x becomes x - q.
 
     sigma is 2^M times the power of two above the largest magnitude of the
-    sum; buf is a work array of x's shape.
+    sum, big (axis kept) if the caller has it; buf is a work array of x's shape.
     """
-    _, e = np.frexp(np.abs(x, out=buf).max(axis=axis, keepdims=True))
+    if big is None:
+        big = np.abs(x, out=buf).max(axis=axis, keepdims=True)
+    _, e = np.frexp(big)
     sigma = np.ldexp(1.0, e + M)
     q = np.add(sigma, x, out=buf)
     q -= sigma
@@ -83,12 +85,14 @@ def _parts(
     n = x.shape[axis]
     M = (n + 1).bit_length()  # ceil(log2(n + 2))
     buf = np.empty_like(x)
-    big = np.abs(x, out=buf).max(axis=axis)
+    big = np.abs(x, out=buf).max(axis=axis, keepdims=True)
     # sigma = 2^(M + e) must stay at or below 2^1022 so that sigma + x cannot overflow
     ok = np.isfinite(big) & (big < 2.0 ** (1022 - M))
     if not ok.all():
-        x = np.where(np.expand_dims(ok, axis), x, 0.0)
-    a = _extract(x, buf, M, axis)
+        # the sums not covered become sums of zeros
+        x = np.where(ok, x, 0.0)
+        big = np.where(ok, big, 0.0)
+    a = _extract(x, buf, M, axis, big)
     b = _extract(x, buf, M, axis)
     # TwoSum: s + t == a + b exactly
     s = a + b
@@ -98,7 +102,7 @@ def _parts(
     # any summation order errs by at most (n - 1) u sum|x| <= n^2 2^-53 max|x|;
     # the bound is doubled for its own rounding
     err = np.abs(x, out=buf).max(axis=axis) * (n * n * 2.0**-52)
-    return s, t, r, err, ok
+    return s, t, r, err, ok.squeeze(axis)
 
 
 def _settled(s: np.ndarray, t: np.ndarray, r: np.ndarray, err: np.ndarray) -> np.ndarray:

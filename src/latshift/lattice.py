@@ -5,8 +5,10 @@ power-of-two denominator) and all node arithmetic is integer arithmetic.
 Floating point only enters when an integrand is evaluated, so biases at the
 1e-9 scale are not polluted by node rounding.
 
-`lattice_numerators` is the vectorized node kernel every randomized
-evaluator uses; `Rank1Rule.node` is the per-point reference it is tested
+`lattice_numerators` is the vectorized node kernel behind every node set
+the package evaluates: the randomized evaluators, the moment enumerations,
+the extended-rule identity, the CBC merits and the CBC scan's node
+products.  `Rank1Rule.node` is the per-point reference it is tested
 against.
 """
 

@@ -28,8 +28,8 @@ same rule value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .errors import GUARD_BITS, IdentityCheckError, guard
 from .fsum import fsum_blocks, fsum_rows
 from .functions import PeriodicFunction
 from .lattice import EmbeddedPair, Rank1Rule, as_uint64
-from .shifts import DisplacedBlocks, coset_blocks, coset_offsets, grid_blocks
+from .shifts import DisplacedBlocks, _offset, coset_blocks, coset_offsets, grid_blocks
 
 MEAN_IDENTITY_RTOL = 1e-12
 
@@ -47,6 +47,21 @@ MEAN_IDENTITY_RTOL = 1e-12
 # sum's temporaries): 2^14 nodes keep it near 1 MB, inside a core's L2 cache
 # at the dimensions the tables use
 BLOCK_NODES = 1 << 14
+
+
+def _index_blocks(steps: Sequence[int], t: int, f: PeriodicFunction) -> Iterator[np.ndarray]:
+    """f - If at the nodes k * steps mod 2^t, k < 2^t, in index order.
+
+    The nodes go through one `DisplacedBlocks`, BLOCK_NODES at a time.
+    Each block is a 1-D view of its float buffer, which the next block
+    overwrites.
+    """
+    n = 1 << t
+    blocks = DisplacedBlocks(steps, t, min(n, BLOCK_NODES), f, 1)
+    for lo in range(0, n, blocks.n):
+        # a short last block drops the nodes past n
+        yield blocks.values(as_uint64(lo * c for c in steps)[:, None])[: n - lo, 0]
+
 
 # nothing in the package calls kahan_sum any more (the sums go through
 # the fsum module); perfbench still binds spans at kahan_sum and
@@ -93,30 +108,13 @@ class MomentReport:
     method: str
     mean_check_rel_err: float
 
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "mean": self.mean,
-            "bias": self.bias,
-            "variance": self.variance,
-            "sd": self.sd,
-            "mu3": self.mu3,
-            "shift_space_size": self.shift_space_size,
-            "method": self.method,
-            "mean_check_rel_err": self.mean_check_rel_err,
-        }
+    CSV_FIELDS: ClassVar[tuple[str, ...]]  # the field names, in to_dict's order
 
-    CSV_FIELDS = (
-        "scheme",
-        "mean",
-        "bias",
-        "variance",
-        "sd",
-        "mu3",
-        "shift_space_size",
-        "method",
-        "mean_check_rel_err",
-    )
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+MomentReport.CSV_FIELDS = tuple(f.name for f in fields(MomentReport))
 
 
 def _report(
@@ -131,7 +129,7 @@ def _report(
     values holds one rule value per class of equally likely shifts, each
     class the same size, so means over values are means over the space.
     """
-    offset = f.known_integral if f.known_integral is not None else 0.0
+    offset = _offset(f)
     n = len(values)
 
     def total(term: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -255,12 +253,5 @@ def extended_rule_value(pair: EmbeddedPair, f: PeriodicFunction) -> float:
     """
     n = 1 << pair.ext
     guard(n, "extension nodes")
-    z = pair.z.components
-    blocks = DisplacedBlocks(z, pair.ext, min(n, BLOCK_NODES), f, 1)
-
-    def block(lo: int) -> np.ndarray:
-        # fsum_blocks consumes each block before it asks for the next, which
-        # overwrites the buffer; a short last block drops the nodes past n
-        return blocks.values(as_uint64(lo * c for c in z)[:, None])[: n - lo, 0]
-
-    return blocks.off + fsum_blocks(lambda: map(block, range(0, n, blocks.n))) / n
+    # fsum_blocks consumes each block before it asks for the next
+    return _offset(f) + fsum_blocks(lambda: _index_blocks(pair.z.components, pair.ext, f)) / n

@@ -21,6 +21,7 @@ from latshift import (
     merit,
 )
 import latshift.cbc as cbc_module
+import latshift.moments as moments_module
 from latshift.cbc import _normalizers, _sample_candidates, _scan_merits, unit_scan
 from latshift.functions import bernoulli2
 
@@ -106,6 +107,14 @@ class TestMerit:
                 vals = vals * w[(k * c) & (n - 1)]
             reference = float(np.sum(vals - 1.0)) / n
             assert merit(GeneratingVector(z, max(t, 1)), n).value == reference
+
+    @pytest.mark.parametrize("block", [1 << 7, 1 << 16])
+    @pytest.mark.parametrize("t", [0, 1, 5, 7, 8, 12, 16, 17, 18, 20])
+    def test_streamed_blocks_equal_full_array_sum_at_any_block_size(self, monkeypatch, block, t):
+        # halving the block sums pairwise is numpy's own tree for every
+        # power-of-two block of at least 128 nodes
+        monkeypatch.setattr(moments_module, "BLOCK_NODES", block)
+        self.test_streamed_blocks_equal_full_array_sum(t)
 
     def test_guard_size_fits_in_bounded_memory(self):
         # node blocks are streamed, so 2^26 nodes need no 2^26-entry table

@@ -114,6 +114,40 @@ def test_negative_r_is_refused_by_name(capsys, argv):
     assert err == "error: --r must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dual", "--H", "1"),
+        ("moments", "--scheme", "grid", "--r", "3"),
+        ("moments", "--scheme", "scalar", "--r", "1"),
+        ("estimate", "--scheme", "grid", "--r", "3", "--bits", "seed:1"),
+        ("estimate", "--scheme", "ideal", "--r", "3", "--bits", "seed:1"),
+    ],
+)
+def test_z_length_must_match_s(capsys, argv):
+    # a 3-component vector under --s 2 is refused before anything is written
+    code, out, err = run(capsys, *argv, "--s", "2", "--m", "3", "--z", "1,3,5")
+    assert code == 1 and out == ""
+    assert err == "error: --z has 3 components, but --s is 2\n"
+
+
+@pytest.mark.parametrize("command", ["moments", "estimate"])
+def test_scalar_scheme_at_zero_extension_bits(capsys, command):
+    # m + s*r = 0: one node and one shift, whose rule value is f(0)
+    extra = ("--bits", "seed:1", "--q", "2") if command == "estimate" else ()
+    code, out, err = run(
+        capsys, command, "--scheme", "scalar", "--s", "2", "--m", "0", "--r", "0", "--ell", "3", *extra
+    )
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    value = ProductBernoulliFn(2).eval_real((0.0, 0.0))
+    assert value == 1.3611111111111114
+    if command == "moments":
+        assert results["mean"] == value and results["sd"] == 0.0 and results["shift_space_size"] == 1
+    else:
+        assert results["replicates"] == [value, value] and results["bits_consumed"] == 0
+
+
 class TestEstimateCommand:
     def test_zero_bit_file_pins_shift_to_zero(self, capsys, tmp_path):
         p = tmp_path / "zeros.txt"
