@@ -1,9 +1,12 @@
 """Command-line surface: tables, moments, estimate, dual, cbc.
 
 Artifacts are JSON, written to stdout or --out; tables, moments and cbc
-also write CSV with --format csv.  Every artifact embeds the resolved
-configuration, so re-running with the emitted configuration reproduces it
-byte for byte (given a seeded bit source).
+also write CSV with --format csv.  Each handler declares its artifact (a
+config, a body and, for CSV, rows) and `_write` renders it: the JSON
+envelope is `_json_artifact`'s, and a CSV header is the first row's keys.
+Every artifact embeds the resolved configuration, so re-running with the
+emitted configuration reproduces it byte for byte (given a seeded bit
+source).
 
 Exit codes: 0 success, 1 validation error, 2 guard violation, 3 reference
 mismatch in check mode.
@@ -108,17 +111,27 @@ def _emit(text: str | Iterable[str], out_path: str | None) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _json_artifact(obj: dict) -> str:
+def _json_artifact(command: str, config: dict, body: dict) -> str:
+    """The JSON envelope every artifact shares: command, version, config, then body."""
+    obj = {"command": command, "version": __version__, "config": config, **body}
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+def _config(args, *keys: str) -> dict:
+    return {key: getattr(args, key) for key in keys}
+
+
+def _write(args, command: str, config: dict, body: dict, rows: list[dict] | None = None) -> None:
+    """Write the artifact: the rows as CSV under --format csv (the header is
+    the first row's keys), otherwise the JSON envelope of config and body."""
+    if rows is not None and args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        _emit(buf.getvalue(), args.out)
+    else:
+        _emit(_json_artifact(command, config, body), args.out)
 
 
 def _moment_pair(s: int, m: int, r: int, ell: int) -> tuple[MomentReport, MomentReport]:
@@ -129,18 +142,13 @@ def _moment_pair(s: int, m: int, r: int, ell: int) -> tuple[MomentReport, Moment
 
 
 def cmd_tables(args) -> int:
-    cells = []
+    cells, rows = [], []
     all_match = True
     for ref in REFERENCE_CELLS:
         grid, scalar = _moment_pair(ref.s, ref.m, ref.r, ref.ell)
-        cell: dict = {
-            "s": ref.s,
-            "m": ref.m,
-            "r": ref.r,
-            "ell": ref.ell,
-            "grid": grid.to_dict(),
-            "scalar": scalar.to_dict(),
-        }
+        key = {"s": ref.s, "m": ref.m, "r": ref.r, "ell": ref.ell}
+        cell: dict = {**key, "grid": grid.to_dict(), "scalar": scalar.to_dict()}
+        rows += [{**key, **cell["grid"]}, {**key, **cell["scalar"]}]
         if args.check:
             reports = {"grid-shift": grid, "scalar-shift": scalar}
             checks = []
@@ -170,22 +178,8 @@ def cmd_tables(args) -> int:
             cell["checks"] = checks
         cells.append(cell)
 
-    config = {"check": bool(args.check), "format": args.format}
-    if args.format == "csv":
-        fields = ["s", "m", "r", "ell"] + list(MomentReport.CSV_FIELDS)
-        rows = []
-        for cell in cells:
-            for scheme_key in ("grid", "scalar"):
-                row = {k: cell[k] for k in ("s", "m", "r", "ell")}
-                row.update(cell[scheme_key])
-                rows.append(row)
-        text = _csv_text(fields, rows)
-    else:
-        artifact = {"command": "tables", "version": __version__, "config": config, "cells": cells}
-        if args.check:
-            artifact["all_match"] = all_match
-        text = _json_artifact(artifact)
-    _emit(text, args.out)
+    body = {"cells": cells, **({"all_match": all_match} if args.check else {})}
+    _write(args, "tables", _config(args, "check", "format"), body, rows)
     if args.check and not all_match:
         return EXIT_CHECK_MISMATCH
     return EXIT_OK
@@ -229,17 +223,8 @@ def cmd_estimate(args) -> int:
         "bias": est.mean - f.known_integral,
         "bits_consumed": src.bits_consumed,
     }
-    config = {
-        "s": args.s,
-        "m": args.m,
-        "r": args.r,
-        "ell": args.ell,
-        "z": args.z,
-        "scheme": args.scheme,
-        "q": args.q,
-        "bits": args.bits,
-    }
-    _emit(_json_artifact({"command": "estimate", "version": __version__, "config": config, "results": results}), args.out)
+    config = _config(args, "s", "m", "r", "ell", "z", "scheme", "q", "bits")
+    _write(args, "estimate", config, {"results": results})
     return EXIT_OK
 
 
@@ -250,24 +235,10 @@ def cmd_moments(args) -> int:
         report = moments_scalar_shift(_pair_from_args(args), f)
     else:
         report = moments_grid_shift(_rule_from_args(args), f, args.r)
-    config = {
-        "s": args.s,
-        "m": args.m,
-        "r": args.r,
-        "ell": args.ell,
-        "z": args.z,
-        "scheme": args.scheme,
-    }
-    if args.format == "csv":
-        fields = ["s", "m", "r", "ell"] + list(MomentReport.CSV_FIELDS)
-        row = {"s": args.s, "m": args.m, "r": args.r, "ell": args.ell}
-        row.update(report.to_dict())
-        text = _csv_text(fields, [row])
-    else:
-        text = _json_artifact(
-            {"command": "moments", "version": __version__, "config": config, "results": report.to_dict()}
-        )
-    _emit(text, args.out)
+    results = report.to_dict()
+    config = _config(args, "s", "m", "r", "ell", "z", "scheme")
+    row = {**_config(args, "s", "m", "r", "ell"), **results}
+    _write(args, "moments", config, {"results": results}, [row])
     return EXIT_OK
 
 
@@ -282,10 +253,8 @@ def _json_point_rows(duals) -> Iterator[str]:
 
 def cmd_dual(args) -> int:
     duals = _dual_array(_rule_from_args(args), TruncationBox(args.H))
-    config = {"s": args.s, "m": args.m, "ell": args.ell, "z": args.z, "H": args.H}
-    text = _json_artifact(
-        {"command": "dual", "version": __version__, "config": config, "count": len(duals), "points": []}
-    )
+    config = _config(args, "s", "m", "ell", "z", "H")
+    text = _json_artifact("dual", config, {"count": len(duals), "points": []})
     if len(duals):
         # the artifact as json.dumps(indent=2) prints it, without holding
         # the points as Python objects or as one string
@@ -297,32 +266,15 @@ def cmd_dual(args) -> int:
 
 def cmd_cbc(args) -> int:
     _check_r(args)
-    z = cbc_construct(args.s, args.m, args.s * args.r, candidate_policy=args.policy)
-    em = embedded_merit(z, args.m, args.s * args.r)
-    config = {"s": args.s, "m": args.m, "r": args.r, "sr": args.s * args.r, "policy": args.policy}
-    results = {
-        "z": list(z.components),
-        "t": z.t,
-        "base_merit": em.base.value,
-        "extended_merit": em.extended.value,
-        "combined": em.combined,
-    }
-    if args.format == "csv":
-        fields = ["s", "m", "sr"] + [f"z{i + 1}" for i in range(args.s)] + [
-            "base_merit",
-            "extended_merit",
-            "combined",
-        ]
-        row = {"s": args.s, "m": args.m, "sr": args.s * args.r}
-        for i, c in enumerate(z.components):
-            row[f"z{i + 1}"] = c
-        row["base_merit"] = em.base.value
-        row["extended_merit"] = em.extended.value
-        row["combined"] = em.combined
-        text = _csv_text(fields, [row])
-    else:
-        text = _json_artifact({"command": "cbc", "version": __version__, "config": config, "results": results})
-    _emit(text, args.out)
+    sr = args.s * args.r
+    z = cbc_construct(args.s, args.m, sr, candidate_policy=args.policy)
+    em = embedded_merit(z, args.m, sr)
+    merits = {"base_merit": em.base.value, "extended_merit": em.extended.value, "combined": em.combined}
+    config = {**_config(args, "s", "m", "r"), "sr": sr, "policy": args.policy}
+    zs = {f"z{i + 1}": c for i, c in enumerate(z.components)}
+    row = {**_config(args, "s", "m"), "sr": sr, **zs, **merits}
+    results = {"z": list(z.components), "t": z.t, **merits}
+    _write(args, "cbc", config, {"results": results}, [row])
     return EXIT_OK
 
 

@@ -28,8 +28,8 @@ same rule value.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import Callable, ClassVar, Iterator, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,8 +43,8 @@ MEAN_IDENTITY_RTOL = 1e-12
 
 # shifts are enumerated in blocks of about this many nodes, which bounds the
 # node arrays whatever the shift-space size.  A block's working set is about
-# 16 s + 40 bytes a node (node and float buffers, the integrand's and the
-# sum's temporaries): 2^14 nodes keep it near 1 MB, inside a core's L2 cache
+# 8 s + 40 bytes a node (the one node buffer, the integrand's and the sum's
+# temporaries): 2^14 nodes keep it near 1 MB, inside a core's L2 cache
 # at the dimensions the tables use
 BLOCK_NODES = 1 << 14
 
@@ -53,7 +53,7 @@ def _index_blocks(steps: Sequence[int], t: int, f: PeriodicFunction) -> Iterator
     """f - If at the nodes k * steps mod 2^t, k < 2^t, in index order.
 
     The nodes go through one `DisplacedBlocks`, BLOCK_NODES at a time.
-    Each block is a 1-D view of its float buffer, which the next block
+    Each block is a 1-D view of its buffer, which the next block
     overwrites.
     """
     n = 1 << t
@@ -108,13 +108,8 @@ class MomentReport:
     method: str
     mean_check_rel_err: float
 
-    CSV_FIELDS: ClassVar[tuple[str, ...]]  # the field names, in to_dict's order
-
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-MomentReport.CSV_FIELDS = tuple(f.name for f in fields(MomentReport))
 
 
 def _report(
@@ -220,9 +215,9 @@ def rectangle_rule_mean(f: PeriodicFunction, s: int, r: int) -> float:
 
     For product integrands exposing a per-coordinate factor (called once,
     on the array of the 2^r grid coordinates) this is the s-th power of the
-    one-dimensional grid mean (cost 2^r instead of 2^(r*s)); otherwise the
-    full grid is enumerated under the usual guard, BLOCK_NODES points at a
-    time, into one correctly rounded sum.
+    one-dimensional grid mean (cost 2^r instead of 2^(r*s), guarded like
+    any node array); otherwise the full grid is enumerated under the usual
+    guard, BLOCK_NODES points at a time, into one correctly rounded sum.
     """
     if s < 1:
         raise ValueError(f"dimension must be >= 1, got {s}")
@@ -231,6 +226,7 @@ def rectangle_rule_mean(f: PeriodicFunction, s: int, r: int) -> float:
     n = 1 << r
     factor = getattr(f, "factor", None)
     if factor is not None:
+        guard(n, "grid coordinates")
         coord_mean = float(fsum_rows(factor(np.arange(n) * (1.0 / n))[None, :])[0]) / n
         return coord_mean**s
     total = 1 << (r * s)

@@ -13,15 +13,15 @@ Three randomizations of a rank-1 rule are implemented:
 
 The dyadic evaluators and both moment enumerations share one prepared
 block evaluator, `DisplacedBlocks`.  It builds the unshifted base node
-numerators once (`lattice.lattice_numerators`), with one uint64 node
-buffer and one float buffer laid out node-major, (s, n, B): the n nodes of
-each of a block's B shifts (or cosets) run down one column.  A block adds
-its offset columns into the node buffer (`lattice.displace`, mod 2^t),
-scales them into the float buffer, evaluates them in one `eval_batch`
-call and subtracts If (when the integral is known); the column sums come
-from `fsum._fsum_columns`, which rounds correctly (equal to `math.fsum`
-bit for bit) in a few whole-array passes and may overwrite the values, so
-no block allocates a node array or a transposed copy of its own.  If is
+numerators once (`lattice.lattice_numerators`), with one node buffer laid
+out node-major, (s, n, B): the n nodes of each of a block's B shifts (or
+cosets) run down one column.  A block adds its offset columns into the
+buffer as uint64 (`lattice.displace`, mod 2^t), scales them in place into
+its float64 view, evaluates them in one `eval_batch` call and subtracts
+If (when the integral is known); the column sums come from
+`fsum._fsum_columns`, which rounds correctly (equal to `math.fsum` bit for
+bit) in a few whole-array passes and may overwrite the values, so no block
+allocates a node array or a transposed copy of its own.  If is
 added back after the sum, so a mean does not depend on the order of its
 nodes.
 
@@ -169,16 +169,17 @@ class DisplacedBlocks:
     """Prepared f - If over the nodes j * steps mod 2^t, j < n, displaced by
     blocks of offset columns.
 
-    Built once per enumeration or estimate: the base numerators (s, n), one
-    uint64 node buffer and one float buffer, each for up to `width` offset
-    columns and laid out node-major, (s, n, B), so that the n nodes of each
-    column run down one column.  A call adds its block's offset columns in
-    place (`lattice.displace`), scales into the float buffer, evaluates, and
-    subtracts If; `means` then sums down the columns with a correctly
-    rounded sum that may overwrite the values.  Refuses more than
-    2^GUARD_BITS nodes, or a depth beyond 64 bits, before allocating.  The
-    buffers are reused, so a call must not start while another runs (not
-    reentrant), and the values a call returns are overwritten by the next.
+    Built once per enumeration or estimate: the base numerators (s, n) and
+    one node buffer for up to `width` offset columns, laid out node-major,
+    (s, n, B), so that the n nodes of each column run down one column.  A
+    call adds its block's offset columns in place as uint64
+    (`lattice.displace`), scales them in place into the buffer's float64
+    view (the integers are spent once scaled), evaluates, and subtracts
+    If; `means` then sums down the columns with a correctly rounded sum
+    that may overwrite the values.  Refuses more than 2^GUARD_BITS nodes,
+    or a depth beyond 64 bits, before allocating.  The buffer is reused,
+    so a call must not start while another runs (not reentrant), and the
+    values a call returns are overwritten by the next.
     """
 
     def __init__(self, steps: Sequence[int], t: int, n: int, f: PeriodicFunction, width: int) -> None:
@@ -187,17 +188,17 @@ class DisplacedBlocks:
         self.t, self.n, self.f = t, n, f
         self.off = _offset(f)
         self._nodes = np.empty(self.base.size * width, dtype=np.uint64)
-        self._xs = np.empty(self._nodes.size)
+        self._xs = self._nodes.view(np.float64)
 
     def values(self, offsets: np.ndarray) -> np.ndarray:
         """f - If at the nodes displaced by each uint64 offset column of the
-        (s, B) offsets, B <= width: shape (n, B), in the float buffer."""
+        (s, B) offsets, B <= width: shape (n, B), in the buffer's float view."""
         s, n = self.base.shape
         size = s * n * offsets.shape[1]
         nums = displace(self.base, offsets, self.t, out=self._nodes[:size].reshape(s, n, -1))
         xs = np.multiply(nums, 1.0 / (1 << self.t), out=self._xs[:size].reshape(nums.shape))
         # the coordinates are spent once f is evaluated, so the values take
-        # their place at the head of the float buffer
+        # their place at the head of the buffer
         return np.subtract(self.f.eval_batch(xs), self.off, out=self._xs[: size // s].reshape(n, -1))
 
     def means(self, offsets: np.ndarray) -> np.ndarray:

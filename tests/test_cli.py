@@ -417,6 +417,42 @@ class TestTablesCommand:
         assert len(lines) == 1 + 12  # header + 6 cells x 2 schemes
 
 
+_ENVELOPE = ["command", "version", "config"]
+_MOMENT_CSV = "s,m,r,ell,scheme,mean,bias,variance,sd,mu3,shift_space_size,method,mean_check_rel_err"
+_RULE = ["--s", "2", "--m", "3", "--r", "3", "--ell", "17797"]
+
+
+@pytest.mark.parametrize(
+    "argv,keys,config_keys,csv_header",
+    [
+        (["tables"], ["cells"], ["check", "format"], _MOMENT_CSV),
+        (["tables", "--check"], ["cells", "all_match"], ["check", "format"], _MOMENT_CSV),
+        (["moments", "--scheme", "grid", *_RULE], ["results"],
+         ["s", "m", "r", "ell", "z", "scheme"], _MOMENT_CSV),
+        (["estimate", "--scheme", "grid", *_RULE, "--bits", "seed:1"], ["results"],
+         ["s", "m", "r", "ell", "z", "scheme", "q", "bits"], None),
+        (["dual", "--s", "2", "--m", "3", "--z", "1,3", "--H", "8"], ["count", "points"],
+         ["s", "m", "ell", "z", "H"], None),
+        (["cbc", "--s", "1", "--m", "3", "--r", "2"], ["results"], ["s", "m", "r", "sr", "policy"],
+         "s,m,sr,z1,base_merit,extended_merit,combined"),
+        (["cbc", "--s", "3", "--m", "3", "--r", "2"], ["results"], ["s", "m", "r", "sr", "policy"],
+         "s,m,sr,z1,z2,z3,base_merit,extended_merit,combined"),
+    ],
+)
+def test_artifact_layout(capsys, argv, keys, config_keys, csv_header):
+    # the key order of every JSON artifact and its config, and the full CSV
+    # header of each command that writes CSV
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    artifact = json.loads(out)
+    assert list(artifact) == _ENVELOPE + keys
+    assert list(artifact["config"]) == config_keys
+    if csv_header is not None:
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[0] == csv_header
+
+
 def _stdout_of(argv: list[str]) -> tuple[int, str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):

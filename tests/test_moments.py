@@ -212,6 +212,13 @@ class TestRectangleRuleMean:
         with pytest.raises(GuardLimitError):
             rectangle_rule_mean(Wrapped(3), 3, 10)
 
+    @pytest.mark.parametrize("r", [27, 40])
+    def test_factorized_coordinate_guard(self, r):
+        # the per-coordinate path holds 2^r grid coordinates: refused above
+        # 2^26 before allocating (2^40 would ask for 8 TiB)
+        with pytest.raises(GuardLimitError):
+            rectangle_rule_mean(ProductBernoulliFn(2), 2, r)
+
 
 class TestExtendedRuleValue:
     def test_degenerate_extension_is_base_rule(self):
