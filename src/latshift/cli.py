@@ -178,7 +178,9 @@ def cmd_tables(args) -> int:
             cell["checks"] = checks
         cells.append(cell)
 
-    body = {"cells": cells, **({"all_match": all_match} if args.check else {})}
+    body = {"cells": cells}
+    if args.check:
+        body["all_match"] = all_match
     _write(args, "tables", _config(args, "check", "format"), body, rows)
     if args.check and not all_match:
         return EXIT_CHECK_MISMATCH
