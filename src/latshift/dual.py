@@ -13,10 +13,10 @@ moments of the ideally shifted rule:
 Sums are truncated to a symmetric box |h_i| <= H; each result carries a
 computable (crude, monotone-in-H) bound on the discarded tail.  The box
 duals are built once, as one integer array solved in closed form for the
-last coordinate; `dual_points` is its tuple view.  The third-moment pairs
-are formed a block of h rows at a time, as whole arrays, and every sum is
-correctly rounded, so the series do not depend on the order of their
-terms.  Cumulant scaling then transports single-replicate moments to the
+last coordinate; `dual_points` is its tuple view.  The third-moment series
+forms each unordered pair {k, h - k} once, a block of h rows at a time, as
+whole arrays, and every sum is correctly rounded, so the series do not
+depend on the order of their terms.  Cumulant scaling then transports single-replicate moments to the
 replicate mean.
 """
 
@@ -35,8 +35,10 @@ from .shifts import GridShift, RealShift
 
 DualIndex = tuple[int, ...]
 
-# dual pairs per array pass of the third-moment series: the pass holds a few
-# arrays of this many entries, so memory stays flat whatever the dual count
+# dual pairs per array pass of the third-moment series: a pass takes as many
+# rows as fit this many pairs over the columns their windows span, and holds
+# a few arrays of that many entries, so memory stays flat whatever the dual
+# count
 _PAIR_BLOCK = 1 << 13
 
 
@@ -194,14 +196,24 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     quadratic in the number of box duals, so more than 2^GUARD_BITS pairs
     are refused before any is formed.
 
-    The pairs are formed a block of h rows at a time.  Each dual is keyed in
-    the balanced base 4H + 1, whose digits cover the doubled box |l_i| <= 2H
-    that holds every difference h - k.  The key is linear, so key(h) -
-    key(k) names h - k, and one binary search over the sorted dual keys
-    finds every l of the block; zero is not a box dual, so l = 0 is never
-    found.  A pair whose l is not found contributes a zero term, which
-    leaves an exact sum unchanged, so each inner sum from `fsum_rows` is
-    bitwise the `math.fsum` of the kept terms.
+    Each dual is keyed in the balanced base 4H + 1, whose digits cover the
+    doubled box |l_i| <= 2H that holds every difference h - k.  The key is
+    linear and orders like the duals, so key(h) - key(k) names h - k, and
+    one binary search over the sorted dual keys finds every l; zero is not
+    a box dual, so l = 0 is never found.
+
+    The term c(k) c(l) is the same float as c(l) c(k), so row h sums each
+    unordered pair once: twice the term for key(k) < key(l), once on the
+    diagonal k = l = h / 2.  Doubling is exact (short of overflow), so each
+    inner sum from `fsum_rows` is bitwise the `math.fsum` of all the ordered
+    terms.  Row h takes the window of k with 2 key(k) <= key(h), which is
+    key(k) <= key(l), and k_1 >= h_1 - H, since a smaller k_1 gives
+    l_1 > H; each end of the window is a run boundary of the sorted duals
+    that rises with h.  A block of consecutive rows spans the union of
+    their windows and takes as many rows as fit `_PAIR_BLOCK` pairs.  A row
+    keeps a term where l is found and k lies before its own window's end;
+    a k before its window's start gives an l outside the box, which is
+    never found.  A zero term leaves an exact sum unchanged.
 
     The reported tail bound is crude: a term is lost only if one of the
     three indices leaves the box, so three times the single-index tail
@@ -218,19 +230,32 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     # and |key| < (4H + 1)^s / 2 < 2^53
     radix = np.array([(4 * H + 1) ** i for i in range(rule.s - 1, -1, -1)], dtype=np.int64)
     keys = duals @ radix
-    rows = max(1, _PAIR_BLOCK // max(D, 1))
+    # row h's window of k is [lo[h], hi[h]), empty where lo[h] >= hi[h]
+    lo = np.searchsorted(duals[:, 0], duals[:, 0] - H)
+    hi = np.searchsorted(2 * keys, keys, "right")
 
-    def block_sums(lo: int) -> np.ndarray:
-        diff = keys[lo : lo + rows, None] - keys  # key of h - k, one row per h
+    def block_sums(r0: int, r1: int) -> np.ndarray:
+        c0, c1 = lo[r0], max(lo[r0], hi[r1 - 1])
+        cols = np.arange(c0, c1)
+        diff = keys[r0:r1, None] - keys[c0:c1]  # key of h - k, one row per h
         idx = np.minimum(np.searchsorted(keys, diff), D - 1)
+        keep = (keys[idx] == diff) & (cols < hi[r0:r1, None])
         terms = np.zeros(diff.shape)
-        np.multiply(coeffs, coeffs[idx], out=terms, where=keys[idx] == diff)
-        del diff, idx  # freed before fsum_rows copies the terms
+        np.multiply(coeffs[c0:c1], coeffs[idx], out=terms, where=keep)
+        # off the diagonal a term stands for both orders of its pair
+        np.multiply(terms, 2.0, out=terms, where=idx != cols)
+        del diff, idx, keep  # freed before fsum_rows copies the terms
         return fsum_rows(terms)
 
     inner = np.zeros(D)
-    for lo in range(0, D, rows):
-        inner[lo : lo + rows] = block_sums(lo)
+    r0 = 0
+    while r0 < D:
+        # the most rows from r0 whose spanned pairs stay within _PAIR_BLOCK
+        span = np.maximum(hi[r0 : r0 + _PAIR_BLOCK] - lo[r0], 0)
+        pairs = np.arange(1, len(span) + 1) * span
+        r1 = r0 + max(1, int(np.searchsorted(pairs, _PAIR_BLOCK, "right")))
+        inner[r0:r1] = block_sums(r0, r1)
+        r0 = r1
     tail1 = f.coefficient_tail_bound(H, 1)
     box_sum = math.fsum(abs(c) for c in coeffs.tolist())
     tail = 3.0 * tail1 * (box_sum + tail1)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from latshift import (
     third_moment_series,
 )
 from latshift import dual as dual_module
+from latshift.fsum import fsum_rows
 from latshift.functions import PeriodicFunction
 
 from conftest import brute_force_duals, rel_err, variance_closed_form
@@ -105,9 +107,9 @@ def test_solver_and_third_moment_match_references(case):
     expected = sorted(brute_force_duals(rule, H))
     assert pts == expected
     assert all(type(hi) is int for h in pts for hi in h)
-    f = ProductBernoulliFn(rule.s)
-    value = third_moment_series(rule, f, TruncationBox(H)).value
-    assert value == pairwise_third_moment(expected, f, H)
+    for f in (ProductBernoulliFn(rule.s), ArbitraryCoeffFn(rule.s)):
+        value = third_moment_series(rule, f, TruncationBox(H)).value
+        assert value.hex() == pairwise_third_moment(expected, f, H).hex()
 
 
 class TestDualPoints:
@@ -328,18 +330,61 @@ class TestThirdMomentSeries:
             value = third_moment_series(rule, f, TruncationBox(H)).value
             assert value.hex() == pairwise_third_moment(duals, f, H).hex()
 
+    def test_diagonal_pair_counted_once(self):
+        # rows h = +-8 of the multiples of 4 in |h| <= 8 hold only the pair
+        # k = l = h / 2; (4, 4) and (2, 2) are both duals of z = (1, 3) mod 8
+        rules = ((Rank1Rule(2, GeneratingVector((1,), 2)), 8), (Rank1Rule(3, GeneratingVector((1, 3), 3)), 8))
+        for rule, H in rules:
+            duals = dual_points(rule, TruncationBox(H))
+            assert any(tuple(2 * ki for ki in k) in duals for k in duals)
+            for f in (ProductBernoulliFn(rule.s), ArbitraryCoeffFn(rule.s)):
+                value = third_moment_series(rule, f, TruncationBox(H)).value
+                assert value.hex() == pairwise_third_moment(duals, f, H).hex()
+
     @pytest.mark.parametrize("rows", range(1, 8))
     def test_rows_split_across_pair_blocks(self, rows, monkeypatch):
-        # blocks of 1..7 rows over 44 duals: every block size but 1, 2 and 4
-        # leaves a short last block
+        # the rows' windows hold 12 to 23 of the 44 duals, so a budget of 15
+        # pairs a row gives blocks of `rows` rows among others, and for
+        # rows >= 2 a last block shorter than that
         rule = Rank1Rule(4, korobov_vector(17797, 3, 4))
         H = 4
         duals = dual_points(rule, TruncationBox(H))
         assert len(duals) == 44
-        monkeypatch.setattr(dual_module, "_PAIR_BLOCK", rows * len(duals))
+        blocks = []
+        monkeypatch.setattr(dual_module, "_PAIR_BLOCK", 15 * rows)
+        monkeypatch.setattr(dual_module, "fsum_rows", lambda t: blocks.append(len(t)) or fsum_rows(t))
         for f in (ProductBernoulliFn(3), ArbitraryCoeffFn(3)):
+            blocks.clear()
             value = third_moment_series(rule, f, TruncationBox(H)).value
             assert value.hex() == pairwise_third_moment(duals, f, H).hex()
+            assert rows in blocks and (rows == 1 or blocks[-1] < rows)
+
+    def test_each_unordered_pair_formed_once(self, monkeypatch):
+        # the largest benchmark shape, (3,5,16) at ell = 17797: the ordered
+        # pairs of the box duals number D^2, the rows' windows about 0.38 D^2
+        rule = Rank1Rule(5, korobov_vector(17797, 3, 5))
+        D = len(dual_points(rule, TruncationBox(16)))
+        terms = []
+        monkeypatch.setattr(dual_module, "fsum_rows", lambda t: terms.append(t.size) or fsum_rows(t))
+        third_moment_series(rule, ProductBernoulliFn(3), TruncationBox(16))
+        assert D == 1122 and sum(terms) <= 0.45 * D**2
+
+    def test_peak_memory_linear_in_duals(self):
+        # every nonzero point of |h_i| <= 40 is a dual of the one-node rule.
+        # The pairs would take 8 D^2 bytes (344 MB); the series holds a few
+        # arrays of D entries and one block of pairs, about 155 bytes a dual
+        # and 31 a block pair here
+        rule = Rank1Rule(0, GeneratingVector((1, 1), 1))
+        box = TruncationBox(40)
+        D = len(dual_points(rule, box))
+        assert D == 6560
+        tracemalloc.start()
+        try:
+            third_moment_series(rule, ProductBernoulliFn(2), box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * D + 64 * dual_module._PAIR_BLOCK
 
     def test_empty_dual_set(self):
         # the multiples of 32 inside |h| <= 1 are 0 only, which is not a dual
