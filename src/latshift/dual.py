@@ -16,8 +16,8 @@ duals are built once, as one integer array solved in closed form for the
 last coordinate; `dual_points` is its tuple view.  The third-moment series
 forms each unordered pair {k, h - k} once, a block of h rows at a time, as
 whole arrays, and every sum is correctly rounded, so the series do not
-depend on the order of their terms.  Cumulant scaling then transports single-replicate moments to the
-replicate mean.
+depend on the order of their terms.  Cumulant scaling then transports
+single-replicate moments to the replicate mean.
 """
 
 from __future__ import annotations
@@ -202,18 +202,17 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     one binary search over the sorted dual keys finds every l; zero is not
     a box dual, so l = 0 is never found.
 
-    The term c(k) c(l) is the same float as c(l) c(k), so row h sums each
-    unordered pair once: twice the term for key(k) < key(l), once on the
-    diagonal k = l = h / 2.  Doubling is exact (short of overflow), so each
-    inner sum from `fsum_rows` is bitwise the `math.fsum` of all the ordered
-    terms.  Row h takes the window of k with 2 key(k) <= key(h), which is
-    key(k) <= key(l), and k_1 >= h_1 - H, since a smaller k_1 gives
-    l_1 > H; each end of the window is a run boundary of the sorted duals
-    that rises with h.  A block of consecutive rows spans the union of
-    their windows and takes as many rows as fit `_PAIR_BLOCK` pairs.  A row
-    keeps a term where l is found and k lies before its own window's end;
-    a k before its window's start gives an l outside the box, which is
-    never found.  A zero term leaves an exact sum unchanged.
+    The term c(k) c(l) is the same float as c(l) c(k), so row h takes each
+    unordered pair once: twice for key(k) < key(l), once on the diagonal
+    k = l = h / 2.  Doubling is exact (short of overflow), so each inner sum
+    from `fsum_rows` is bitwise the `math.fsum` of all the ordered terms.
+    Row h forms the k of its window: 2 key(k) <= key(h), which is
+    key(k) <= key(l), and k_1 >= h_1 - H, below which l_1 > H.  Both ends
+    rise with h, so a block of consecutive rows spans the union of their
+    windows; it takes as many rows as fit `_PAIR_BLOCK` pairs.  A row keeps
+    the terms whose l is found and whose k lies before its window's end (a
+    k before its window's start has no l in the box); a zero term leaves an
+    exact sum unchanged.
 
     The reported tail bound is crude: a term is lost only if one of the
     three indices leaves the box, so three times the single-index tail
