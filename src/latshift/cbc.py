@@ -51,7 +51,7 @@ import numpy as np
 
 from .bits import SplitMix64
 from .errors import GuardLimitError, guard
-from .functions import ProductBernoulliFn, bernoulli2
+from .functions import ProductBernoulliFn
 from .lattice import GeneratingVector, korobov_vector, lattice_numerators
 from .moments import _index_blocks
 
@@ -333,7 +333,7 @@ def cbc_construct(
     # the base merit depends on c only through its mirror class mod 2^m
     classes = np.minimum(cands % n_base, -cands % n_base)
 
-    we = 1.0 + bernoulli2(np.arange(n_ext) / n_ext)
+    we = ProductBernoulliFn(1).factor(np.arange(n_ext) / n_ext)
     pe = np.ones(n_ext)
 
     comps = [1]

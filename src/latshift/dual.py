@@ -12,12 +12,13 @@ moments of the ideally shifted rule:
 
 Sums are truncated to a symmetric box |h_i| <= H; each result carries a
 computable (crude, monotone-in-H) bound on the discarded tail.  The box
-duals are built once, as one integer array solved in closed form for the
-last coordinate; `dual_points` is its tuple view.  The third-moment series
-forms each unordered pair {k, h - k} once, a block of h rows at a time, as
-whole arrays, and every sum is correctly rounded, so the series do not
-depend on the order of their terms.  Cumulant scaling then transports
-single-replicate moments to the replicate mean.
+duals are one (D, s) integer array solved in closed form for the last
+coordinate (`dual_points` is its tuple view); every series takes its
+coefficients from one batched `fourier_coeff` call and sums whole arrays
+through `fsum_rows`, bit for bit as `math.fsum`, so no series depends on
+the order of its terms.  The third-moment series forms each unordered pair
+{k, h - k} once, a block of h rows at a time.  Cumulant scaling then
+transports single-replicate moments to the replicate mean.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class TruncationBox:
 
     def __post_init__(self) -> None:
         # below 2^62, box coordinates and their differences fit int64
-        if not 1 <= self.H < 1 << 62:
-            raise ValueError(f"box bound must be in [1, 2^62), got {self.H}")
+        if type(self.H) is not int or not 1 <= self.H < 1 << 62:
+            raise ValueError(f"box bound must be an int in [1, 2^62), got {self.H!r}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,11 @@ def dual_points(rule: Rank1Rule, box: TruncationBox) -> list[DualIndex]:
     return list(map(tuple, _dual_array(rule, box).tolist()))
 
 
+def _fsum(terms: np.ndarray) -> float:
+    """math.fsum of the 1-D float array terms, bit for bit."""
+    return float(fsum_rows(terms.reshape(1, -1))[0])
+
+
 def _shift_floats(shift, s: int) -> tuple[float, ...]:
     if shift is None:
         return (0.0,) * s
@@ -171,19 +177,18 @@ def shift_error_series(
     a RealShift, a GridShift, a DyadicPoint, or a float sequence.
     """
     c = _shift_floats(shift, rule.s)
-    two_pi = 2.0 * math.pi
-    terms = (
-        math.cos(two_pi * sum(hi * ci for hi, ci in zip(h, c))) * f.fourier_coeff(h)
-        for h in dual_points(rule, box)
-    )
-    return SeriesResult(math.fsum(terms), f.coefficient_tail_bound(box.H, 1), box.H)
+    duals = _dual_array(rule, box)
+    # h . c summed left to right from +0.0, as Python's sum() would
+    phase = sum((hi * ci for hi, ci in zip(duals.T, c)), np.zeros(len(duals)))
+    terms = np.cos(2.0 * math.pi * phase)
+    terms *= f.fourier_coeff(duals)
+    return SeriesResult(_fsum(terms), f.coefficient_tail_bound(box.H, 1), box.H)
 
 
 def cp_variance_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox) -> SeriesResult:
     """Truncated dual series for Var(Q_u f) under uniform real shifts."""
-    coeffs = (f.fourier_coeff(h) for h in dual_points(rule, box))
-    value = math.fsum(c * c for c in coeffs)
-    return SeriesResult(value, f.coefficient_tail_bound(box.H, 2), box.H)
+    coeffs = f.fourier_coeff(_dual_array(rule, box))
+    return SeriesResult(_fsum(coeffs * coeffs), f.coefficient_tail_bound(box.H, 2), box.H)
 
 
 def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox) -> SeriesResult:
@@ -222,7 +227,7 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     duals = _dual_array(rule, box)
     D = len(duals)
     guard(D**2, "dual pairs")
-    coeffs = np.array([f.fourier_coeff(h) for h in map(tuple, duals.tolist())], dtype=float)
+    coeffs = f.fourier_coeff(duals)
     # keys increase with the lexicographic row order.  They fit int64: for
     # s = 1 the key is h itself and |h - k| <= 2H < 2^63; for s >= 2 the
     # candidate guard gives 3^(s-1) <= (2H + 1)^(s-1) <= 2^26, so s <= 17,
@@ -256,6 +261,5 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
         inner[r0:r1] = block_sums(r0, r1)
         r0 = r1
     tail1 = f.coefficient_tail_bound(H, 1)
-    box_sum = math.fsum(abs(c) for c in coeffs.tolist())
-    tail = 3.0 * tail1 * (box_sum + tail1)
-    return SeriesResult(math.fsum((coeffs * inner).tolist()), tail, H)
+    tail = 3.0 * tail1 * (_fsum(np.abs(coeffs)) + tail1)
+    return SeriesResult(_fsum(coeffs * inner), tail, H)

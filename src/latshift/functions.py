@@ -62,7 +62,9 @@ class PeriodicFunction(ABC):
         """Value at a dyadic point."""
         return self.eval_real(point.as_floats())
 
-    def fourier_coeff(self, h: Sequence[int]) -> float:
+    def fourier_coeff(self, h: np.ndarray) -> np.ndarray:
+        """Coefficients f^(h) of the int indices h, shape (..., s), as an array
+        of shape h.shape[:-1]; a single index, shape (s,), gives a float."""
         raise NotImplementedError(f"{type(self).__name__} has no Fourier coefficient model")
 
     def coefficient_tail_bound(self, bound: int, power: int) -> float:
@@ -112,14 +114,17 @@ class ProductBernoulliFn(PeriodicFunction):
             out *= tmp
         return out
 
-    def fourier_coeff(self, h: Sequence[int]) -> float:
-        if len(h) != self._s:
-            raise ValueError(f"dimension mismatch: got {len(h)}, expected {self._s}")
-        out = 1.0
-        for hi in h:
-            if hi != 0:
-                out *= 1.0 / (TWO_PI_SQ * hi * hi)
-        return out
+    def fourier_coeff(self, h: np.ndarray) -> np.ndarray:
+        h = np.asarray(h)
+        if h.shape[-1:] != (self._s,):
+            raise ValueError(f"index shape {h.shape} does not end in dimension {self._s}")
+        # per index, the float product 1.0 * g(h_1) * g(h_2) ... skipping h_i = 0
+        out = np.ones(h.shape[:-1])
+        for hi in np.moveaxis(h, -1, 0):
+            nz = hi != 0
+            hf = hi[nz].astype(float)
+            out[nz] *= 1.0 / (TWO_PI_SQ * hf * hf)
+        return out[()]
 
     def coefficient_tail_bound(self, bound: int, power: int) -> float:
         """Crude union bound on coefficient mass outside the box |h_i| <= bound.

@@ -49,7 +49,7 @@ class ConstantFn(PeriodicFunction):
         return np.ones(xs.shape[1:])
 
     def fourier_coeff(self, h):
-        return 1.0 if not any(h) else 0.0
+        return (~np.asarray(h).any(axis=-1)).astype(float)[()]
 
     def coefficient_tail_bound(self, bound, power):
         return 0.0
@@ -60,13 +60,34 @@ class ArbitraryCoeffFn(ConstantFn):
     spread over many binades and of both signs, so the inner sums cancel."""
 
     def fourier_coeff(self, h):
-        rng = random.Random(repr(tuple(h)))
+        h = np.asarray(h)
+        flat = [self.coeff(tuple(k)) for k in h.reshape(-1, h.shape[-1]).tolist()]
+        return np.array(flat, dtype=float).reshape(h.shape[:-1])[()]
+
+    @staticmethod
+    def coeff(h):
+        rng = random.Random(repr(h))
         return rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-40, 0)
 
 
 class NoModelFn(ConstantFn):
     fourier_coeff = PeriodicFunction.fourier_coeff
     coefficient_tail_bound = PeriodicFunction.coefficient_tail_bound
+
+
+def dualwise_error(duals, f, c):
+    """Reference error series: one coefficient and one cosine per dual tuple."""
+    two_pi = 2.0 * math.pi
+    return math.fsum(
+        math.cos(two_pi * sum(hi * ci for hi, ci in zip(h, c))) * f.fourier_coeff(h)
+        for h in duals
+    )
+
+
+def dualwise_variance(duals, f):
+    """Reference variance series: one coefficient per dual tuple."""
+    coeffs = (f.fourier_coeff(h) for h in duals)
+    return math.fsum(c * c for c in coeffs)
 
 
 def pairwise_third_moment(duals, f, H):
@@ -107,9 +128,14 @@ def test_solver_and_third_moment_match_references(case):
     expected = sorted(brute_force_duals(rule, H))
     assert pts == expected
     assert all(type(hi) is int for h in pts for hi in h)
+    shift = RealShift(tuple((0.3 + 0.21 * i) % 1.0 for i in range(rule.s)))
     for f in (ProductBernoulliFn(rule.s), ArbitraryCoeffFn(rule.s)):
         value = third_moment_series(rule, f, TruncationBox(H)).value
         assert value.hex() == pairwise_third_moment(expected, f, H).hex()
+        error = shift_error_series(rule, f, shift, TruncationBox(H)).value
+        assert error.hex() == dualwise_error(expected, f, shift.u).hex()
+        variance = cp_variance_series(rule, f, TruncationBox(H)).value
+        assert variance.hex() == dualwise_variance(expected, f).hex()
 
 
 class TestDualPoints:
@@ -159,6 +185,10 @@ class TestDualPoints:
     def test_box_validation(self):
         with pytest.raises(ValueError):
             TruncationBox(0)
+        # a float bound is refused at construction, not deep in the solver
+        for H in (2.5, 2.0):
+            with pytest.raises(ValueError, match="int"):
+                TruncationBox(H)
 
     def test_box_bound_keeps_int64_coordinates(self):
         rule = Rank1Rule(61, GeneratingVector((1,), 61))
@@ -385,6 +415,27 @@ class TestThirdMomentSeries:
         finally:
             tracemalloc.stop()
         assert peak < 256 * D + 64 * dual_module._PAIR_BLOCK
+
+    def test_error_and_variance_peak_memory_per_dual(self):
+        # the same 6560 duals: each series holds the dual array, its
+        # coefficients and a few float arrays of D entries, under 128 bytes
+        # a dual in all
+        rule = Rank1Rule(0, GeneratingVector((1, 1), 1))
+        box = TruncationBox(40)
+        f = ProductBernoulliFn(2)
+        D = len(dual_points(rule, box))
+        assert D == 6560
+        for series in (
+            lambda: shift_error_series(rule, f, RealShift((0.3, 0.7)), box),
+            lambda: cp_variance_series(rule, f, box),
+        ):
+            tracemalloc.start()
+            try:
+                series()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 128 * D
 
     def test_empty_dual_set(self):
         # the multiples of 32 inside |h| <= 1 are 0 only, which is not a dual

@@ -11,6 +11,7 @@ from latshift import (
     bernoulli2,
     rectangle_rule_mean,
 )
+from latshift.functions import TWO_PI_SQ
 
 from conftest import autocorrelation, bernoulli4, product_bernoulli_point, rel_err
 
@@ -146,6 +147,45 @@ class TestFourierModel:
             f.coefficient_tail_bound(10, 3)
         with pytest.raises(ValueError):
             f.coefficient_tail_bound(0, 1)
+
+
+class TestBatchedFourierCoeff:
+    @staticmethod
+    def per_index(h):
+        # the product of the factors of one index, in coordinate order
+        out = 1.0
+        for hi in h:
+            if hi != 0:
+                out *= 1.0 / (TWO_PI_SQ * hi * hi)
+        return out
+
+    @pytest.mark.parametrize("lead", [(), (40,), (0,), (5, 8)])
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_matches_per_index_product(self, s, lead):
+        # zeros, small indices of both signs and indices up to 2^61 in size
+        rng = np.random.default_rng(len(lead) + s)
+        pool = np.concatenate([
+            [0, 0, 0, 1, -1, 2, -7, 1 << 61, -(1 << 61), (1 << 61) - 1],
+            rng.integers(-(1 << 61), 1 << 61, size=10),
+        ])
+        h = rng.choice(pool, size=lead + (s,))
+        got = ProductBernoulliFn(s).fourier_coeff(h)
+        assert got.shape == lead
+        want = [self.per_index(k) for k in h.reshape(-1, s).tolist()]
+        assert [x.hex() for x in np.ravel(got).tolist()] == [x.hex() for x in want]
+
+    def test_single_index_gives_float(self):
+        f = ProductBernoulliFn(3)
+        for h in [(0, 0, 0), (-5, 0, 2), np.array([1, 1, 1])]:
+            got = f.fourier_coeff(h)
+            assert isinstance(got, float)
+            assert got.hex() == self.per_index(tuple(int(x) for x in h)).hex()
+
+    def test_last_axis_must_be_dimension(self):
+        f = ProductBernoulliFn(3)
+        for h in [np.zeros((4, 2), dtype=np.int64), np.zeros((3, 4), dtype=np.int64), (1, 2, 3, 4)]:
+            with pytest.raises(ValueError):
+                f.fourier_coeff(h)
 
 
 class TestAutocorrelation:
