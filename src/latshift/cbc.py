@@ -19,12 +19,14 @@ reflection symmetric and merits are evaluated in a canonical component
 order, so c and its mirror 2^ext - c have bit-equal merits and only the
 lower half is a candidate.
 
-Each step is a fast CBC scan (Nuyens & Cools, Math. Comp. 75, 2006; for
+Each step is one fast CBC scan (Nuyens & Cools, Math. Comp. 75, 2006; for
 embedded pairs Cools, Kuo & Nuyens, SIAM J. Sci. Comput. 28, 2006): the
 merit of every candidate at a level is sum_k p[k] w[k c mod 2^t] for the
-node product p of the chosen components, and `unit_scan` computes all of
-them at once by FFT over the powers of 5.  The scan comes with a stated
-bound on its gap to the canonical `merit` value.  Selection is exact:
+node product p of the chosen components, and `_TwoLevelScan` computes all
+of them at both levels at once, from one set of correlations by FFT over
+the powers of 5, whose factor side is built once per construction.  The
+scan comes with a stated bound on its gap to the canonical `merit` value.
+Selection is exact:
 
 * candidates whose combined figure is provably above the smallest upper
   bound are dropped (`_near_min`), first on the scanned base figures;
@@ -142,93 +144,163 @@ def embedded_merit(z: GeneratingVector, m: int, sr: int) -> EmbeddedMerit:
 
 
 def _powers_of_five(count: int, n: int) -> np.ndarray:
-    """5^a mod n for a < count (a power of two), built by doubling."""
+    """5^a mod n for a < count (both powers of two), built by doubling."""
     pw = np.ones(count, dtype=np.int64)
     h, f = 1, 5 % n
     while h < count:
-        pw[h : 2 * h] = (pw[:h] * f) % n
+        pw[h : 2 * h] = (pw[:h] * f) & (n - 1)
         h, f = 2 * h, f * f % n
     return pw
 
 
-def unit_scan(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """sum_k p[k] w[k c mod n] for every odd c <= max(n/2, 1), by FFT.
+def _class_transforms(x: np.ndarray, idx: np.ndarray, t: int):
+    """rfft, 1-norm and 2-norm of every unit class of x - 1.
 
-    n = len(p) = len(w) is a power of two and both tables are symmetric:
-    p[k] = p[n - k] and w[k] = w[n - k].  Entry c >> 1 of the result
-    belongs to c.
+    idx holds the indices of class j, of length 2^j, at [2^j - 1, 2^(j+1) - 1).
+    """
+    if t < 2:
+        return [], np.zeros(0), np.zeros(0)
+    g = np.take(x, idx)
+    g -= 1.0
+    starts = (1 << np.arange(t - 1)) - 1
+    ffts = [np.fft.rfft(g[(1 << j) - 1 : (2 << j) - 1]) for j in range(t - 1)]
+    return ffts, np.add.reduceat(np.abs(g), starts), np.sqrt(np.add.reduceat(g * g, starts))
+
+
+class _TwoLevelScan:
+    """Fast CBC scan of both levels of an embedded pair, for one construction.
+
+    w is the factor table at the extension level n = 2^t, sr the extension
+    bits and rows the odd candidates.  Node k of the base level 2^(t - sr)
+    is node k 2^sr of the extension level.  At a level, the merit of every
+    candidate c comes from sum_k p'[k] w'[k c mod 2^level] over the level's
+    nodes, with p' and w' the node product and the factor table less one,
+    and the scan computes all of them at once by FFT over the powers of 5.
 
     The indices k = 2^v u with u odd form one class per valuation v.
     Modulo 2^L, L = t - v >= 2, the odd units are {+-1} x <5>, so with
     u = +-5^a and c = +-5^b the class contributes 2 sum_a P[a] W[a + b],
-    P[a] = p[2^v 5^a], W[a] = w[2^v 5^a]: a cyclic correlation of length
-    2^(L-2), computed by FFT and read back at b mod 2^(L-2).  The classes
-    L = 1 and k = 0 are constants.  Cost O(n log n).
+    P[a] = p'[2^v 5^a], W[a] = w'[2^v 5^a]: a cyclic correlation of length
+    N = 2^(L-2), computed by FFT and read back at b mod N.  The classes
+    L = 1 (k = n/2) and k = 0 are constants.  Base class v_b is extension
+    class v_b + sr, with the same N and the same gathered values, and the
+    two constants are the same nodes, so every correlation serves both
+    levels.  The classes are accumulated smallest N first, each tiling the
+    running sum up to its own period once (O(n) in all); the running sum
+    when the first class with v < sr starts is the base level's, of length
+    max(2^(t-sr)/4, 1), read at b mod that length.
 
-    The second value bounds |result - exact sum of the given floats| for
-    every entry.  An FFT output errs by at most eps_F = 8u (log2 N + 2)
-    times the 1-norm of its input (componentwise bound, u the unit
-    roundoff), which after the product and the inverse transform gives
-    eps_F (|P|_1 |W|_2 + |P|_2 |W|_1) + (eps_F + 3u) |P|_2 |W|_2 per
-    correlation; accumulating the classes adds (t + 2) u per unit of
-    magnitude, and the total is doubled to cover second-order terms.
+    Built once per construction and kept: the int32 indices of every class,
+    class j (N = 2^j, v = t - 2 - j) at [N - 1, 2N - 1); the rfft and the
+    norms of every class of w'; the exponent a of each row, c = +-5^a mod n;
+    and, per level, the sum of w' and the largest w.  At d = 2 the node
+    product is w itself, and its transforms are these.
     """
-    n = len(p)
-    t = n.bit_length() - 1
-    count = max(n // 4, 1)
-    u = np.finfo(float).eps / 2
-    pow5 = _powers_of_five(count, n)
-    sums = np.zeros(count)
-    consts = [p[0] * w[0]]
-    err = size = 0.0
-    for v in range(t):
-        L = t - v
-        if L == 1:
-            consts.append(p[n >> 1] * w[n >> 1])
-            continue
-        N = 1 << (L - 2)
-        idx = (pow5[:N] & ((1 << L) - 1)) << v
-        P, W = p[idx], w[idx]
-        corr = np.fft.irfft(np.conj(np.fft.rfft(P)) * np.fft.rfft(W), n=N)
-        view = sums.reshape(-1, N)
-        view += 2.0 * corr
-        p1, p2 = float(np.abs(P).sum()), math.sqrt(float((P * P).sum()))
-        w1, w2 = float(np.abs(W).sum()), math.sqrt(float((W * W).sum()))
-        eps_f = 8 * u * (math.log2(N) + 2)
-        err += 2.0 * (eps_f * (p1 * w2 + p2 * w1) + (eps_f + 3 * u) * p2 * w2)
-        size += 2.0 * p2 * w2
-    size += sum(abs(x) for x in consts)
-    out = np.empty(count)
-    out[np.minimum(pow5, n - pow5) >> 1] = sums + math.fsum(consts)
-    err += (t + 2) * u * size + u * float(np.abs(out).max())
-    return out, 2.0 * err
 
+    def __init__(self, w: np.ndarray, sr: int, rows: np.ndarray) -> None:
+        n = len(w)
+        t = n.bit_length() - 1
+        count = max(n // 4, 1)
+        pow5 = _powers_of_five(count, n)
+        idx = np.empty(max(n // 2 - 1, 0), dtype=np.int32)
+        for j in range(t - 1):
+            N = 1 << j
+            idx[N - 1 : 2 * N - 1] = (pow5[:N] & (4 * N - 1)) << (t - 2 - j)
+        a = np.empty(count, dtype=np.int32)
+        a[np.minimum(pow5, n - pow5) >> 1] = np.arange(count, dtype=np.int32)
+        self.a = a[rows >> 1]
+        self.w, self.t, self.sr, self.idx = w, t, sr, idx
+        self.levels = (t - sr, t)
+        self.fw, self.w1n, self.w2n = _class_transforms(w, idx, t)
+        self.w_consts = (w[0] - 1.0, w[n >> 1] - 1.0)
+        self.steps = [1 << (t - lev) for lev in self.levels]
+        self.w_sums = [float(np.subtract(w[::st], 1.0).sum()) for st in self.steps]
+        self.w_max = [float(w[::st].max()) for st in self.steps]
 
-def _scan_merits(p: np.ndarray, w: np.ndarray, d: int, rows: np.ndarray, norm: float):
-    """Normalized merits of (partial vector, c) for odd c = rows, with bounds.
+    def scan(self, p: np.ndarray | None = None) -> list[tuple[np.ndarray, float]]:
+        """sum_k p'[k] w'[k c mod 2^level] for both levels, by FFT.
 
-    p is the node product of the d - 1 chosen components and w the factor
-    table at one level.  Returns estimates of merit(..., n).value / norm,
-    as the canonical path computes it, and per-entry bounds on the gap.
-    """
-    n = len(p)
-    u = np.finfo(float).eps / 2
-    # sum_k (p w_c - 1) = sum p' + sum w' + sum p' w'_c with p' = p - 1 and
-    # w' = w - 1: the scan sees only the small parts
-    p1, w1 = p - 1.0, w - 1.0
-    sums, scan_err = unit_scan(p1, w1)
-    sums = sums[rows >> 1]
-    const = float(p1.sum() + w1.sum())
-    est = (const + sums) / n / norm
-    # this path (d - 1 factors, - 1, pairwise sums of p' and w') and the
-    # canonical one (d factors, - 1, pairwise sum) round each term by at
-    # most (2d + 3 depth) u times the largest product, where numpy's
-    # pairwise sum passes a term through at most depth = t + 18 additions
-    depth = n.bit_length() + 17
-    big = float(p.max() * w.max())
-    gap = scan_err + 1.01 * (2 * d + 3 * depth) * u * big * n
-    gap = gap + 4 * u * (abs(const) + np.abs(sums))
-    return est, 2.0 * (gap / n / norm + 2 * u * np.abs(est))
+        p is a symmetric table at the extension level, p[k] = p[n - k], and
+        p' = p - 1, w' = w - 1; None stands for w.  Returns, base level
+        first, the sums in exponent order (entry a belongs to
+        c = +-5^a mod 2^level) and a bound on |sum - exact sum of the
+        products of p' and w'| for every entry.  Cost O(n log n).
+
+        An FFT output errs by at most eps_F = 8u (log2 N + 2) times the
+        1-norm of its input (componentwise bound, u the unit roundoff),
+        which after the product and the inverse transform gives
+        eps_F (|P|_1 |W|_2 + |P|_2 |W|_1) + (eps_F + 3u) |P|_2 |W|_2 per
+        correlation.  A level's entry adds at most level - 1 doubled
+        correlations, each at most 2 |P|_2 |W|_2, and the constants, so
+        accumulating them in any order adds (level + 2) u per unit of
+        that magnitude; the total is doubled to cover second-order terms.
+        """
+        t, sr = self.t, self.sr
+        u = np.finfo(float).eps / 2
+        if p is None:
+            fp, p1n, p2n, pc = self.fw, self.w1n, self.w2n, self.w_consts
+        else:
+            fp, p1n, p2n = _class_transforms(p, self.idx, t)
+            pc = (p[0] - 1.0, p[len(p) >> 1] - 1.0)
+        run = base = np.zeros(1)
+        for j, (fpj, fwj) in enumerate(zip(fp, self.fw)):
+            corr = np.fft.irfft(np.conj(fpj) * fwj, n=1 << j)
+            corr *= 2.0
+            view = corr.reshape(-1, len(run))
+            view += run
+            run = corr
+            if j == t - 2 - sr:
+                base = run
+        eps_f = 8 * u * (np.arange(len(fp)) + 2)
+        errs = 2.0 * (eps_f * (p1n * self.w2n + p2n * self.w1n) + (eps_f + 3 * u) * p2n * self.w2n)
+        sizes = 2.0 * p2n * self.w2n
+        out = []
+        for lev, run in zip(self.levels, (base, run)):
+            # the level's classes are the first lev - 1 in this order
+            k = max(lev - 1, 0)
+            consts = [pc[0] * self.w_consts[0]] + ([pc[1] * self.w_consts[1]] if lev else [])
+            size = float(sizes[:k].sum()) + sum(abs(x) for x in consts)
+            sums = run + math.fsum(consts)
+            err = float(errs[:k].sum()) + (lev + 2) * u * size + u * float(np.abs(sums).max())
+            out.append((sums, 2.0 * err))
+        return out
+
+    def merits(
+        self, p: np.ndarray, d: int, norms: tuple[float, float]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Normalized merits of (partial vector, c) for every row c, with bounds.
+
+        p is the node product of the d - 1 chosen components at the
+        extension level (w itself at d = 2) and norms the normalizers of
+        the two levels.  Returns, base level first, per-row estimates of
+        merit(..., 2^level).value / norm, as the canonical path computes
+        it, and per-row bounds on the gap.
+        """
+        u = np.finfo(float).eps / 2
+        # sum_k (p w_c - 1) = sum p' + sum w' + sum p' w'_c with p' = p - 1 and
+        # w' = w - 1: the scan sees only the small parts
+        consts = [
+            float(np.subtract(p[::st], 1.0).sum() + ws) for st, ws in zip(self.steps, self.w_sums)
+        ]
+        bigs = [float(p[::st].max()) * wm for st, wm in zip(self.steps, self.w_max)]
+        out = []
+        for lev, (sums, scan_err), const, big, norm in zip(
+            self.levels, self.scan(None if p is self.w else p), consts, bigs, norms
+        ):
+            n = 1 << lev
+            est = (const + sums) / n / norm
+            # this path (d - 1 factors, - 1, pairwise sums of p' and w') and the
+            # canonical one (d factors, - 1, pairwise sum) round each term by at
+            # most (2d + 3 depth) u times the largest product, where numpy's
+            # pairwise sum passes a term through at most depth = level + 18
+            # additions
+            depth = n.bit_length() + 17
+            gap = scan_err + 1.01 * (2 * d + 3 * depth) * u * big * n
+            gap = gap + 4 * u * (abs(const) + np.abs(sums))
+            err = 2.0 * (gap / n / norm + 2 * u * np.abs(est))
+            rows = self.a & (len(sums) - 1)
+            out.append((est[rows], err[rows]))
+        return out
 
 
 def _near_min(b_lo, b_hi, e, e_err) -> np.ndarray:
@@ -330,34 +402,36 @@ def cbc_construct(
         cands = 2 * np.arange(n_ext // 4 or n_ext // 2, dtype=np.int64) + 1
     if len(cands) == 0:
         raise ValueError("empty candidate set at dimension 2")
-    # the base merit depends on c only through its mirror class mod 2^m
-    classes = np.minimum(cands % n_base, -cands % n_base)
-
     we = ProductBernoulliFn(1).factor(np.arange(n_ext) / n_ext)
-    pe = np.ones(n_ext)
+    scan = _TwoLevelScan(we, sr, cands)
+    # the node product of the first component, 1, is the factor table
+    pe = we
 
     comps = [1]
     for d in range(2, s + 1):
+        if d > 2:
+            # times the factors of the last component, in one new table (the
+            # uint64 numerators index as their int64 view, without a copy)
+            f = we[lattice_numerators([comps[-1]], ext, n_ext)[0].view(np.int64)]
+            f *= pe
+            pe = f
         rb, re = _normalizers(d, m, sr)
-        pe = pe * we[lattice_numerators([comps[-1]], ext, n_ext)[0]]
         prefix = tuple(comps)
 
-        # node k of the base level is node k 2^sr of the extended one, with
-        # bit-equal factor table and product
-        b, b_err = _scan_merits(pe[:: 1 << sr], we[:: 1 << sr], d, classes, rb)
+        (b, b_err), (e, e_err) = scan.merits(pe, d, (rb, re))
         if sr == 0:
             e, e_err = np.full(len(cands), -np.inf), np.zeros(len(cands))
-        else:
-            e, e_err = _scan_merits(pe, we, d, cands, re)
         keep = _near_min(b - b_err, b + b_err, e, e_err)
 
-        # canonical base figures for the classes still in the running; a
-        # candidate whose extended term cannot reach its base term then has
-        # combined == b exactly, and only the rest are re-scored
+        # canonical base figures for the mirror classes mod 2^m still in the
+        # running; a candidate whose extended term cannot reach its base term
+        # then has combined == b exactly, and only the rest are re-scored
+        kept = cands[keep]
+        classes = np.minimum(kept % n_base, -kept % n_base)
         bk = np.zeros(n_base // 2 + 1)
-        for r in np.unique(classes[keep]).tolist():
+        for r in np.unique(classes).tolist():
             bk[r] = merit(GeneratingVector(prefix + (max(r, 1),), t), n_base).value / rb
-        bk = bk[classes[keep]]
+        bk = bk[classes]
         near = _near_min(bk, bk, e[keep], e_err[keep])
         keep, comb = keep[near], bk[near]
         e_lo, e_hi = e[keep] - e_err[keep], e[keep] + e_err[keep]
@@ -366,5 +440,7 @@ def cbc_construct(
             return embedded_merit(GeneratingVector(prefix + (c,), t), m, sr).combined
 
         comps.append(_lazy_min(cands[keep], comb, np.maximum(comb, e_lo), e_hi > comb, rescore))
+        # release this step's per-candidate arrays before the next product
+        del b, b_err, e, e_err
 
     return GeneratingVector(tuple(comps), t)

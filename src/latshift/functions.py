@@ -96,14 +96,19 @@ class ProductBernoulliFn(PeriodicFunction):
         return self._s
 
     def factor(self, x):
-        """Per-coordinate factor 1 + B2(x); x may be a float or an array."""
-        return 1.0 + bernoulli2(x)
+        """Per-coordinate factor 1 + B2(x); x may be a float (giving a numpy
+        float64) or an array."""
+        # in one buffer: (u*u - C) + 1.0 is the same IEEE sum as 1.0 + B2(x)
+        out = np.subtract(x, 0.5)
+        out *= out
+        out -= _B2_C
+        out += 1.0
+        return out
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
         if len(xs) != self._s:
             raise ValueError(f"dimension mismatch: got {len(xs)}, expected {self._s}")
-        # factor by factor in one temporary: (u*u - C) + 1.0 is the same
-        # IEEE sum as factor's 1.0 + (u*u - C)
+        # factor by factor in one temporary, as factor computes it
         out = np.ones(xs.shape[1:])
         tmp = np.empty_like(out)
         for x in xs:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from latshift import (
 )
 import latshift.cbc as cbc_module
 import latshift.moments as moments_module
-from latshift.cbc import _normalizers, _sample_candidates, _scan_merits, unit_scan
+from latshift.cbc import _TwoLevelScan, _normalizers, _sample_candidates
 from latshift.functions import bernoulli2
 
 from conftest import rel_err
@@ -194,38 +195,122 @@ def _odd_vectors(t):
     return st.lists(odd, min_size=1, max_size=4)
 
 
+def _exact_level_sums(p, w, lev):
+    """sum_k (p[k] - 1)(w[k c mod 2^lev] - 1) over the nodes of level 2^lev,
+    for c = 5^a mod 2^lev, a < max(2^lev / 4, 1), exactly as hi + lo."""
+    n, nl = len(p), 1 << lev
+    p1, w1 = p[:: n // nl] - 1.0, w[:: n // nl] - 1.0
+    k = np.arange(nl)
+    out = []
+    for a in range(max(nl // 4, 1)):
+        hi, lo = _two_product(p1, w1[(k * pow(5, a, nl)) % nl])
+        terms = np.concatenate([hi, lo]).tolist()
+        s = math.fsum(terms)
+        out.append((s, math.fsum(terms + [-s])))
+    return out
+
+
+def _assert_sums_within_bound(scan, exact):
+    """Both levels of a scan lie within their bounds of the exact sums."""
+    for (sums, bound), ref in zip(scan, exact):
+        assert len(sums) == len(ref)
+        for a, ((hi, lo), got) in enumerate(zip(ref, sums.tolist())):
+            # the exact sum minus the scan, rounded once (lo carries the
+            # exact sum's rounding error to within u^2 of it)
+            gap = abs(math.fsum((hi, lo, -got)))
+            assert gap <= bound, (a, gap, bound)
+
+
+def _canonical_level_merits(prefix, t, lev):
+    """merit(prefix + (c,), 2^lev) for the mirror classes c mod 2^lev."""
+    nl = 1 << lev
+    return {
+        r: merit(GeneratingVector(prefix + (r,), max(t, 1)), nl).value
+        for r in range(1, max(nl // 2, 1) + 1, 2)
+    }
+
+
+def _assert_estimates_bracket(merits, canonical, norms, rows):
+    """Per row c, every level's estimate lies within its bound of the
+    canonical merit over its normalizer."""
+    for (est, err), (nl, ref), norm in zip(merits, canonical, norms):
+        assert len(est) == len(err) == len(rows)
+        for c, e, bound in zip(rows.tolist(), est.tolist(), err.tolist()):
+            want = ref[max(min(c % nl, -c % nl), 1)] / norm
+            assert abs(e - want) <= bound, (nl, c, e, want, bound)
+
+
 class TestUnitScan:
     @settings(max_examples=40, deadline=None)
     @given(t=st.integers(1, 12), data=st.data())
     def test_matches_direct_gather_within_reported_bound(self, t, data):
         # symmetric tables, as the construction passes them: the node
-        # product of a random odd partial vector, raw or less one
+        # product of a random odd partial vector and the factor table, or
+        # the same plus one, so that the scanned parts are the raw products
         n = 1 << t
+        sr = data.draw(st.integers(0, t))
         p, w = _node_product(data.draw(_odd_vectors(t)), n)
         if data.draw(st.booleans()):
-            p, w = p - 1.0, w - 1.0
-        sums, bound = unit_scan(p, w)
-        assert len(sums) == max(n // 4, 1)
-        k = np.arange(n)
-        for i, got in enumerate(sums.tolist()):
-            # exact sum_k p[k] w[k c mod n] minus the scan, rounded once
-            hi, lo = _two_product(p, w[(k * (2 * i + 1)) % n])
-            gap = abs(math.fsum(np.concatenate([hi, lo, [-got]])))
-            assert gap <= bound, (2 * i + 1, gap, bound)
+            p, w = p + 1.0, w + 1.0
+        scan = _TwoLevelScan(w, sr, 2 * np.arange(max(n // 4, 1)) + 1).scan(p)
+        _assert_sums_within_bound(scan, [_exact_level_sums(p, w, lev) for lev in (t - sr, t)])
 
     @settings(max_examples=25, deadline=None)
     @given(t=st.integers(1, 10), data=st.data())
     def test_estimates_bracket_canonical_merits(self, t, data):
         prefix = tuple(data.draw(_odd_vectors(t)))
+        sr = data.draw(st.integers(0, t))
         d = len(prefix) + 1
         n = 1 << t
         p, w = _node_product(prefix, n)
-        cands = 2 * np.arange(max(n // 4, 1)) + 1
-        norm = _normalizers(d, t, 0)[0]
-        est, err = _scan_merits(p, w, d, cands, norm)
-        for c, e, bound in zip(cands.tolist(), est.tolist(), err.tolist()):
-            canonical = merit(GeneratingVector(prefix + (c,), t), n).value / norm
-            assert abs(e - canonical) <= bound, (c, e, canonical, bound)
+        rows = 2 * np.arange(max(n // 4, 1)) + 1
+        norms = _normalizers(d, t - sr, sr)
+        merits = _TwoLevelScan(w, sr, rows).merits(p, d, norms)
+        canonical = [(1 << lev, _canonical_level_merits(prefix, t, lev)) for lev in (t - sr, t)]
+        _assert_estimates_bracket(merits, canonical, norms, rows)
+
+    @pytest.mark.parametrize("t", range(13))
+    def test_every_split_of_both_levels(self, t):
+        # every 0 <= sr <= t, bases of 1 and 2 nodes and sr = t included:
+        # the sums of a two-component product against the exact gather, and
+        # the estimates of the d = 2 step (which passes the factor table
+        # itself, whose transforms the scan reuses) and of the d = 3 step
+        # against the canonical merits
+        n = 1 << t
+        rows = 2 * np.arange(max(n // 4, 1)) + 1
+        second = int(2 * np.random.default_rng(t).integers(max(n // 2, 1)) + 1)
+        p, w = _node_product((1, second), n)
+        exact = [_exact_level_sums(p, w, lev) for lev in range(t + 1)]
+        for sr in range(t + 1):
+            scan = _TwoLevelScan(w, sr, rows).scan(p)
+            _assert_sums_within_bound(scan, [exact[lev] for lev in (t - sr, t)])
+        for prefix, q in [((1,), w), ((1, second), p)]:
+            d = len(prefix) + 1
+            canonical = [
+                (1 << lev, _canonical_level_merits(prefix, t, lev)) for lev in range(t + 1)
+            ]
+            for sr in range(t + 1):
+                norms = _normalizers(d, t - sr, sr)
+                merits = _TwoLevelScan(w, sr, rows).merits(q, d, norms)
+                _assert_estimates_bracket(merits, [canonical[t - sr], canonical[t]], norms, rows)
+
+    @pytest.mark.parametrize("t,sr", [(0, 0), (1, 1), (5, 0), (8, 3), (12, 12), (12, 5)])
+    def test_factor_side_reuse_and_level_independence(self, t, sr):
+        # at d = 2 the node product is the factor table, and the scan reuses
+        # its transforms bit for bit; the extension level does not depend on
+        # where the base splits off, and the base level is the single-level
+        # scan of the tables at every 2^sr-th node
+        n = 1 << t
+        rows = 2 * np.arange(max(n // 4, 1)) + 1
+        p, w = _node_product((1, 2 * (n // 3) + 1), n)
+        scan = _TwoLevelScan(w, sr, rows)
+        for (a, ea), (b, eb) in zip(scan.scan(), scan.scan(w.copy())):
+            assert a.tobytes() == b.tobytes() and ea == eb
+        (base, base_err), (ext, ext_err) = scan.scan(p)
+        whole = _TwoLevelScan(w, 0, rows).scan(p)[1]
+        sub = _TwoLevelScan(w[:: 1 << sr], 0, rows[: max(n >> (sr + 2), 1)]).scan(p[:: 1 << sr])[1]
+        assert ext.tobytes() == whole[0].tobytes() and ext_err == whole[1]
+        assert base.tobytes() == sub[0].tobytes() and base_err == sub[1]
 
 
 def _greedy_reference(s, m, sr):
@@ -277,6 +362,67 @@ class TestCbcConstruct:
         monkeypatch.setattr(cbc_module, "embedded_merit", counting)
         assert cbc_construct(3, 4, 16).components == (1, 21415, 27461)
         assert len(calls) <= 2
+
+    # the 13 full cbc benchmark shapes (s, m, r), with sr = s r, from
+    # perfbench/workloads.py, and their (vector, class merits, re-scores)
+    BENCHMARK_SHAPES = [
+        ((2, 4, 6), (1, 5863), 1, 0),
+        ((3, 2, 4), (1, 989, 351), 2, 0),
+        ((2, 2, 6), (1, 989), 1, 0),
+        ((2, 8, 4), (1, 6755), 2, 0),
+        ((3, 5, 3), (1, 1145, 411), 3, 0),
+        ((2, 5, 5), (1, 5831), 2, 0),
+        ((2, 4, 5), (1, 1145), 1, 0),
+        ((3, 4, 3), (1, 1719, 363), 3, 0),
+        ((2, 6, 4), (1, 3739), 2, 0),
+        ((2, 2, 5), (1, 757), 1, 0),
+        ((3, 3, 3), (1, 757, 277), 3, 0),
+        ((2, 4, 4), (1, 1799), 5, 2),
+        ((3, 6, 2), (1, 1799, 757), 7, 2),
+    ]
+
+    def test_benchmark_shapes_merit_and_rescore_counts(self, monkeypatch):
+        # the canonical class merits and re-scores a construction needs, with
+        # the normalizers warm: 33 and 4 over the 13 shapes.  A scan bound
+        # 2^10 times looser keeps more classes and candidates open and fails
+        # here; test_near_ties_are_resolved_lazily catches a smaller factor
+        for (s, m, r), *_ in self.BENCHMARK_SHAPES:
+            for d in range(2, s + 1):
+                _normalizers(d, m, s * r)
+        counts = {"merit": 0, "embedded_merit": 0, "scan": 0}
+        patched = [(cbc_module, "merit"), (cbc_module, "embedded_merit"), (_TwoLevelScan, "scan")]
+        for owner, name in patched:
+            real = getattr(owner, name)
+
+            def counting(*args, name=name, real=real):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        for (s, m, r), z, merits, rescores in self.BENCHMARK_SHAPES:
+            counts.update(merit=0, embedded_merit=0, scan=0)
+            assert cbc_construct(s, m, s * r).components == z
+            # one scan per component step serves both levels
+            assert counts == {"merit": merits, "embedded_merit": rescores, "scan": s - 1}, (s, m, r)
+
+    @pytest.mark.parametrize("shape,limit", [((2, 4, 12), 56.0), ((3, 4, 12), 61.0)])
+    def test_peak_memory_per_extension_node(self, shape, limit):
+        # tracemalloc peak of a construction with warm normalizers, in bytes
+        # per extension node (2^16 here).  Two scans per component, each
+        # building its own tables, peaked at 56.0 and 60.6 B; one scan over
+        # int32 class indices and the factor side's transforms, built once,
+        # peaks at 35.1 and 43.9 B
+        s, m, sr = shape
+        for d in range(2, s + 1):
+            _normalizers(d, m, sr)
+        cbc_construct(*shape)
+        tracemalloc.start()
+        try:
+            cbc_construct(*shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (1 << (m + sr)) <= limit
 
     def test_first_component_fixed(self):
         assert cbc_construct(1, 4, 8).components == (1,)

@@ -76,6 +76,17 @@ class TestProductBernoulliFn:
         assert got.tobytes() == expected.tobytes()
         assert got[:3].tobytes() == got[3:6].tobytes()
 
+    @pytest.mark.parametrize("t", range(17))
+    def test_factor_in_one_buffer_matches_formula(self, t):
+        # factor's in-place steps give 1.0 + B2(x) bit for bit, on the
+        # dyadic table cbc builds and on plain floats
+        f = ProductBernoulliFn(1)
+        x = np.arange(1 << t) / (1 << t)
+        assert f.factor(x).tobytes() == (1.0 + bernoulli2(x)).tobytes()
+        for v in np.random.default_rng(t).random(64).tolist() + [x[-1], 0.5]:
+            got = f.factor(v)
+            assert np.ndim(got) == 0 and float(got).hex() == (1.0 + bernoulli2(v)).hex()
+
     def test_dimension_mismatch(self):
         f = ProductBernoulliFn(2)
         with pytest.raises(ValueError):
