@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 from . import __version__
 from .bits import BitSource, parse_bit_source
 from .cbc import cbc_construct, embedded_merit
-from .dual import TruncationBox, _dual_array
+from .dual import TruncationBox, _dual_array, _guard_box
 from .errors import GuardLimitError
 from .functions import ProductBernoulliFn
 from .lattice import EmbeddedPair, GeneratingVector, Rank1Rule, korobov_vector
@@ -254,7 +254,13 @@ def _json_point_rows(duals) -> Iterator[str]:
 
 
 def cmd_dual(args) -> int:
-    duals = _dual_array(_rule_from_args(args), TruncationBox(args.H))
+    box = TruncationBox(args.H)
+    if args.s >= 1 and args.m >= 0:
+        # the candidate count needs only s, m and H: refuse it before the
+        # s components of the vector are built (an s or m out of range is
+        # refused when the rule is built)
+        _guard_box(args.s, args.m, box)
+    duals = _dual_array(_rule_from_args(args), box)
     config = _config(args, "s", "m", "ell", "z", "H")
     text = _json_artifact("dual", config, {"count": len(duals), "points": []})
     if len(duals):

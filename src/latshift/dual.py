@@ -17,8 +17,11 @@ coordinate (`dual_points` is its tuple view); every series takes its
 coefficients from one batched `fourier_coeff` call and sums whole arrays
 through `fsum_rows`, bit for bit as `math.fsum`, so no series depends on
 the order of its terms.  The third-moment series forms each unordered pair
-{k, h - k} once, a block of h rows at a time.  Cumulant scaling then
-transports single-replicate moments to the replicate mean.
+{k, h - k} once, a block of h rows at a time, and for even coefficients
+(c(-h) = c(h), as for every real integrand with real coefficients) sums
+only the rows of half the duals: the sorted duals are closed under
+negation, and the inner sum at -h is the one at h, bit for bit.  Cumulant
+scaling then transports single-replicate moments to the replicate mean.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import guard
+from .errors import guard, guard_power
 from .fsum import fsum_rows
 from .functions import PeriodicFunction
 from .lattice import NODE_DTYPE_BITS, DyadicPoint, Rank1Rule
@@ -108,12 +111,20 @@ def mean_cumulants(single: CumulantSet, q: int) -> CumulantSet:
     )
 
 
+def _guard_box(s: int, m: int, box: TruncationBox) -> int:
+    """Refuse more than 2^GUARD_BITS candidate duals of a 2^m-point rule in s
+    dimensions, from s, m and H alone; returns the values of h_s a prefix allows."""
+    width = 2 * box.H + 1
+    per = -(-width >> m)
+    guard_power(width, s - 1, per, "candidate duals over the box prefixes")
+    return per
+
+
 def _dual_array(rule: Rank1Rule, box: TruncationBox) -> np.ndarray:
     """`dual_points` as a (D, s) int64 array, one row per dual."""
     s, H, n = rule.s, box.H, rule.n_points
     width = 2 * H + 1
-    per = -(-width // n)
-    guard(width ** (s - 1) * per, "candidate duals over the box prefixes")
+    per = _guard_box(s, rule.m, box)
     prefixes = np.indices((width,) * (s - 1)).reshape(s - 1, width ** (s - 1)).T - H
     z = [c & (n - 1) for c in rule.z.components]
     # uint64 arithmetic wraps exactly mod n up to n = 2^64
@@ -219,6 +230,17 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     k before its window's start has no l in the box); a zero term leaves an
     exact sum unchanged.
 
+    Reflection: the box duals are the nonzero lattice points of a box
+    symmetric about 0, so h is a dual exactly when -h is, and negation
+    reverses the lexicographic order: row D - 1 - i is -h_i (D is even).
+    If the coefficient array reads the same reversed, c(-h) = c(h) on every
+    dual; that check is exact and O(D).  Then k -> -k maps the ordered
+    pairs of row h onto those of row -h with the same products
+    c(-k) c(-(h - k)) = c(k) c(h - k), so both inner sums are the correctly
+    rounded sum of one multiset of floats: the same float.  Only the first
+    ceil(D / 2) rows are summed, and the rest are mirrored from them.  Any
+    other coefficients (c(-h) != c(h) somewhere) take every row.
+
     The reported tail bound is crude: a term is lost only if one of the
     three indices leaves the box, so three times the single-index tail
     times a bound on the unconstrained double sum covers the remainder.
@@ -251,15 +273,18 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
         del diff, idx, keep  # freed before fsum_rows copies the terms
         return fsum_rows(terms)
 
+    # row D - 1 - i is -h_i; with even coefficients its inner sum is row i's
+    rows = (D + 1) // 2 if np.array_equal(coeffs, coeffs[::-1]) else D
     inner = np.zeros(D)
     r0 = 0
-    while r0 < D:
+    while r0 < rows:
         # the most rows from r0 whose spanned pairs stay within _PAIR_BLOCK
-        span = np.maximum(hi[r0 : r0 + _PAIR_BLOCK] - lo[r0], 0)
+        span = np.maximum(hi[r0 : min(r0 + _PAIR_BLOCK, rows)] - lo[r0], 0)
         pairs = np.arange(1, len(span) + 1) * span
         r1 = r0 + max(1, int(np.searchsorted(pairs, _PAIR_BLOCK, "right")))
         inner[r0:r1] = block_sums(r0, r1)
         r0 = r1
+    inner[rows:] = inner[: D - rows][::-1]
     tail1 = f.coefficient_tail_bound(H, 1)
     tail = 3.0 * tail1 * (_fsum(np.abs(coeffs)) + tail1)
     return SeriesResult(_fsum(coeffs * inner), tail, H)

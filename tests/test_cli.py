@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -338,6 +339,22 @@ class TestDualCommand:
         assert code == 2
         assert out == ""
         assert "guard" in err
+
+    def test_box_guard_refuses_huge_dimension_before_the_vector(self):
+        # 3^1999999 candidate duals: refused from s, m and H before the two
+        # million Korobov powers are taken or the count is formed as an int
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        argv = ["dual", "--s", "2000000", "--m", "0", "--ell", "1", "--H", "1"]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "latshift.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "at least 2^3169925 candidate duals over the box prefixes exceed the 2^26 guard" in proc.stderr
+        assert elapsed < 1.5
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -27,6 +28,7 @@ from latshift import (
     third_moment_series,
 )
 from latshift import dual as dual_module
+from latshift.errors import guard, guard_power
 from latshift.fsum import fsum_rows
 from latshift.functions import PeriodicFunction
 
@@ -205,6 +207,40 @@ class TestDualPoints:
         single = Rank1Rule(0, GeneratingVector((1, 1, 1, 1), 1))
         with pytest.raises(GuardLimitError):
             dual_points(single, TruncationBox(45))  # 91^4 > 2^26
+
+    @pytest.mark.parametrize(
+        "m, z, H",
+        [(4, (1, 17797, 17797**2), 3), (5, (1, 1267), 12), (0, (1, 1), 3), (3, (1,), 40)],
+    )
+    def test_reversed_order_is_negation(self, m, z, H):
+        # the nonzero lattice points of a box symmetric about 0, in
+        # lexicographic order: row D - 1 - i is -h_i, and D is even
+        duals = dual_module._dual_array(Rank1Rule(m, GeneratingVector(z, max(m, 1))), TruncationBox(H))
+        assert len(duals) % 2 == 0
+        assert np.array_equal(duals[::-1], -duals)
+
+    def test_huge_candidate_counts_refused_from_their_log2(self):
+        # past 2^128 the count is never formed; the message names the same
+        # power of two as the exact count's would
+        for base, factor in ((3, 1), (3, 2), (5, 1), (33, 3), (1001, 17)):
+            for exponent in (0, 1, 20, 80, 81, 200, 1000, 2999):
+                messages = []
+                for check in (
+                    lambda: guard(base**exponent * factor, "items"),
+                    lambda: guard_power(base, exponent, factor, "items"),
+                ):
+                    try:
+                        check()
+                        messages.append(None)
+                    except GuardLimitError as exc:
+                        messages.append(str(exc))
+                assert messages[0] == messages[1], (base, exponent, factor)
+        # s = 2 * 10^6 at H = 1: 3^1999999 prefixes, about 3.2 million bits
+        with pytest.raises(GuardLimitError, match=r"at least 2\^3169925 candidate duals"):
+            dual_module._guard_box(2_000_000, 0, TruncationBox(1))
+        # an exponent past the float range is refused all the same
+        with pytest.raises(GuardLimitError, match=r"at least 2\^\(2\^1328\) candidate duals"):
+            dual_module._guard_box(10**400, 0, TruncationBox(1))
 
 
 class TestShiftErrorSeries:
@@ -387,17 +423,92 @@ class TestThirdMomentSeries:
             blocks.clear()
             value = third_moment_series(rule, f, TruncationBox(H)).value
             assert value.hex() == pairwise_third_moment(duals, f, H).hex()
+            del blocks[-2:]  # the one-row sums over the coefficients
             assert rows in blocks and (rows == 1 or blocks[-1] < rows)
 
     def test_each_unordered_pair_formed_once(self, monkeypatch):
         # the largest benchmark shape, (3,5,16) at ell = 17797: the ordered
-        # pairs of the box duals number D^2, the rows' windows about 0.38 D^2
+        # pairs of the box duals number D^2, the rows' windows about 0.38 D^2,
+        # and half the rows' windows about 0.19 D^2
         rule = Rank1Rule(5, korobov_vector(17797, 3, 5))
         D = len(dual_points(rule, TruncationBox(16)))
         terms = []
         monkeypatch.setattr(dual_module, "fsum_rows", lambda t: terms.append(t.size) or fsum_rows(t))
-        third_moment_series(rule, ProductBernoulliFn(3), TruncationBox(16))
-        assert D == 1122 and sum(terms) <= 0.45 * D**2
+        formed = {}
+        for f in (ProductBernoulliFn(3), ArbitraryCoeffFn(3)):
+            terms.clear()
+            third_moment_series(rule, f, TruncationBox(16))
+            # less the two sums of D terms over the coefficients
+            formed[type(f)] = sum(terms) - 2 * D
+        assert D == 1122 and max(formed.values()) <= 0.45 * D**2
+        # even coefficients take half the rows; others take every row
+        assert formed[ProductBernoulliFn] <= 0.20 * D**2
+        assert formed[ArbitraryCoeffFn] >= 0.37 * D**2
+
+    # the value of every benchmark dual shape whose D exceeds 400, where the
+    # pairwise reference would be slow, recorded from commit 655ef98, whose
+    # series summed every row
+    PARENT_HEX = {
+        (3, 5, 16): "0x1.786ac2388c239p-38",
+        (3, 3, 8): "0x1.0cc1f64260fc7p-26",
+        (3, 6, 16): "0x1.2cbb1d08f9083p-40",
+        (3, 5, 12): "0x1.611f32887562ep-38",
+    }
+
+    @pytest.mark.parametrize("ell", [1267, 12915])
+    @pytest.mark.parametrize(
+        "s, m, H",
+        [(3, 5, 16), (3, 3, 8), (3, 6, 16), (3, 5, 12), (3, 6, 12), (3, 4, 8),
+         (2, 4, 16), (2, 3, 8), (2, 6, 16), (2, 5, 12), (2, 3, 12)],
+    )
+    def test_half_rows_bitwise_on_benchmark_shapes(self, s, m, H, ell):
+        rule = Rank1Rule(m, korobov_vector(ell, s, m))
+        duals = dual_points(rule, TruncationBox(H))
+        value = third_moment_series(rule, ProductBernoulliFn(s), TruncationBox(H)).value
+        if (s, m, H) in self.PARENT_HEX:
+            assert len(duals) > 400
+            assert value.hex() == self.PARENT_HEX[s, m, H]
+        else:
+            assert value.hex() == pairwise_third_moment(duals, ProductBernoulliFn(s), H).hex()
+
+    # with test_empty_dual_set (no dual) and test_diagonal_pair_counted_once
+    # (pairs k = h - k), the edge cases of the half rows
+    @pytest.mark.parametrize(
+        "m, z, H",
+        [
+            (4, (1,), 40),  # s = 1
+            (0, (1, 1), 3),  # the single-node rule: every nonzero box point
+        ],
+    )
+    def test_half_rows_bitwise_on_edge_rules(self, m, z, H):
+        rule = Rank1Rule(m, GeneratingVector(z, max(m, 1)))
+        duals = dual_points(rule, TruncationBox(H))
+        for f in (ProductBernoulliFn(len(z)), ArbitraryCoeffFn(len(z))):
+            value = third_moment_series(rule, f, TruncationBox(H)).value
+            assert value.hex() == pairwise_third_moment(duals, f, H).hex()
+
+    @pytest.mark.parametrize("budget, lands_on_half", [(58, True), (66, False)])
+    def test_block_split_at_the_half_row(self, budget, lands_on_half, monkeypatch):
+        # the 44 duals of test_rows_split_across_pair_blocks: a budget of 58
+        # pairs ends a block of the full rows at row 22, the half, and one of
+        # 66 ends blocks at rows 21 and 23, so the half rows stop mid-block
+        rule = Rank1Rule(4, korobov_vector(17797, 3, 4))
+        H = 4
+        duals = dual_points(rule, TruncationBox(H))
+        monkeypatch.setattr(dual_module, "_PAIR_BLOCK", budget)
+        rows = []
+        monkeypatch.setattr(dual_module, "fsum_rows", lambda t: rows.append(len(t)) or fsum_rows(t))
+        ends = {}
+        for f in (ProductBernoulliFn(3), ArbitraryCoeffFn(3)):
+            rows.clear()
+            value = third_moment_series(rule, f, TruncationBox(H)).value
+            assert value.hex() == pairwise_third_moment(duals, f, H).hex()
+            # the last two calls are the one-row sums over the coefficients
+            ends[type(f)] = list(itertools.accumulate(rows[:-2]))
+        assert ends[ArbitraryCoeffFn][-1] == len(duals) == 44
+        assert (22 in ends[ArbitraryCoeffFn]) == lands_on_half
+        assert ends[ProductBernoulliFn][-1] == 22
+        assert ends[ProductBernoulliFn][:-1] == [e for e in ends[ArbitraryCoeffFn] if e < 22]
 
     def test_peak_memory_linear_in_duals(self):
         # every nonzero point of |h_i| <= 40 is a dual of the one-node rule.
