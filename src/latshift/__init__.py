@@ -38,30 +38,24 @@ from .moments import (
     rectangle_rule_mean,
 )
 from .shifts import (
-    BitString,
     GridShift,
     RealShift,
     ReplicateEstimate,
     ScalarShift,
-    bits_to_grid_shift,
-    bits_to_scalar_shift,
     estimate_mean,
     eval_grid_shifted,
     eval_real_shifted,
     eval_rule,
     eval_scalar_shifted,
     grid_evaluator,
-    grid_shift_to_bits,
     real_evaluator,
     scalar_evaluator,
-    scalar_shift_to_bits,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BitSource",
-    "BitString",
     "BitsExhaustedError",
     "CumulantSet",
     "DyadicPoint",
@@ -85,8 +79,6 @@ __all__ = [
     "SeriesResult",
     "TruncationBox",
     "bernoulli2",
-    "bits_to_grid_shift",
-    "bits_to_scalar_shift",
     "cbc_construct",
     "cp_variance_series",
     "dual_points",
@@ -98,7 +90,6 @@ __all__ = [
     "eval_scalar_shifted",
     "extended_rule_value",
     "grid_evaluator",
-    "grid_shift_to_bits",
     "korobov_vector",
     "load_bit_file",
     "mean_cumulants",
@@ -109,7 +100,6 @@ __all__ = [
     "real_evaluator",
     "rectangle_rule_mean",
     "scalar_evaluator",
-    "scalar_shift_to_bits",
     "shift_error_series",
     "third_moment_series",
 ]

@@ -3,7 +3,8 @@
 Randomization consumes bits strictly sequentially from one of three kinds
 of source: a seeded deterministic generator (for reproducible experiments),
 OS entropy, or a file of externally obtained bits -- the route for true
-random bits downloaded from a physical source.
+random bits downloaded from a physical source.  A draw of n bits is one int
+below 2^n, the first bit highest, as `random.getrandbits` gives them.
 
 The seeded generator is SplitMix64: a 64-bit Weyl counter passed through a
 fixed avalanche finalizer.  It is pinned by constant output vectors in the
@@ -15,6 +16,7 @@ physically random bits.
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 from .errors import BitsExhaustedError
@@ -54,20 +56,40 @@ class BitSource:
     def __init__(self) -> None:
         self.bits_consumed = 0
 
-    def draw(self, n: int) -> tuple[int, ...]:
-        """The next n bits of the stream."""
+    def draw(self, n: int) -> int:
+        """The next n bits of the stream as one int below 2^n, the first bit highest."""
         if n < 1:
             raise ValueError(f"bit count must be >= 1, got {n}")
         out = self._draw(n)
         self.bits_consumed += n
         return out
 
-    def _draw(self, n: int) -> tuple[int, ...]:
+    def _draw(self, n: int) -> int:
         raise NotImplementedError
 
 
-class SeededBitSource(BitSource):
-    """Reproducible bit stream: SplitMix64 words expanded MSB-first."""
+class _WordSource(BitSource):
+    """64-bit words read first bit highest; a subclass supplies `_next64`."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._word = 0  # the unread low bits of the words fetched so far
+        self._avail = 0
+
+    def _draw(self, n: int) -> int:
+        if n > self._avail:
+            k = (n - self._avail + 63) // 64
+            words = b"".join(self._next64().to_bytes(8, "big") for _ in range(k))
+            self._word = (self._word << 64 * k) | int.from_bytes(words, "big")
+            self._avail += 64 * k
+        self._avail -= n
+        out = self._word >> self._avail
+        self._word &= (1 << self._avail) - 1
+        return out
+
+
+class SeededBitSource(_WordSource):
+    """Reproducible bit stream: SplitMix64 words, most significant bit first."""
 
     kind = "seeded"
 
@@ -75,63 +97,46 @@ class SeededBitSource(BitSource):
         super().__init__()
         self.seed = seed
         self._gen = SplitMix64(seed)
-        self._word = 0
-        self._avail = 0
 
-    def _draw(self, n: int) -> tuple[int, ...]:
-        bits = []
-        for _ in range(n):
-            if self._avail == 0:
-                self._word = self._gen.next64()
-                self._avail = 64
-            self._avail -= 1
-            bits.append((self._word >> self._avail) & 1)
-        return tuple(bits)
+    def _next64(self) -> int:
+        return self._gen.next64()
 
 
-class OsEntropyBitSource(BitSource):
-    """Bits from the operating system entropy pool, bytes expanded MSB-first."""
+class OsEntropyBitSource(_WordSource):
+    """Bits from the operating system entropy pool, read as big-endian words."""
 
     kind = "os-entropy"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._buffer: list[int] = []
-
-    def _draw(self, n: int) -> tuple[int, ...]:
-        while len(self._buffer) < n:
-            for byte in os.urandom(64):
-                self._buffer.extend((byte >> (7 - i)) & 1 for i in range(8))
-        out = tuple(self._buffer[:n])
-        del self._buffer[:n]
-        return out
+    def _next64(self) -> int:
+        return int.from_bytes(os.urandom(8), "big")
 
 
 class FileBitSource(BitSource):
-    """A finite, pre-recorded bit stream; errors at exhaustion, never wraps."""
+    """A finite, pre-recorded bit stream; errors at exhaustion, never wraps.
+
+    Holds the bits as a string of '0'/'1' characters, so a draw parses one
+    slice with `int(piece, 2)`, in time linear in the draw.
+    """
 
     kind = "file"
 
-    def __init__(self, bits: tuple[int, ...], origin: str = "<memory>") -> None:
+    def __init__(self, bits: str, origin: str = "<memory>") -> None:
         super().__init__()
+        bad = re.search("[^01]", bits)
+        if bad:
+            raise ValueError(f"invalid character {bad.group()!r} in ascii01 bit file {origin}")
         if not bits:
             raise ValueError(f"bit file {origin} holds no bits")
         self._bits = bits
         self._pos = 0
         self.origin = origin
 
-    @property
-    def bits_remaining(self) -> int:
-        return len(self._bits) - self._pos
-
-    def _draw(self, n: int) -> tuple[int, ...]:
-        if n > self.bits_remaining:
-            raise BitsExhaustedError(
-                f"bit file {self.origin} exhausted: {n} requested, {self.bits_remaining} left"
-            )
-        out = self._bits[self._pos : self._pos + n]
+    def _draw(self, n: int) -> int:
+        left = len(self._bits) - self._pos
+        if n > left:
+            raise BitsExhaustedError(f"bit file {self.origin} exhausted: {n} requested, {left} left")
         self._pos += n
-        return out
+        return int(self._bits[self._pos - n : self._pos], 2)
 
 
 BIT_FILE_FORMATS = ("ascii01", "raw")
@@ -141,26 +146,15 @@ def load_bit_file(path: str | Path, format: str = "ascii01") -> FileBitSource:
     """Read a bit file into a FileBitSource.
 
     ascii01 files hold '0'/'1' characters with whitespace ignored; raw files
-    are arbitrary bytes expanded most-significant-bit first.
+    are arbitrary bytes read most-significant-bit first.
     """
     p = Path(path)
     if format == "ascii01":
-        bits = []
-        for ch in p.read_text():
-            if ch.isspace():
-                continue
-            if ch == "0":
-                bits.append(0)
-            elif ch == "1":
-                bits.append(1)
-            else:
-                raise ValueError(f"invalid character {ch!r} in ascii01 bit file {p}")
-        return FileBitSource(tuple(bits), str(p))
+        return FileBitSource("".join(p.read_text().split()), str(p))
     if format == "raw":
-        bits = []
-        for byte in p.read_bytes():
-            bits.extend((byte >> (7 - i)) & 1 for i in range(8))
-        return FileBitSource(tuple(bits), str(p))
+        data = p.read_bytes()
+        n = 8 * len(data)
+        return FileBitSource(f"{int.from_bytes(data, 'big'):0{n}b}" if n else "", str(p))
     raise ValueError(f"unknown bit file format {format!r}; expected one of {BIT_FILE_FORMATS}")
 
 

@@ -32,10 +32,9 @@ from .lattice import EmbeddedPair, GeneratingVector, Rank1Rule, korobov_vector
 from .moments import MomentReport, moments_grid_shift, moments_scalar_shift
 from .reference import REFERENCE_CELLS
 from .shifts import (
-    BitString,
+    GridShift,
     RealShift,
-    bits_to_grid_shift,
-    bits_to_scalar_shift,
+    ScalarShift,
     estimate_mean,
     grid_evaluator,
     real_evaluator,
@@ -188,19 +187,14 @@ def cmd_tables(args) -> int:
 
 
 def _draw_shift(args, src: BitSource):
-    if args.scheme in ("grid", "scalar"):
-        # r = 0 is a valid finite scheme: the empty shift, which draws no bits
-        n = args.r * args.s
-        bs = BitString(src.draw(n) if n else (), args.r, args.s)
-        return bits_to_grid_shift(bs) if args.scheme == "grid" else bits_to_scalar_shift(bs)
-    scale = 1.0 / (1 << IDEAL_BITS_PER_COORD)
-    coords = []
-    for _ in range(args.s):
-        acc = 0
-        for b in src.draw(IDEAL_BITS_PER_COORD):
-            acc = (acc << 1) | b
-        coords.append(acc * scale)
-    return RealShift(tuple(coords))
+    """One replicate's shift: s*r bits for a finite scheme, 53 per coordinate for the ideal one."""
+    if args.scheme == "ideal":
+        scale = 2.0**-IDEAL_BITS_PER_COORD
+        return RealShift(tuple(src.draw(IDEAL_BITS_PER_COORD) * scale for _ in range(args.s)))
+    # r = 0 is a valid finite scheme: the empty shift, which draws no bits
+    sr = args.r * args.s
+    word = src.draw(sr) if sr else 0
+    return GridShift.from_word(word, args.r, args.s) if args.scheme == "grid" else ScalarShift(word, sr)
 
 
 def cmd_estimate(args) -> int:

@@ -11,6 +11,9 @@ Three randomizations of a rank-1 rule are implemented:
   pair, so that one draw of s*r bits advances the base lattice into one of
   the 2^sr cosets of its 2^(m+sr)-point extension.
 
+Both finite schemes read one draw of s*r bits, an int below 2^sr: a scalar
+shift holds it whole, and `GridShift.from_word` splits it into s numerators.
+
 The dyadic evaluators and both moment enumerations share one prepared
 block evaluator, `DisplacedBlocks`.  It builds the unshifted base node
 numerators once (`lattice.lattice_numerators`), with one node buffer laid
@@ -51,23 +54,6 @@ from .lattice import EmbeddedPair, Rank1Rule, as_uint64, displace, lattice_numer
 
 
 @dataclass(frozen=True)
-class BitString:
-    """r*s ordered bits, r per coordinate."""
-
-    bits: tuple[int, ...]
-    r: int
-    s: int
-
-    def __post_init__(self) -> None:
-        if self.r < 0 or self.s < 1:
-            raise ValueError(f"need r >= 0 and s >= 1, got r={self.r}, s={self.s}")
-        if len(self.bits) != self.r * self.s:
-            raise ValueError(f"expected {self.r * self.s} bits, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-
-
-@dataclass(frozen=True)
 class GridShift:
     """Shift vector with coordinates nums[i] / 2^r on the dyadic grid."""
 
@@ -85,6 +71,16 @@ class GridShift:
     @property
     def s(self) -> int:
         return len(self.nums)
+
+    @classmethod
+    def from_word(cls, word: int, r: int, s: int) -> GridShift:
+        """The grid shift an s*r-bit word spells, coordinate-major with the
+        first coordinate highest: coordinate k is bits k*r .. (k+1)*r - 1
+        counted from the top, as `BitSource.draw(s * r)` returns them."""
+        if r < 0 or s < 1 or not 0 <= word < 1 << r * s:
+            raise ValueError(f"need r >= 0, s >= 1 and 0 <= word < 2^(r*s), got {word}, r={r}, s={s}")
+        mask = (1 << r) - 1
+        return cls(tuple((word >> (s - 1 - k) * r) & mask for k in range(s)), r)
 
 
 @dataclass(frozen=True)
@@ -119,40 +115,6 @@ class RealShift:
     @property
     def s(self) -> int:
         return len(self.u)
-
-
-def bits_to_grid_shift(bits: BitString) -> GridShift:
-    """Decode coordinate-major, most-significant-bit-first: coordinate k
-    consumes bits k*r .. (k+1)*r - 1."""
-    nums = []
-    for k in range(bits.s):
-        acc = 0
-        for b in bits.bits[k * bits.r : (k + 1) * bits.r]:
-            acc = (acc << 1) | b
-        nums.append(acc)
-    return GridShift(tuple(nums), bits.r)
-
-
-def grid_shift_to_bits(shift: GridShift) -> BitString:
-    bits: list[int] = []
-    for n in shift.nums:
-        bits.extend((n >> (shift.r - 1 - i)) & 1 for i in range(shift.r))
-    return BitString(tuple(bits), shift.r, shift.s)
-
-
-def bits_to_scalar_shift(bits: BitString) -> ScalarShift:
-    """Decode all r*s bits as one binary fraction, most significant first."""
-    acc = 0
-    for b in bits.bits:
-        acc = (acc << 1) | b
-    return ScalarShift(acc, bits.r * bits.s)
-
-
-def scalar_shift_to_bits(shift: ScalarShift, r: int, s: int) -> BitString:
-    if r * s != shift.sr:
-        raise ValueError(f"r*s = {r * s} does not match sr = {shift.sr}")
-    bits = tuple((shift.wnum >> (shift.sr - 1 - i)) & 1 for i in range(shift.sr))
-    return BitString(bits, r, s)
 
 
 def _offset(f: PeriodicFunction) -> float:

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -247,6 +248,65 @@ class TestEstimateCommand:
         )
         assert code == 1
         assert "exhausted" in err
+
+
+# (s, m, r, ell, q) per scheme: s*r = 15 and 14 bits a replicate, and
+# 3 * 53 = 159 for the ideal shift; none is a multiple of 64, so draws
+# straddle the 64-bit words of the seeded source
+_PINNED_SHAPES = {
+    "grid": (3, 6, 5, 17797, 6),
+    "scalar": (2, 4, 7, 1267, 6),
+    "ideal": (3, 5, 1, 12915, 2),
+}
+
+# bits_consumed and the .hex() of each replicate, recorded from the code at
+# commit 428b97e, which drew bits as tuples of 0/1; both file formats hold
+# the same bits, so they share one entry
+_PINNED_REPLICATES = {
+    ("grid", "seed"): (90, [
+        "0x1.ffefc0162ed0ap-1", "0x1.000807de6cbdap+0", "0x1.0010c4766cbdap+0",
+        "0x1.fff33f382ed0ap-1", "0x1.ffe9798a2ed0ap-1", "0x1.00152d3417685p+0"]),
+    ("grid", "file"): (90, [
+        "0x1.00038593c2130p+0", "0x1.000b79fc17685p+0", "0x1.001f5915c2130p+0",
+        "0x1.0019814817685p+0", "0x1.0005bba1c2130p+0", "0x1.0004fb39c2130p+0"]),
+    ("scalar", "seed"): (84, [
+        "0x1.000a458a6e980p+0", "0x1.fff556b24d7f2p-1", "0x1.000f96b88cb2dp+0",
+        "0x1.00253e2d8a47fp+0", "0x1.ff8e734c70864p-1", "0x1.ff88f6fb23690p-1"]),
+    ("scalar", "file"): (84, [
+        "0x1.ffc732b79e6a0p-1", "0x1.fffb0fee62c8bp-1", "0x1.0028a2cd21a99p+0",
+        "0x1.003393229e8f7p+0", "0x1.fff5c902b7044p-1", "0x1.fffb3b4aecdb4p-1"]),
+    ("ideal", "seed"): (318, ["0x1.ffdc3fa3354dap-1", "0x1.001d4dcbabcd2p+0"]),
+    ("ideal", "file"): (318, ["0x1.00029d88a88b3p+0", "0x1.ffe4fcf60f9a0p-1"]),
+}
+
+
+def _pinned_bits_spec(tmp_path, scheme: str, source: str) -> str:
+    s, m, r, ell, q = _PINNED_SHAPES[scheme]
+    if source == "seed":
+        return "seed:11"
+    n = q * s * (53 if scheme == "ideal" else r)
+    bits = format(random.Random(4242).getrandbits(n), f"0{n}b")
+    p = tmp_path / f"{scheme}.{source}"
+    if source == "ascii01":
+        # groups of 7 bits, separated by spaces and newlines in turn
+        p.write_text("".join(bits[i : i + 7] + " \n"[i % 2] for i in range(0, n, 7)))
+    else:
+        p.write_bytes(int(bits + "0" * (-n % 8), 2).to_bytes((n + 7) // 8, "big"))
+    return f"file:{p}:{source}"
+
+
+@pytest.mark.parametrize("source", ["seed", "ascii01", "raw"])
+@pytest.mark.parametrize("scheme", ["grid", "scalar", "ideal"])
+def test_estimate_replicates_are_pinned(tmp_path, scheme, source):
+    s, m, r, ell, q = _PINNED_SHAPES[scheme]
+    out = tmp_path / "out.json"
+    code = main(["estimate", "--scheme", scheme, "--s", str(s), "--m", str(m), "--r", str(r),
+                 "--ell", str(ell), "--q", str(q), "--bits", _pinned_bits_spec(tmp_path, scheme, source),
+                 "--out", str(out)])
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    got = (results["bits_consumed"], [v.hex() for v in results["replicates"]])
+    assert got == _PINNED_REPLICATES[scheme, "seed" if source == "seed" else "file"]
 
 
 # Peak RSS of the running process in kB.  After fork and exec, ru_maxrss

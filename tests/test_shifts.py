@@ -4,75 +4,78 @@ import random
 import pytest
 
 from latshift import (
-    BitString,
     DyadicPoint,
     EmbeddedPair,
+    FileBitSource,
     GridShift,
     ProductBernoulliFn,
     Rank1Rule,
     RealShift,
     ScalarShift,
-    bits_to_grid_shift,
-    bits_to_scalar_shift,
     estimate_mean,
     eval_grid_shifted,
     eval_real_shifted,
     eval_rule,
     eval_scalar_shifted,
     extended_rule_value,
-    grid_shift_to_bits,
     korobov_vector,
+    load_bit_file,
     rectangle_rule_mean,
-    scalar_shift_to_bits,
 )
 
 from conftest import rel_err
 
 
 class TestBitCodecs:
+    """How a draw of s*r bits becomes a shift: `GridShift.from_word` splits
+    it coordinate-major, the first coordinate highest; a scalar shift holds
+    the whole draw, the first bit highest."""
+
     def test_grid_all_zero(self):
-        v = bits_to_grid_shift(BitString((0,) * 8, 4, 2))
+        v = GridShift.from_word(0, 4, 2)
         assert v.nums == (0, 0)
 
     def test_grid_leading_bit_is_half(self):
-        v = bits_to_grid_shift(BitString((1, 0, 0, 0), 4, 1))
+        v = GridShift.from_word(0b1000, 4, 1)
         assert v.nums == (8,) and v.r == 4
 
     def test_grid_coordinate_major(self):
-        v = bits_to_grid_shift(BitString((1, 0, 1, 1), 2, 2))
+        v = GridShift.from_word(0b1011, 2, 2)
         assert v.nums == (2, 3)
 
+    def test_grid_zero_bits_per_coordinate(self):
+        assert GridShift.from_word(0, 0, 3) == GridShift((0, 0, 0), 0)
+
+    def test_grid_drawn_bits_in_file_order(self, tmp_path):
+        p = tmp_path / "bits.txt"
+        p.write_text("101 110 001 011")
+        assert GridShift.from_word(load_bit_file(p).draw(12), 3, 4).nums == (5, 6, 1, 3)
+
     def test_scalar_all_zero(self):
-        w = bits_to_scalar_shift(BitString((0,) * 12, 4, 3))
+        w = ScalarShift(FileBitSource("0" * 12).draw(12), 12)
         assert w.wnum == 0 and w.sr == 12
 
     def test_scalar_leading_bit(self):
-        bits = (1,) + (0,) * 11
-        w = bits_to_scalar_shift(BitString(bits, 4, 3))
+        w = ScalarShift(FileBitSource("1" + "0" * 11).draw(12), 12)
         assert w.wnum == 2048
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            BitString((0, 1), 4, 1)
+            GridShift.from_word(1 << 4, 4, 1)
         with pytest.raises(ValueError):
-            BitString((0, 2, 1, 0), 2, 2)
+            GridShift.from_word(-1, 2, 2)
+        with pytest.raises(ValueError):
+            GridShift.from_word(0, -1, 2)
+        with pytest.raises(ValueError):
+            GridShift.from_word(0, 2, 0)
 
     def test_grid_codec_bijective_exhaustive(self):
-        r, s = 4, 4  # all 2^16 bit strings
-        for wnum in range(1 << (r * s)):
-            bits = tuple((wnum >> (r * s - 1 - i)) & 1 for i in range(r * s))
-            bs = BitString(bits, r, s)
-            assert grid_shift_to_bits(bits_to_grid_shift(bs)) == bs
-
-    def test_scalar_codec_bijective_exhaustive(self):
-        r, s = 4, 3
-        for wnum in range(1 << (r * s)):
-            w = ScalarShift(wnum, r * s)
-            assert bits_to_scalar_shift(scalar_shift_to_bits(w, r, s)) == w
-
-    def test_scalar_to_bits_needs_matching_split(self):
-        with pytest.raises(ValueError):
-            scalar_shift_to_bits(ScalarShift(0, 12), 4, 2)
+        r, s = 4, 4  # all 2^16 words; the fold back is the inverse
+        for word in range(1 << (r * s)):
+            back = 0
+            for num in GridShift.from_word(word, r, s).nums:
+                back = (back << r) | num
+            assert back == word
 
 
 class TestZeroShiftReductions:
