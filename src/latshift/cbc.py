@@ -67,6 +67,32 @@ FULL_SCAN_BITS = 16
 SAMPLE_SIZE = 4096
 SAMPLE_SEED = 7777
 
+# the scan correlates its classes of length N = 2^j <= 64, j < DIRECT_CLASSES,
+# by one direct matrix-vector product and the longer ones by FFT: an FFT
+# call costs about as much at N = 1 as at 64, and up to 64 the direct
+# product's rounding stays inside the FFT error bound (`_TwoLevelScan.scan`)
+DIRECT_CLASSES = 7
+DIRECT_SIZE = (1 << DIRECT_CLASSES) - 1
+
+
+def _circulant_index() -> np.ndarray:
+    """Where each entry of the short classes' circulant matrix comes from.
+
+    Entry (N - 1 + b, N - 1 + a) of the block of class j, N = 2^j, is
+    N - 1 + (a + b) mod N, an index into the classes' gathered vector; an
+    entry off every block is DIRECT_SIZE, one past it.
+    """
+    index = np.full((DIRECT_SIZE, DIRECT_SIZE), DIRECT_SIZE)
+    for j in range(DIRECT_CLASSES):
+        N = 1 << j
+        ab = np.add.outer(np.arange(N), np.arange(N)) & (N - 1)
+        index[N - 1 : 2 * N - 1, N - 1 : 2 * N - 1] = N - 1 + ab
+    return index
+
+
+_CIRCULANT_INDEX = _circulant_index()
+
+
 @dataclass(frozen=True)
 class MeritValue:
     """Reference-integrand rule error at one level: strictly positive."""
@@ -154,17 +180,23 @@ def _powers_of_five(count: int, n: int) -> np.ndarray:
 
 
 def _class_transforms(x: np.ndarray, idx: np.ndarray, t: int):
-    """rfft, 1-norm and 2-norm of every unit class of x - 1.
+    """The short classes of x - 1, the rfft of each long class, and the
+    1-norm and 2-norm of every class.
 
     idx holds the indices of class j, of length 2^j, at [2^j - 1, 2^(j+1) - 1).
+    The short classes j < DIRECT_CLASSES come first; they are returned as
+    one vector, zero-padded to DIRECT_SIZE entries.
     """
+    short = np.zeros(DIRECT_SIZE)
     if t < 2:
-        return [], np.zeros(0), np.zeros(0)
+        return short, [], np.zeros(0), np.zeros(0)
     g = np.take(x, idx)
     g -= 1.0
+    k = min(t - 1, DIRECT_CLASSES)
+    short[: (1 << k) - 1] = g[: (1 << k) - 1]
     starts = (1 << np.arange(t - 1)) - 1
-    ffts = [np.fft.rfft(g[(1 << j) - 1 : (2 << j) - 1]) for j in range(t - 1)]
-    return ffts, np.add.reduceat(np.abs(g), starts), np.sqrt(np.add.reduceat(g * g, starts))
+    ffts = [np.fft.rfft(g[(1 << j) - 1 : (2 << j) - 1]) for j in range(k, t - 1)]
+    return short, ffts, np.add.reduceat(np.abs(g), starts), np.sqrt(np.add.reduceat(g * g, starts))
 
 
 class _TwoLevelScan:
@@ -175,26 +207,34 @@ class _TwoLevelScan:
     is node k 2^sr of the extension level.  At a level, the merit of every
     candidate c comes from sum_k p'[k] w'[k c mod 2^level] over the level's
     nodes, with p' and w' the node product and the factor table less one,
-    and the scan computes all of them at once by FFT over the powers of 5.
+    and the scan computes all of them at once by correlations over the
+    powers of 5.
 
     The indices k = 2^v u with u odd form one class per valuation v.
     Modulo 2^L, L = t - v >= 2, the odd units are {+-1} x <5>, so with
     u = +-5^a and c = +-5^b the class contributes 2 sum_a P[a] W[a + b],
     P[a] = p'[2^v 5^a], W[a] = w'[2^v 5^a]: a cyclic correlation of length
-    N = 2^(L-2), computed by FFT and read back at b mod N.  The classes
-    L = 1 (k = n/2) and k = 0 are constants.  Base class v_b is extension
-    class v_b + sr, with the same N and the same gathered values, and the
-    two constants are the same nodes, so every correlation serves both
-    levels.  The classes are accumulated smallest N first, each tiling the
-    running sum up to its own period once (O(n) in all); the running sum
-    when the first class with v < sr starts is the base level's, of length
-    max(2^(t-sr)/4, 1), read at b mod that length.
+    N = 2^(L-2), read back at b mod N.  The classes with N <= 64 (the first
+    DIRECT_CLASSES) are correlated together, as one product of a gathered
+    P with a block-diagonal circulant matrix of their W; the longer ones
+    by FFT.  The classes L = 1 (k = n/2) and k = 0 are constants.  Base
+    class v_b is extension class v_b + sr, with the same N and the same
+    gathered values, and the two constants are the same nodes, so every
+    correlation serves both levels.  The classes are accumulated smallest
+    N first, each tiling the running sum up to its own period once (O(n)
+    in all); the running sum when the first class with v < sr starts is
+    the base level's, of length max(2^(t-sr)/4, 1), read at b mod that
+    length.
 
     Built once per construction and kept: the int32 indices of every class,
-    class j (N = 2^j, v = t - 2 - j) at [N - 1, 2N - 1); the rfft and the
-    norms of every class of w'; the exponent a of each row, c = +-5^a mod n;
-    and, per level, the sum of w' and the largest w.  At d = 2 the node
-    product is w itself, and its transforms are these.
+    class j (N = 2^j, v = t - 2 - j) at [N - 1, 2N - 1); the circulant
+    DIRECT_SIZE-square matrix of the short classes of w', block-diagonal
+    with C[N - 1 + b, N - 1 + a] = W[(a + b) mod N] for class j (zero
+    where t is too small for a class), and the rfft of every longer class
+    of w';
+    the norms of every class of w'; the exponent a of each row,
+    c = +-5^a mod n; and, per level, the sum of w' and the largest w.  At
+    d = 2 the node product is w itself, and its transforms are these.
     """
 
     def __init__(self, w: np.ndarray, sr: int, rows: np.ndarray) -> None:
@@ -211,14 +251,15 @@ class _TwoLevelScan:
         self.a = a[rows >> 1]
         self.w, self.t, self.sr, self.idx = w, t, sr, idx
         self.levels = (t - sr, t)
-        self.fw, self.w1n, self.w2n = _class_transforms(w, idx, t)
+        self.gw, self.fw, self.w1n, self.w2n = _class_transforms(w, idx, t)
+        self.circ = np.append(self.gw, 0.0)[_CIRCULANT_INDEX]
         self.w_consts = (w[0] - 1.0, w[n >> 1] - 1.0)
         self.steps = [1 << (t - lev) for lev in self.levels]
         self.w_sums = [float(np.subtract(w[::st], 1.0).sum()) for st in self.steps]
         self.w_max = [float(w[::st].max()) for st in self.steps]
 
     def scan(self, p: np.ndarray | None = None) -> list[tuple[np.ndarray, float]]:
-        """sum_k p'[k] w'[k c mod 2^level] for both levels, by FFT.
+        """sum_k p'[k] w'[k c mod 2^level] for both levels.
 
         p is a symmetric table at the extension level, p[k] = p[n - k], and
         p' = p - 1, w' = w - 1; None stands for w.  Returns, base level
@@ -230,28 +271,42 @@ class _TwoLevelScan:
         1-norm of its input (componentwise bound, u the unit roundoff),
         which after the product and the inverse transform gives
         eps_F (|P|_1 |W|_2 + |P|_2 |W|_1) + (eps_F + 3u) |P|_2 |W|_2 per
-        correlation.  A level's entry adds at most level - 1 doubled
-        correlations, each at most 2 |P|_2 |W|_2, and the constants, so
-        accumulating them in any order adds (level + 2) u per unit of
-        that magnitude; the total is doubled to cover second-order terms.
+        correlation.  A short class's correlation is instead a length-N dot
+        product (the zeros off its block add nothing), which in any order
+        errs by at most N u |P|_2 |W|_2 to first order; N = 2^j <= 64 makes
+        N <= 8 (j + 2) + 3, so the FFT bound, kept for every class, covers
+        it.  The product has DIRECT_SIZE columns at every t, so a class's
+        correlation is rounded alike whatever the depth of the tables.
+        A level's entry adds at most level - 1 doubled correlations,
+        each at most 2 |P|_2 |W|_2, and the constants, so accumulating them
+        in any order adds (level + 2) u per unit of that magnitude; the
+        total is doubled to cover second-order terms.
         """
         t, sr = self.t, self.sr
         u = np.finfo(float).eps / 2
         if p is None:
-            fp, p1n, p2n, pc = self.fw, self.w1n, self.w2n, self.w_consts
+            gp, fp, p1n, p2n, pc = self.gw, self.fw, self.w1n, self.w2n, self.w_consts
         else:
-            fp, p1n, p2n = _class_transforms(p, self.idx, t)
+            gp, fp, p1n, p2n = _class_transforms(p, self.idx, t)
             pc = (p[0] - 1.0, p[len(p) >> 1] - 1.0)
+        # every short class's correlation, at the class's own offset
+        short = self.circ @ gp
+        short *= 2.0
         run = base = np.zeros(1)
-        for j, (fpj, fwj) in enumerate(zip(fp, self.fw)):
-            corr = np.fft.irfft(np.conj(fpj) * fwj, n=1 << j)
-            corr *= 2.0
+        for j in range(len(p1n)):
+            N = 1 << j
+            if j < DIRECT_CLASSES:
+                corr = short[N - 1 : 2 * N - 1]
+            else:
+                i = j - DIRECT_CLASSES
+                corr = np.fft.irfft(np.conj(fp[i]) * self.fw[i], n=N)
+                corr *= 2.0
             view = corr.reshape(-1, len(run))
             view += run
             run = corr
             if j == t - 2 - sr:
                 base = run
-        eps_f = 8 * u * (np.arange(len(fp)) + 2)
+        eps_f = 8 * u * (np.arange(len(p1n)) + 2)
         errs = 2.0 * (eps_f * (p1n * self.w2n + p2n * self.w1n) + (eps_f + 3 * u) * p2n * self.w2n)
         sizes = 2.0 * p2n * self.w2n
         out = []
@@ -389,6 +444,10 @@ def cbc_construct(
             f"full scan of 2^{ext} extension points is beyond the 2^{FULL_SCAN_BITS} "
             "limit; use the sampled policy"
         )
+    # the normalizers of step d = 2..s are three Korobov merits of d
+    # coordinates at each level, so the steps evaluate at least this many
+    # node coordinates, about 1.5 s^2 (2^m + 2^ext)
+    guard(3 * (s * (s + 1) // 2 - 1) * ((1 << m) + (1 << ext)), "merit node coordinates")
 
     t = max(ext, 1)
     if s == 1:

@@ -10,6 +10,14 @@ source).
 
 Exit codes: 0 success, 1 validation error, 2 guard violation, 3 reference
 mismatch in check mode.
+
+`main` parses with a parser that holds only the command argv[0] names:
+argparse spends far more building a subcommand's parser than parsing
+with it.  That parser never prints or exits; on help, version or a usage
+error it hands over to `build_parser()`, the parser of every command, so
+every help and error text (a usage line lists all five commands) and
+exit code is the full parser's.  An argv that does not start with a
+command goes to the full parser directly.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from . import __version__
 from .bits import BitSource, parse_bit_source
 from .cbc import cbc_construct, embedded_merit
 from .dual import TruncationBox, _dual_array, _guard_box
-from .errors import GuardLimitError
+from .errors import GuardLimitError, guard
 from .functions import ProductBernoulliFn
 from .lattice import EmbeddedPair, GeneratingVector, Rank1Rule, korobov_vector
 from .moments import MomentReport, moments_grid_shift, moments_scalar_shift
@@ -209,6 +217,10 @@ def cmd_estimate(args) -> int:
             evaluator = grid_evaluator(rule, f, args.r)
         else:
             evaluator = real_evaluator(rule, f)
+    # the shifts are drawn into a list before any is evaluated, and every
+    # replicate evaluates 2^m nodes of s coordinates
+    guard(args.q, "shift replicates")
+    guard((args.q << args.m) * args.s, "replicate node coordinates")
     shifts = [_draw_shift(args, src) for _ in range(args.q)]
     est = estimate_mean(evaluator, shifts)
     results = {
@@ -280,67 +292,128 @@ def cmd_cbc(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="latshift", description="Randomized rank-1 lattice quadrature toolkit.")
-    parser.add_argument("--version", action="version", version=f"latshift {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_rule_args(p, need_r=True):
+    p.add_argument("--s", type=int, required=True, help="dimension")
+    p.add_argument("--m", type=int, required=True, help="log2 of the base node count")
+    if need_r:
+        p.add_argument("--r", type=int, required=True, help="shift bits per coordinate")
+    p.add_argument("--ell", type=int, help="Korobov multiplier for z = (1, ell, ell^2, ...)")
+    p.add_argument("--z", type=str, help="explicit generating vector, comma separated")
 
-    def add_rule_args(p, need_r=True):
-        p.add_argument("--s", type=int, required=True, help="dimension")
-        p.add_argument("--m", type=int, required=True, help="log2 of the base node count")
-        if need_r:
-            p.add_argument("--r", type=int, required=True, help="shift bits per coordinate")
-        p.add_argument("--ell", type=int, help="Korobov multiplier for z = (1, ell, ell^2, ...)")
-        p.add_argument("--z", type=str, help="explicit generating vector, comma separated")
 
-    def add_output_args(p, formats=True):
-        if formats:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", type=str, help="write the artifact to this path instead of stdout")
+def _add_output_args(p, formats=True):
+    if formats:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", type=str, help="write the artifact to this path instead of stdout")
 
+
+def _add_tables(sub) -> None:
     p_tables = sub.add_parser("tables", help="reproduce the built-in bias/SD comparison tables")
     p_tables.add_argument("--check", action="store_true", help="compare against reference values")
-    add_output_args(p_tables)
+    _add_output_args(p_tables)
     p_tables.set_defaults(fn=cmd_tables)
 
+
+def _add_estimate(sub) -> None:
     p_est = sub.add_parser("estimate", help="replicated randomized-rule estimate of the integral")
-    add_rule_args(p_est)
+    _add_rule_args(p_est)
     p_est.add_argument("--scheme", choices=("grid", "scalar", "ideal"), required=True)
     p_est.add_argument("--q", type=int, default=1, help="replicate count")
     p_est.add_argument(
         "--bits", type=str, default="os", help="bit source: seed:N, os, or file:PATH[:FORMAT]"
     )
     # estimate and dual write JSON only
-    add_output_args(p_est, formats=False)
+    _add_output_args(p_est, formats=False)
     p_est.set_defaults(fn=cmd_estimate)
 
+
+def _add_moments(sub) -> None:
     p_mom = sub.add_parser("moments", help="exact moments over the whole shift space")
-    add_rule_args(p_mom)
+    _add_rule_args(p_mom)
     p_mom.add_argument("--scheme", choices=("grid", "scalar"), required=True)
-    add_output_args(p_mom)
+    _add_output_args(p_mom)
     p_mom.set_defaults(fn=cmd_moments)
 
+
+def _add_dual(sub) -> None:
     p_dual = sub.add_parser("dual", help="enumerate dual-lattice points in a box")
-    add_rule_args(p_dual, need_r=False)
+    _add_rule_args(p_dual, need_r=False)
     p_dual.add_argument("--H", type=int, required=True, help="box bound |h_i| <= H")
-    add_output_args(p_dual, formats=False)
+    _add_output_args(p_dual, formats=False)
     p_dual.set_defaults(fn=cmd_dual)
 
+
+def _add_cbc(sub) -> None:
     p_cbc = sub.add_parser("cbc", help="component-by-component generating vector search")
     p_cbc.add_argument("--s", type=int, required=True, help="dimension")
     p_cbc.add_argument("--m", type=int, required=True, help="log2 of the base node count")
     p_cbc.add_argument("--r", type=int, required=True, help="shift bits per coordinate (sr = s*r)")
     p_cbc.add_argument("--policy", choices=("auto", "full", "sampled"), default="auto")
-    add_output_args(p_cbc)
+    _add_output_args(p_cbc)
     p_cbc.set_defaults(fn=cmd_cbc)
 
+
+# the subcommands in the order the usage line lists them
+_COMMANDS = {
+    "tables": _add_tables,
+    "estimate": _add_estimate,
+    "moments": _add_moments,
+    "dual": _add_dual,
+    "cbc": _add_cbc,
+}
+
+
+class _Retry(Exception):
+    """The one-command parser met something it would print or exit on."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    # prints nothing and never exits: help, version and usage errors are
+    # left to the full parser, whose usage line lists every command
+    def _print_message(self, message, file=None):
+        raise _Retry
+
+    def exit(self, status=0, message=None):
+        raise _Retry
+
+    def error(self, message):
+        raise _Retry
+
+    def _get_formatter(self):
+        # argparse formats only to vet each argument's metavar and to name
+        # the subcommand's prog here, never to print, so no terminal query
+        return self.formatter_class(prog=self.prog, width=80)
+
+
+def _build(parser_class: type[argparse.ArgumentParser], commands: Iterable[str]) -> argparse.ArgumentParser:
+    parser = parser_class(prog="latshift", description="Randomized rank-1 lattice quadrature toolkit.")
+    parser.add_argument("--version", action="version", version=f"latshift {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in commands:
+        _COMMANDS[name](sub)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with every subcommand."""
+    return _build(_Parser, _COMMANDS)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with only the named command's parser when argv[0] is a
+    command, and with the full parser whenever that one would print, exit
+    or does not apply, so every help and error text is the full parser's."""
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return _build(_OneCommandParser, argv[:1]).parse_args(argv)
+        except _Retry:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION

@@ -35,6 +35,20 @@ def as_uint64(values: Iterable[int]) -> np.ndarray:
     return np.array([v & _U64_MASK for v in values], dtype=np.uint64)
 
 
+def guard_nodes(s: int, t: int, n: int, width: int = 1) -> None:
+    """Refuse n * width nodes of s coordinates at depth 2^-t, before any is made.
+
+    Checks the node count, the depth against the 64-bit numerators, and
+    then the s * n * width coordinates the node arrays hold.
+    """
+    guard(n * width, "nodes")
+    if t > NODE_DTYPE_BITS:
+        raise GuardLimitError(
+            f"node depth 2^-{t} exceeds the {NODE_DTYPE_BITS}-bit node numerators"
+        )
+    guard(s * n * width, "node coordinates")
+
+
 def lattice_numerators(steps: Sequence[int], t: int, n: int) -> np.ndarray:
     """Node numerators j * steps[i] mod 2^t for j < n, shape (s, n).
 
@@ -47,14 +61,11 @@ def lattice_numerators(steps: Sequence[int], t: int, n: int) -> np.ndarray:
     * a rule on the grid 2^-t displaced by shift numerators v: steps
       z << (t - m), offsets v.
 
-    Refuses more than 2^GUARD_BITS nodes, and depths beyond the 64-bit
-    numerators, before allocating anything.
+    Refuses more than 2^GUARD_BITS nodes, depths beyond the 64-bit
+    numerators, and more than 2^GUARD_BITS node coordinates, in that
+    order, before allocating anything.
     """
-    guard(n, "nodes")
-    if t > NODE_DTYPE_BITS:
-        raise GuardLimitError(
-            f"node depth 2^-{t} exceeds the {NODE_DTYPE_BITS}-bit node numerators"
-        )
+    guard_nodes(len(steps), t, n)
     nums = as_uint64(steps)[:, None] * np.arange(n, dtype=np.uint64)
     np.bitwise_and(nums, np.uint64((1 << t) - 1), out=nums)
     return nums

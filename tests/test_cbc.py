@@ -473,6 +473,18 @@ class TestCbcConstruct:
         with pytest.raises(ValueError):
             cbc_construct(0, 4, 4)
 
+    def test_total_merit_work_is_refused_before_the_first_step(self):
+        # the normalizers of s - 1 steps: 3 (s (s + 1) / 2 - 1) (2^m + 2^ext)
+        # node coordinates, checked after the checks of the shape
+        with pytest.raises(GuardLimitError, match="^240002399952 merit node coordinates"):
+            cbc_construct(100000, 3, 0)
+        with pytest.raises(GuardLimitError, match="full scan"):
+            cbc_construct(100000, 4, 14, candidate_policy="full")
+        # one dimension past the largest the guard admits at m = sr = 0
+        with pytest.raises(GuardLimitError, match="merit node coordinates"):
+            cbc_construct(4730, 0, 0)
+        assert cbc_construct(2, 0, 1).components == (1, 1)
+
 
 class TestSampledPolicy:
     def test_pinned_vector_at_extension_18(self):

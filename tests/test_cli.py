@@ -586,3 +586,169 @@ def test_config_round_trips_byte_for_byte(argv):
     artifact = json.loads(out)
     rebuilt = _argv_from_config(artifact["command"], artifact["config"])
     assert _stdout_of(rebuilt) == (0, out), (argv, rebuilt)
+
+
+# every command line of this module (file paths as placeholders: parsing
+# opens no file), one benchmark command line per command, and the lines on
+# which argparse prints: help, version and usage errors
+_R2 = ("--s", "2", "--m", "2", "--ell", "3")
+_Z3 = ("--s", "2", "--m", "3", "--z", "1,3,5")
+_PARSE_CASES = [
+    ("moments", "--scheme", "scalar", "--s", "2", "--m", "3", "--r", "3", "--ell", "1267"),
+    ("moments", "--scheme", "grid", "--s", "2", "--m", "3", "--r", "3", "--ell", "17797", "--format", "csv"),
+    ("moments", "--scheme", "grid", "--s", "2", "--m", "3", "--r", "3", "--z", "1,3"),
+    ("moments", "--scheme", "grid", "--s", "3", "--m", "3", "--r", "9", "--ell", "1267"),
+    ("moments", "--scheme", "grid", "--s", "2", "--m", "4", "--r", "3", "--ell", "1267"),
+    ("moments", "--scheme", "grid", "--s", "2", "--m", "3", "--r", "3"),
+    ("moments", "--scheme", "bogus", "--s", "2", "--m", "3", "--r", "3"),
+    ("moments", "--scheme", "grid", "--s", "2", "--m", "3", "--r", "3", "--ell", "0"),
+    ("moments", "--scheme", "grid", "--s", "2", "--m", "3", "--r", "3", "--ell", "-3"),
+    ("moments", "--scheme", "grid", "--s", "2", "--m", "3", "--r", "3", "--z", ""),
+    ("moments", "--scheme", "grid", *_R2, "--r", "-1"),
+    ("moments", "--scheme", "scalar", *_R2, "--r", "-1"),
+    ("estimate", "--scheme", "grid", *_R2, "--bits", "seed:1", "--r", "-1"),
+    ("estimate", "--scheme", "scalar", *_R2, "--bits", "seed:1", "--r", "-1"),
+    ("estimate", "--scheme", "ideal", *_R2, "--bits", "seed:1", "--r", "-1"),
+    ("cbc", "--s", "2", "--m", "2", "--r", "-1"),
+    ("dual", "--H", "1", *_Z3),
+    ("moments", "--scheme", "grid", "--r", "3", *_Z3),
+    ("moments", "--scheme", "scalar", "--r", "1", *_Z3),
+    ("estimate", "--scheme", "grid", "--r", "3", "--bits", "seed:1", *_Z3),
+    ("estimate", "--scheme", "ideal", "--r", "3", "--bits", "seed:1", *_Z3),
+    ("moments", "--scheme", "scalar", "--s", "2", "--m", "0", "--r", "0", "--ell", "3"),
+    ("estimate", "--scheme", "scalar", "--s", "2", "--m", "0", "--r", "0", "--ell", "3",
+     "--bits", "seed:1", "--q", "2"),
+    ("estimate", "--scheme", "scalar", "--s", "2", "--m", "3", "--r", "3", "--ell", "1267",
+     "--q", "1", "--bits", "file:zeros.txt"),
+    ("estimate", "--scheme", "scalar", "--s", "2", "--m", "2", "--r", "2", "--ell", "17797",
+     "--q", "16", "--bits", "file:all.txt"),
+    ("estimate", "--scheme", "grid", "--s", "3", "--m", "4", "--r", "4", "--ell", "17797",
+     "--q", "10", "--bits", "seed:5"),
+    ("estimate", "--scheme", "grid", "--s", "3", "--m", "4", "--r", "4", "--ell", "17797",
+     "--q", "1000", "--bits", "seed:1"),
+    ("estimate", "--scheme", "ideal", "--s", "2", "--m", "4", "--r", "4", "--ell", "1267",
+     "--q", "3", "--bits", "seed:11"),
+    ("estimate", "--scheme", "grid", "--s", "1", "--m", "40", "--r", "4", "--ell", "1", "--bits", "seed:1"),
+    ("estimate", "--scheme", "ideal", "--s", "1", "--m", "40", "--r", "4", "--ell", "1", "--bits", "seed:1"),
+    ("estimate", "--scheme", "grid", "--s", "2", "--m", "3", "--r", "0", "--ell", "1267",
+     "--q", "4", "--bits", "seed:3"),
+    ("estimate", "--scheme", "scalar", "--s", "2", "--m", "3", "--r", "0", "--ell", "1267",
+     "--q", "4", "--bits", "seed:3"),
+    ("estimate", "--scheme", "grid", "--s", "3", "--m", "6", "--r", "5", "--ell", "17797",
+     "--q", "6", "--bits", "file:grid.raw:raw", "--out", "out.json"),
+    ("estimate", "--scheme", "scalar", "--s", "2", "--m", "4", "--r", "7", "--ell", "1267",
+     "--q", "6", "--bits", "file:scalar.ascii01:ascii01", "--out", "out.json"),
+    ("estimate", "--scheme", "ideal", "--s", "3", "--m", "5", "--r", "1", "--ell", "12915",
+     "--q", "2", "--bits", "seed:11", "--out", "out.json"),
+    ("dual", "--s", "2", "--m", "3", "--z", "1,3", "--H", "8"),
+    ("dual", "--s", "1", "--m", "3", "--ell", "1", "--H", "1"),
+    ("dual", "--s", "2", "--m", "70", "--ell", "12915", "--H", "2"),
+    ("dual", "--s", "2", "--m", "0", "--ell", "1", "--H", "700", "--out", "dual.json"),
+    ("dual", "--s", "3", "--m", "2", "--ell", "5", "--H", "100000"),
+    ("dual", "--s", "2000000", "--m", "0", "--ell", "1", "--H", "1"),
+    ("estimate", "--scheme", "grid", "--s", "2", "--m", "3", "--r", "3", "--ell", "1267",
+     "--bits", "seed:1", "--format", "csv"),
+    ("dual", "--s", "2", "--m", "3", "--z", "1,3", "--H", "8", "--format", "csv"),
+    ("cbc", "--s", "2", "--m", "3", "--r", "2"),
+    ("cbc", "--s", "2", "--m", "3", "--r", "2", "--format", "csv"),
+    ("cbc", "--s", "1", "--m", "3", "--r", "2"),
+    ("cbc", "--s", "3", "--m", "3", "--r", "2", "--format", "csv"),
+    ("tables",),
+    ("tables", "--check"),
+    ("tables", "--check", "--out", "tables.json"),
+    ("tables", "--format", "csv"),
+    ("tables", "--check", "--format", "csv"),
+    ("moments", "--scheme", "grid", *_RULE),
+    ("estimate", "--scheme", "grid", *_RULE, "--bits", "seed:1"),
+    ("estimate", "--s", "2", "--m", "1", "--r", "2", "--z", "607,999", "--scheme", "scalar",
+     "--q", "2", "--bits", "seed:46"),
+    ("cbc", "--s", "3", "--m", "2", "--r", "2", "--policy", "sampled"),
+    # benchmark command lines
+    ("moments", "--scheme", "scalar", "--s", "3", "--m", "4", "--r", "4", "--ell", "17797",
+     "--out", "out.json"),
+    ("estimate", "--scheme", "grid", "--s", "3", "--m", "13", "--r", "13", "--ell", "17797",
+     "--q", "32", "--bits", "seed:11", "--out", "out.json"),
+    ("cbc", "--s", "3", "--m", "5", "--r", "3", "--policy", "full", "--out", "out.json"),
+    # help, version and usage errors
+    (),
+    ("--help",),
+    ("-h",),
+    ("--version",),
+    ("--version", "moments"),
+    ("bogus",),
+    ("--s", "2", "moments"),
+    *[(command, "--help") for command in ("tables", "estimate", "moments", "dual", "cbc")],
+    ("moments", "--he"),
+    ("cbc", "-h", "--s", "2"),
+    ("moments", "--version"),
+    ("moments",),
+    ("moments", "--scheme", "grid", "--s", "two", "--m", "3", "--r", "3", "--ell", "1267"),
+    ("cbc", "--s", "2", "--m", "3", "--r", "2", "extra"),
+    ("cbc", "--s", "2", "--m", "3", "--r", "2", "--policy", "sa"),
+    ("cbc", "--s", "2", "--m", "3"),
+    ("cbc", "--s", "2", "--m", "3", "--r"),
+    ("cbc", "--pol", "full", "--s", "2", "--m", "3", "--r", "2"),
+    ("dual", "--s", "2", "--m", "3", "--z", "1,3", "--H", "8", "--r", "1"),
+]
+
+
+def _parse_outcome(parse, argv) -> tuple:
+    """vars of the parsed Namespace (None on exit), the exit code, stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns, code = vars(parse(list(argv))), None
+        except SystemExit as exc:
+            ns, code = None, exc.code
+    return ns, code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES)
+def test_one_command_parser_matches_the_full_parser(monkeypatch, argv):
+    from latshift import cli
+
+    full = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(argv) or build_parser())
+    assert _parse_outcome(cli._parse_args, argv) == full
+    # a parse that succeeds is the one-command parser's; anything printed
+    # comes from the full parser, built once
+    assert len(builds) == (0 if full[0] is not None else 1)
+
+
+def _cap_memory() -> None:
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("moments", "--scheme", "scalar", "--s", "200000", "--m", "14", "--r", "0", "--ell", "1"),
+         "error: 3276800000 node coordinates exceed the 2^26 guard"),
+        (("estimate", "--scheme", "grid", "--s", "1", "--m", "0", "--r", "1", "--ell", "1",
+          "--q", "100000000", "--bits", "seed:1"),
+         "error: 100000000 shift replicates exceed the 2^26 guard"),
+        (("cbc", "--s", "100000", "--m", "3", "--r", "0"),
+         "error: 240002399952 merit node coordinates exceed the 2^26 guard"),
+    ],
+)
+def test_whole_work_is_refused_before_it_starts(argv, message):
+    # below every node guard, but s x nodes coordinates, q replicates and the
+    # CBC's normalizer merits are not: each exits 2 under a 1 GB address
+    # space cap (set on the child only) instead of hanging or failing to
+    # allocate
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "latshift.cli", *argv],
+        env=env, preexec_fn=_cap_memory, capture_output=True, text=True, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == message + "\n"
+    assert elapsed < 5

@@ -117,6 +117,21 @@ class TestKernelGuard:
         with pytest.raises(GuardLimitError, match="64-bit"):
             lattice_numerators([1], 65, 4)
 
+    def test_refuses_coordinates_above_guard_after_the_other_checks(self):
+        # 5000 coordinates of 2^14 nodes: within the node guard, refused by
+        # the coordinate count; a count or depth refused before keeps its message
+        steps = [1] * 5000
+        with pytest.raises(GuardLimitError, match="^81920000 node coordinates exceed the 2"):
+            lattice_numerators(steps, 14, 1 << 14)
+        with pytest.raises(GuardLimitError, match="^81920000 node coordinates exceed the 2"):
+            DisplacedBlocks(steps, 14, 1 << 10, ProductBernoulliFn(1), 16)
+        with pytest.raises(GuardLimitError, match="64-bit"):
+            lattice_numerators(steps, 65, 1 << 14)
+        with pytest.raises(GuardLimitError, match="^134217728 nodes exceed"):
+            DisplacedBlocks(steps, 14, 1 << 16, ProductBernoulliFn(1), 1 << 11)
+        # 4096 coordinates of 2^14 nodes are exactly at the guard
+        assert lattice_numerators([1] * 4096, 14, 1 << 14).shape == (4096, 1 << 14)
+
     def test_depth_64_wraps_exactly(self):
         z = (1 << 64) - 1
         nums = lattice_numerators([z], 64, 4)
