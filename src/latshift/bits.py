@@ -19,7 +19,7 @@ import os
 import re
 from pathlib import Path
 
-from .errors import BitsExhaustedError
+from .errors import BitsExhaustedError, guard
 
 _MASK64 = (1 << 64) - 1
 
@@ -146,16 +146,22 @@ def load_bit_file(path: str | Path, format: str = "ascii01") -> FileBitSource:
     """Read a bit file into a FileBitSource.
 
     ascii01 files hold '0'/'1' characters with whitespace ignored; raw files
-    are arbitrary bytes read most-significant-bit first.
+    are arbitrary bytes read most-significant-bit first.  The bits are held
+    one byte each, so a file whose size allows more than 2^GUARD_BITS of
+    them is refused before it is read: 8 bits a byte for raw files, and for
+    ascii01 files the bytes themselves, which bound the bits from above.
     """
+    if format not in BIT_FILE_FORMATS:
+        raise ValueError(f"unknown bit file format {format!r}; expected one of {BIT_FILE_FORMATS}")
     p = Path(path)
+    size = p.stat().st_size
     if format == "ascii01":
+        guard(size, f"bytes of ascii01 bit file {p}")
         return FileBitSource("".join(p.read_text().split()), str(p))
-    if format == "raw":
-        data = p.read_bytes()
-        n = 8 * len(data)
-        return FileBitSource(f"{int.from_bytes(data, 'big'):0{n}b}" if n else "", str(p))
-    raise ValueError(f"unknown bit file format {format!r}; expected one of {BIT_FILE_FORMATS}")
+    guard(8 * size, f"bits of raw bit file {p}")
+    data = p.read_bytes()
+    n = 8 * len(data)
+    return FileBitSource(f"{int.from_bytes(data, 'big'):0{n}b}" if n else "", str(p))
 
 
 def parse_bit_source(spec: str) -> BitSource:

@@ -6,32 +6,37 @@ nearest the exact sum, ties to even, which is what math.fsum returns (and
 Rump, Ogita and Oishi ("Accurate floating-point summation, Part I", SIAM J.
 Sci. Comput. 31(1), 2008):
 
-* for a row of n terms, let M = ceil(log2(n + 2)) and sigma = 2^(M + e),
-  where 2^e bounds the row's largest magnitude.  Then q = (sigma + x) -
-  sigma and x - q are exact, and the q of a row sum exactly in any order;
-* a second extraction of the residuals x - q gives a second exact sum and
-  last residuals below 2^-53 of the second sigma;
-* TwoSum turns the two exact sums into s + t exactly, and the float sum r
-  of the last residuals carries a bound E on its own rounding.
+* for a sum of n terms, let M = ceil(log2(n + 2)) and sigma = 2^(M + e),
+  where 2^e bounds the sum's largest magnitude.  Then q = (sigma + x) -
+  sigma and x - q are exact, the q of a sum add up exactly in any order to
+  a, and every residual x - q is at most u sigma, u = 2^-53;
+* a sum of at most BLOCK_TERMS terms first tries to settle after this one
+  extraction.  Its residuals are added as k = 2^floor(log2(n) / 2)
+  partials of n/k terms each (k = 1 when k does not divide n), so their
+  float sum r errs by at most (n/k) n u^2 sigma + k u sum|partials|,
+  whatever order numpy adds them in; the bound is doubled for its own
+  rounding, and TwoSum turns a + r into s + t exactly;
+* the sums that do not settle so, compacted, and every block of a longer
+  sum take a second extraction of the residuals: a second exact sum, which
+  TwoSum joins to a as s + t, and last residuals below 2^-53 of the second
+  sigma, whose float sum r errs by at most n^2 2^-53 of their largest.
 
-A row is settled when its exact sum is known (r = E = 0: s is then the
+A sum is settled when its exact sum is known (r = E = 0: s is then the
 IEEE-rounded sum of two floats, ties to even), or when |t| + |r| + E lies
 below half the gap from s to either neighbour (s is then the nearest
-float to the exact sum).  The passes run along the rows when the rows
-are at least as long as they are many, and down the columns of a
-transposed copy otherwise, since numpy reduces a contiguous axis fast only
-for long sums.  The private entry _fsum_columns takes the terms the other
-way round, one sum per column, as the node-major blocks of the moment
-enumerations hold them; it may overwrite its input, so it reduces short
-columns where they lie, with no copy, and asks its caller to form the
-terms again for a column the certificate cannot settle.  Both entries
-lay their terms out for the chosen axis and hand them to one dispatcher,
-_fsum, which overwrites them.  Sums longer
-than BLOCK_TERMS are reduced a block at a time and the blocks' parts
-(s, t, r, two exact floats and one within its bound) are reduced once
-more.  Every other sum, including sums with a non-finite term or a scale
-near overflow, goes to math.fsum, and so does an input of fewer than
-SHORT_TERMS terms in all, where the passes' fixed cost (some 50 numpy
+float to the exact sum), E being the bound on r; `_settled` is that one
+test on every path.  The passes run along the rows when the sums are at
+least as long as they are many, and down the columns otherwise, since
+numpy reduces a contiguous axis fast only for long sums: fsum_rows lays
+out a copy of its rows so, and the block evaluators of `shifts` write
+their values in that layout to begin with.  Both hand the terms to one
+dispatcher, _fsum, which overwrites them and asks its caller to form the
+terms again for a sum the certificate cannot settle.  Sums longer than
+BLOCK_TERMS are reduced a block at a time and the blocks' parts (s, t, r,
+two exact floats and one within its bound) are reduced once more.  Every
+other sum, including sums with a non-finite term or a scale near
+overflow, goes to math.fsum, and so does an input of fewer than
+SHORT_TERMS terms in all, where the passes' fixed cost (some 30-50 numpy
 calls) exceeds math.fsum's.
 """
 
@@ -51,15 +56,16 @@ SHORT_TERMS = 1 << 10
 
 
 def _fallback(terms: Iterable[float]) -> float:
-    """The reference sum for rows the certificate cannot settle."""
+    """The reference sum for sums the certificate cannot settle."""
     return math.fsum(terms)
 
 
-def _extract(x: np.ndarray, buf: np.ndarray, M: int, axis: int, big=None) -> np.ndarray:
-    """Exact sums along axis of q = (sigma + x) - sigma; x becomes x - q.
+def _extract(x: np.ndarray, buf: np.ndarray, M: int, axis: int, big=None) -> tuple[np.ndarray, np.ndarray]:
+    """(a, sigma): exact sums along axis of q = (sigma + x) - sigma; x becomes x - q.
 
-    sigma is 2^M times the power of two above the largest magnitude of the
-    sum, big (axis kept) if the caller has it; buf is a work array of x's shape.
+    sigma (axis kept) is 2^M times the power of two above the largest
+    magnitude of the sum, big (axis kept) if the caller has it; every x - q
+    is at most u sigma.  buf is a work array of x's shape.
     """
     if big is None:
         big = np.abs(x, out=buf).max(axis=axis, keepdims=True)
@@ -68,41 +74,54 @@ def _extract(x: np.ndarray, buf: np.ndarray, M: int, axis: int, big=None) -> np.
     q = np.add(sigma, x, out=buf)
     q -= sigma
     x -= q
-    return q.sum(axis=axis)
+    return q.sum(axis=axis), sigma
 
 
-def _parts(
-    x: np.ndarray, axis: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per sum along axis of x: (s, t, r, E, ok) with exact sum in s + t + r +- E.
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, t) with s + t == a + b exactly."""
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
 
-    x is overwritten.  numpy reduces fast along a contiguous axis only when
-    the sums are long, so short sums come with their terms down the columns
-    (axis 0) and long ones along the rows (axis 1).  ok is False for sums
-    the extraction does not cover (non-finite terms or a scale near
-    overflow); their other entries are meaningless.
+
+def _first(x: np.ndarray, axis: int) -> tuple[np.ndarray, ...]:
+    """One extraction along axis: (a, sigma, ok, residuals, work array).
+
+    ok is False for sums the extraction does not cover (non-finite terms or
+    a scale near overflow); they are extracted as sums of zeros, and their
+    other entries are meaningless.  x is overwritten, or copied when some
+    sum is not covered.
     """
-    n = x.shape[axis]
-    M = (n + 1).bit_length()  # ceil(log2(n + 2))
+    M = (x.shape[axis] + 1).bit_length()  # ceil(log2(n + 2))
     buf = np.empty_like(x)
     big = np.abs(x, out=buf).max(axis=axis, keepdims=True)
     # sigma = 2^(M + e) must stay at or below 2^1022 so that sigma + x cannot overflow
     ok = np.isfinite(big) & (big < 2.0 ** (1022 - M))
     if not ok.all():
-        # the sums not covered become sums of zeros
         x = np.where(ok, x, 0.0)
         big = np.where(ok, big, 0.0)
-    a = _extract(x, buf, M, axis, big)
-    b = _extract(x, buf, M, axis)
-    # TwoSum: s + t == a + b exactly
-    s = a + b
-    bv = s - a
-    t = (a - (s - bv)) + (b - bv)
+    a, sigma = _extract(x, buf, M, axis, big)
+    return a, sigma.squeeze(axis), ok.squeeze(axis), x, buf
+
+
+def _last(x: np.ndarray, buf: np.ndarray, a: np.ndarray, axis: int) -> tuple[np.ndarray, ...]:
+    """Second extraction of the residuals x, whose q summed to a: (s, t, r, err),
+    the exact sum within s + t + r +- err.  x and buf are overwritten."""
+    n = x.shape[axis]
+    b, _ = _extract(x, buf, (n + 1).bit_length(), axis)
+    s, t = _two_sum(a, b)
     r = x.sum(axis=axis)
     # any summation order errs by at most (n - 1) u sum|x| <= n^2 2^-53 max|x|;
     # the bound is doubled for its own rounding
     err = np.abs(x, out=buf).max(axis=axis) * (n * n * 2.0**-52)
-    return s, t, r, err, ok.squeeze(axis)
+    return s, t, r, err
+
+
+def _parts(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, ...]:
+    """Per sum along axis of x, after two extractions: (s, t, r, E, ok) with
+    the exact sum in s + t + r +- E.  x is overwritten."""
+    a, _, ok, x, buf = _first(x, axis)
+    return (*_last(x, buf, a, axis), ok)
 
 
 def _settled(s: np.ndarray, t: np.ndarray, r: np.ndarray, err: np.ndarray) -> np.ndarray:
@@ -115,17 +134,60 @@ def _settled(s: np.ndarray, t: np.ndarray, r: np.ndarray, err: np.ndarray) -> np
     return exact | ((np.abs(t) + np.abs(r) + err) * (1.0 + 2.0**-40) < half_gap)
 
 
-def _reduce(pieces: Iterable[np.ndarray], axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(sums, settled) per sum of the pieces joined end to end along axis."""
-    parts = [_parts(x, axis) for x in pieces]
-    if len(parts) == 1:
-        s, t, r, err, ok = parts[0]
+def _settle_once(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, settled) per sum along axis of one block: one extraction for the
+    sums it settles, a second for the rest, compacted.  x is overwritten."""
+    n = x.shape[axis]
+    a, sigma, ok, x, buf = _first(x, axis)
+    k = 1 << (n.bit_length() - 1) // 2
+    if n % k:
+        k = 1
+    # k partials, of the residuals j with the same j mod k
+    if axis:
+        partials = x.reshape(len(x), n // k, k).sum(axis=1)
     else:
-        # the pieces' s and t are exact and r is within its bound, so the
-        # column sum is the sum of all three, within the sum of the bounds
-        s, t, r, err, ok = _parts(np.concatenate([np.stack(p[:3]) for p in parts]))
-        err = err + 2.0 * np.sum([p[3] for p in parts], axis=0)
-        ok = ok & np.logical_and.reduce([p[4] for p in parts])
+        partials = x.reshape(n // k, k, -1).sum(axis=0)
+    r = partials.sum(axis=axis)
+    # any summation order over m terms errs by at most (m - 1) u sum|terms|,
+    # and each residual is at most u sigma: at most (n/k)^2 u^2 sigma for each
+    # partial and k u sum|partials| for their sum, both doubled for the
+    # bound's own rounding
+    err = sigma * ((n // k) * n * 2.0**-105) + np.abs(partials).sum(axis=axis) * (k * 2.0**-52)
+    # below this sigma the products could underflow and lose the bound, so
+    # such sums take the second extraction
+    err[sigma < 2.0**-900] = np.inf
+    s, t = _two_sum(a, r)
+    settled = ok & _settled(s, t, 0.0, err)
+    rest = np.flatnonzero(~settled)
+    if len(rest):
+        if len(rest) < len(settled):
+            x = x.take(rest, axis=1 - axis)
+            buf = np.empty_like(x)
+        # a + r is exactly s + t, so the settled sums keep r = 0; the test
+        # runs once more on every sum, with the rest's second-extraction parts
+        r = np.zeros_like(s)
+        s[rest], t[rest], r[rest], err[rest] = _last(x, buf, a[rest], axis)
+        settled = ok & _settled(s, t, r, err)
+    return s, settled
+
+
+def _reduce(pieces: Iterable[np.ndarray], axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, settled) per sum of the pieces joined end to end along axis.
+
+    A sum of one piece may settle after one extraction.  The pieces of a
+    longer sum take two each: their totals often cancel, and a piece settled
+    by its own bound would leave too wide a bound on the total.
+    """
+    pieces = iter(pieces)
+    head = list(islice(pieces, 2))
+    if len(head) == 1:
+        return _settle_once(head[0], axis)
+    parts = [_parts(x, axis) for x in chain(head, pieces)]
+    # the pieces' s and t are exact and r is within its bound, so the
+    # column sum is the sum of all three, within the sum of the bounds
+    s, t, r, err, ok = _parts(np.concatenate([np.stack(p[:3]) for p in parts]))
+    err = err + 2.0 * np.sum([p[3] for p in parts], axis=0)
+    ok = ok & np.logical_and.reduce([p[4] for p in parts])
     return s, ok & _settled(s, t, r, err)
 
 
@@ -142,7 +204,9 @@ def _short(a: np.ndarray) -> np.ndarray | None:
 def _fsum(x: np.ndarray, axis: int, terms: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """math.fsum of every sum along axis of the C-contiguous 2-D float array x.
 
-    x is overwritten.  terms(i) must give the original terms of the listed
+    Sums along the rows (axis 1) when they are at least as long as they are
+    many, and down the columns (axis 0) otherwise, keep the passes fast.  x
+    is overwritten.  terms(i) must give the original terms of the listed
     sums again, one sum per row; it is called only for sums the
     certificate cannot settle.
     """
@@ -165,21 +229,6 @@ def fsum_rows(a: np.ndarray) -> np.ndarray:
     # a copy, shorter ones down the columns of a transposed copy
     axis = 1 if n >= rows else 0
     return _fsum(np.array(a if axis else a.T, order="C"), axis, lambda i: a[i])
-
-
-def _fsum_columns(x: np.ndarray, terms: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """math.fsum of every column of the C-contiguous 2-D float array x, bit for bit.
-
-    x is overwritten, so columns shorter than they are many are reduced
-    where they lie, with no copy; longer ones go along the rows of a
-    transposed copy (a view for a single column).  terms(cols) must give
-    the original (n, len(cols)) terms of the listed columns again; it is
-    called only for columns the certificate cannot settle.
-    """
-    n, cols = x.shape
-    if n < cols:
-        return _fsum(x, 0, lambda c: terms(c).T)
-    return _fsum(np.ascontiguousarray(x.T), 1, lambda c: terms(c).T)
 
 
 def fsum_blocks(blocks: Callable[[], Iterable[np.ndarray]]) -> float:

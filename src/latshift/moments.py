@@ -16,9 +16,11 @@ routes are exact up to summation rounding.
 
 Both enumerations run through one prepared block evaluator
 (`shifts.DisplacedBlocks`), built once per enumeration, with blocks of
-about BLOCK_NODES nodes so that a block's working set stays in cache.
-Every sum is correctly rounded, bit for bit what `math.fsum` returns: the
-per-shift means are column sums of each node-major block, and the moment
+about BLOCK_NODES nodes (`shifts.BLOCK_NODES`) so that a block's working
+set stays in cache.  Every sum is correctly rounded, bit for bit what
+`math.fsum` returns: the per-shift means are the sums of each block along
+its longer axis (down the columns of a node-major block when the shifts
+outnumber the nodes of one, along the rows otherwise), and the moment
 sums and the identity values come from `fsum.fsum_blocks`, so no result
 depends on the block size.  The grid enumeration visits one shift per
 lattice-translation class only, since every shift in a class gives the
@@ -37,30 +39,23 @@ from .errors import GUARD_BITS, IdentityCheckError, guard
 from .fsum import fsum_blocks, fsum_rows
 from .functions import PeriodicFunction
 from .lattice import EmbeddedPair, Rank1Rule, as_uint64
-from .shifts import DisplacedBlocks, _offset, coset_blocks, coset_offsets, grid_blocks
+from .shifts import BLOCK_NODES, DisplacedBlocks, _offset, coset_blocks, coset_offsets, grid_blocks
 
 MEAN_IDENTITY_RTOL = 1e-12
-
-# shifts are enumerated in blocks of about this many nodes, which bounds the
-# node arrays whatever the shift-space size.  A block's working set is about
-# 8 s + 40 bytes a node (the one node buffer, the integrand's and the sum's
-# temporaries): 2^14 nodes keep it near 1 MB, inside a core's L2 cache
-# at the dimensions the tables use
-BLOCK_NODES = 1 << 14
 
 
 def _index_blocks(steps: Sequence[int], t: int, f: PeriodicFunction) -> Iterator[np.ndarray]:
     """f - If at the nodes k * steps mod 2^t, k < 2^t, in index order.
 
-    The nodes go through one `DisplacedBlocks`, BLOCK_NODES at a time.
-    Each block is a 1-D view of its buffer, which the next block
-    overwrites.
+    The nodes go through one `DisplacedBlocks`, BLOCK_NODES at a time, as
+    one shift-major row each.  Each block is a 1-D view of its buffer,
+    which the next block overwrites.
     """
     n = 1 << t
     blocks = DisplacedBlocks(steps, t, min(n, BLOCK_NODES), f, 1)
     for lo in range(0, n, blocks.n):
         # a short last block drops the nodes past n
-        yield blocks.values(as_uint64(lo * c for c in steps)[:, None])[: n - lo, 0]
+        yield blocks.values(as_uint64(lo * c for c in steps)[:, None])[0, : n - lo]
 
 
 # nothing in the package calls kahan_sum any more (the sums go through

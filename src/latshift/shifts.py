@@ -16,27 +16,33 @@ shift holds it whole, and `GridShift.from_word` splits it into s numerators.
 
 The dyadic evaluators and both moment enumerations share one prepared
 block evaluator, `DisplacedBlocks`.  It builds the unshifted base node
-numerators once (`lattice.lattice_numerators`), with one node buffer laid
-out node-major, (s, n, B): the n nodes of each of a block's B shifts (or
-cosets) run down one column.  A block adds its offset columns into the
-buffer as uint64 (`lattice.displace`, mod 2^t), scales them in place into
-its float64 view, evaluates them in one `eval_batch` call and subtracts
-If (when the integral is known); the column sums come from
-`fsum._fsum_columns`, which rounds correctly (equal to `math.fsum` bit for
-bit) in a few whole-array passes and may overwrite the values, so no block
-allocates a node array or a transposed copy of its own.  If is
-added back after the sum, so a mean does not depend on the order of its
-nodes.
+numerators once (`lattice.lattice_numerators`) and one node buffer.  A
+block adds its offset columns into the buffer as uint64
+(`lattice.displace`, mod 2^t), scales them in place into its float64 view,
+evaluates them in one `eval_batch` call and subtracts If (when the
+integral is known).  The block is laid out the way its sums read it
+(`lattice.block_layout`): shift-major, (B, n) values, when the n nodes of
+a shift are at least as many as the block's B shifts (or cosets), and
+node-major, (n, B), otherwise, so the inner axis is always the longer one.
+The sums come from `fsum._fsum` along that axis, which rounds correctly
+(equal to `math.fsum` bit for bit) in a few whole-array passes and may
+overwrite the values, so no block allocates a node array or a transposed
+copy of its own.  If is added back after the sum, so a mean does not
+depend on the order of its nodes.
 
-Replicates are blocks of one column: the prepared evaluators
-`grid_evaluator` and `scalar_evaluator` each build one `DisplacedBlocks`,
-and `real_evaluator` its float base nodes and one buffer.  A node is the
-same integer (or, for the real shift, the same float) as a fresh build
-would give, so every replicate is bitwise unchanged.  Since the buffers
-are reused, one evaluator must not be called again while a call is
-running (it is not reentrant); the means it returns are Python floats and
-share nothing with it.  `eval_{grid,scalar,real}_shifted` are single uses
-of the same evaluators.
+The prepared evaluators `grid_evaluator`, `scalar_evaluator` and
+`real_evaluator` take a sequence of shifts and return their means in
+order.  Each checks every shift first, then evaluates them in blocks of
+max(1, BLOCK_NODES >> m) shifts (fewer only where s times the block's
+nodes would pass the guard) in one buffer, built once: a `DisplacedBlocks`
+for the dyadic schemes, float base nodes for the real shift.  A node is
+the same integer (or, for the real shift, the same float) as a fresh
+build would give, and every sum is correctly rounded, so each mean is
+bitwise that of the shift evaluated alone.  Since the buffers are reused,
+one evaluator must not be called again while a call is running (it is
+not reentrant); the means it returns are Python floats and share nothing
+with it.  `eval_{grid,scalar,real}_shifted` are single uses of the same
+evaluators.
 """
 
 from __future__ import annotations
@@ -47,9 +53,25 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .fsum import _fsum_columns, fsum_rows
+from .errors import GUARD_BITS
+from .fsum import _fsum
 from .functions import PeriodicFunction
-from .lattice import EmbeddedPair, Rank1Rule, as_uint64, displace, guard_nodes, lattice_numerators
+from .lattice import (
+    EmbeddedPair,
+    Rank1Rule,
+    as_uint64,
+    block_layout,
+    displace,
+    guard_nodes,
+    lattice_numerators,
+)
+
+# shifts are evaluated in blocks of about this many nodes, which bounds the
+# node arrays whatever the number of shifts.  A block's working set is about
+# 8 s + 40 bytes a node (the one node buffer, the integrand's and the sum's
+# temporaries): 2^14 nodes keep it near 1 MB, inside a core's L2 cache
+# at the dimensions the tables use
+BLOCK_NODES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -120,57 +142,110 @@ def _offset(f: PeriodicFunction) -> float:
     return f.known_integral if f.known_integral is not None else 0.0
 
 
-def _row_means(values: np.ndarray, off: float) -> np.ndarray:
-    """Mean of each row of values (the last axis), as off + fsum(row - off) / n."""
-    n = values.shape[-1]
-    return off + fsum_rows((values - off).reshape(-1, n)) / n
+class _Blocks:
+    """Means of f over n nodes displaced by blocks of at most width offset
+    columns, in one buffer that grows to the largest block asked for.
+
+    A subclass's values(offsets) gives f - If at the displaced nodes in the
+    `lattice.block_layout`, (B, n) when n >= B and (n, B) otherwise.
+    """
+
+    def __init__(self, n: int, f: PeriodicFunction, width: int) -> None:
+        self.n, self.f, self.width = n, f, width
+        self.off = _offset(f)
+        self._buf = np.empty(0, dtype=np.uint64)
+
+    def _buffer(self, size: int) -> np.ndarray:
+        """The flat uint64 buffer, at least size entries long."""
+        if self._buf.size < size:
+            self._buf = np.empty(size, dtype=np.uint64)
+        return self._buf
+
+    def values(self, offsets: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def means(self, offsets: np.ndarray) -> np.ndarray:
+        """Mean of f over the nodes of each offset column, one per column.
+
+        The sums run along the block's inner axis and may overwrite the
+        values; a sum the certificate cannot settle is formed again from
+        its own offset column.
+        """
+        n = self.n
+
+        def rows(cols: np.ndarray) -> np.ndarray:
+            v = self.values(offsets[:, cols])
+            return v if v.shape[1] == n else v.T
+
+        # a shift's n values run along the rows unless the block is node-major
+        values = self.values(offsets)
+        return self.off + _fsum(values, 1 if values.shape[1] == n else 0, rows) / n
+
+    def all_means(self, offsets: np.ndarray) -> list[float]:
+        """`means` of any number of offset columns, width at a time."""
+        out: list[float] = []
+        for lo in range(0, offsets.shape[1], self.width):
+            out += self.means(offsets[:, lo : lo + self.width]).tolist()
+        return out
 
 
-class DisplacedBlocks:
+class DisplacedBlocks(_Blocks):
     """Prepared f - If over the nodes j * steps mod 2^t, j < n, displaced by
     blocks of offset columns.
 
     Built once per enumeration or estimate: the base numerators (s, n) and
-    one node buffer for up to `width` offset columns, laid out node-major,
-    (s, n, B), so that the n nodes of each column run down one column.  A
-    call adds its block's offset columns in place as uint64
-    (`lattice.displace`), scales them in place into the buffer's float64
-    view (the integers are spent once scaled), evaluates, and subtracts
-    If; `means` then sums down the columns with a correctly rounded sum
-    that may overwrite the values.  Refuses more than 2^GUARD_BITS nodes,
-    a depth beyond 64 bits, or more than 2^GUARD_BITS node coordinates
-    (s * n * width), before allocating.  The buffer is reused,
-    so a call must not start while another runs (not reentrant), and the
-    values a call returns are overwritten by the next.
+    one node buffer for up to `width` offset columns.  A call adds its
+    block's offset columns in place as uint64 (`lattice.displace`), in the
+    layout the sums read (`lattice.block_layout`: shift-major when n is at
+    least the block's width, node-major otherwise), scales them in place
+    into the buffer's float64 view (the integers are spent once scaled),
+    evaluates, and subtracts If; `means` then sums along the block's inner
+    axis with a correctly rounded sum that may overwrite the values.
+    Refuses more than 2^GUARD_BITS nodes, a depth beyond 64 bits, or more
+    than 2^GUARD_BITS node coordinates (s * n * width), before allocating.
+    The buffer is reused, so a call must not start while another runs (not
+    reentrant), and the values a call returns are overwritten by the next.
     """
 
     def __init__(self, steps: Sequence[int], t: int, n: int, f: PeriodicFunction, width: int) -> None:
         guard_nodes(len(steps), t, n, width)
+        super().__init__(n, f, width)
         self.base = lattice_numerators(steps, t, n)
-        self.t, self.n, self.f = t, n, f
-        self.off = _offset(f)
-        self._nodes = np.empty(self.base.size * width, dtype=np.uint64)
-        self._xs = self._nodes.view(np.float64)
+        self.t = t
 
     def values(self, offsets: np.ndarray) -> np.ndarray:
         """f - If at the nodes displaced by each uint64 offset column of the
-        (s, B) offsets, B <= width: shape (n, B), in the buffer's float view."""
-        s, n = self.base.shape
-        size = s * n * offsets.shape[1]
-        nums = displace(self.base, offsets, self.t, out=self._nodes[:size].reshape(s, n, -1))
+        (s, B) offsets, B <= width, in the buffer's float view: (B, n)
+        when n >= B, else (n, B)."""
+        buf = self._buffer(self.base.size * offsets.shape[1])
+        nums = displace(self.base, offsets, self.t, buf)
         # a cast in place, then a scaling in place: faster than one multiply
         # that casts into its own input's memory, with the same floats
-        xs = self._xs[:size].reshape(nums.shape)
+        floats = buf.view(np.float64)
+        xs = floats[: nums.size].reshape(nums.shape)
         np.copyto(xs, nums, casting="unsafe")
         xs *= 1.0 / (1 << self.t)
         # the coordinates are spent once f is evaluated, so the values take
         # their place at the head of the buffer
-        return np.subtract(self.f.eval_batch(xs), self.off, out=self._xs[: size // s].reshape(n, -1))
+        return np.subtract(self.f.eval_batch(xs), self.off, out=floats[: nums[0].size].reshape(nums.shape[1:]))
 
-    def means(self, offsets: np.ndarray) -> np.ndarray:
-        """Mean of f over the nodes of each offset column, one per column."""
-        sums = _fsum_columns(self.values(offsets), lambda cols: self.values(offsets[:, cols]))
-        return self.off + sums / self.n
+
+class _RealBlocks(_Blocks):
+    """f - If over the rule nodes displaced by blocks of real shifts, taken
+    mod 1 in floating point."""
+
+    def __init__(self, rule: Rank1Rule, f: PeriodicFunction, width: int) -> None:
+        guard_nodes(rule.s, rule.m, rule.n_points, width)
+        super().__init__(rule.n_points, f, width)
+        self.nodes = lattice_numerators(rule.z.components, rule.m, rule.n_points) * (1.0 / rule.n_points)
+
+    def values(self, u: np.ndarray) -> np.ndarray:
+        a, b, shape = block_layout(self.nodes, u)
+        size = math.prod(shape)
+        floats = self._buffer(size).view(np.float64)
+        xs = np.add(a, b, out=floats[:size].reshape(shape))
+        np.subtract(xs, 1.0, out=xs, where=xs >= 1.0)
+        return np.subtract(self.f.eval_batch(xs), self.off, out=floats[: xs[0].size].reshape(shape[1:]))
 
 
 def grid_blocks(rule: Rank1Rule, f: PeriodicFunction, r: int, width: int) -> DisplacedBlocks:
@@ -199,57 +274,67 @@ def coset_offsets(pair: EmbeddedPair, lo: int, hi: int) -> np.ndarray:
     return as_uint64(pair.z.components)[:, None] * np.arange(lo, hi, dtype=np.uint64)
 
 
-def grid_evaluator(rule: Rank1Rule, f: PeriodicFunction, r: int) -> Callable[[GridShift], float]:
-    """Prepared mean of f over the rule nodes displaced by an r-bit grid shift.
+def _evaluator_width(s: int, m: int) -> int:
+    """Shifts of 2^m nodes an evaluator takes at a time: one block of
+    BLOCK_NODES nodes, no more node coordinates than the guard allows, and
+    at least one."""
+    return max(1, min(BLOCK_NODES, (1 << GUARD_BITS) // s) >> m)
 
-    No relation between r and m is required here.  Refuses as
-    DisplacedBlocks does; reuses its buffers: not reentrant.
+
+def grid_evaluator(rule: Rank1Rule, f: PeriodicFunction, r: int) -> Callable[[Sequence[GridShift]], list[float]]:
+    """Prepared means of f over the rule nodes displaced by each r-bit grid shift.
+
+    No relation between r and m is required here.  Every shift is checked
+    before any is evaluated.  Refuses as DisplacedBlocks does; reuses its
+    buffers: not reentrant.
     """
-    blocks = grid_blocks(rule, f, r, 1)
+    blocks = grid_blocks(rule, f, r, _evaluator_width(rule.s, rule.m))
     up = blocks.t - r
 
-    def evaluate(shift: GridShift) -> float:
-        if shift.s != rule.s:
-            raise ValueError(f"dimension mismatch: shift has {shift.s}, rule has {rule.s}")
-        if shift.r != r:
-            raise ValueError(f"bit-depth mismatch: shift has {shift.r}, evaluator has {r}")
-        return float(blocks.means(as_uint64(v << up for v in shift.nums)[:, None])[0])
+    def evaluate(shifts: Sequence[GridShift]) -> list[float]:
+        for shift in shifts:
+            if shift.s != rule.s:
+                raise ValueError(f"dimension mismatch: shift has {shift.s}, rule has {rule.s}")
+            if shift.r != r:
+                raise ValueError(f"bit-depth mismatch: shift has {shift.r}, evaluator has {r}")
+        return blocks.all_means(as_uint64(v << up for shift in shifts for v in shift.nums).reshape(-1, rule.s).T)
 
     return evaluate
 
 
-def scalar_evaluator(pair: EmbeddedPair, f: PeriodicFunction) -> Callable[[ScalarShift], float]:
-    """Prepared mean of f over the base-rule coset a scalar shift selects.
+def scalar_evaluator(pair: EmbeddedPair, f: PeriodicFunction) -> Callable[[Sequence[ScalarShift]], list[float]]:
+    """Prepared means of f over the base-rule coset each scalar shift selects.
 
-    Refuses as DisplacedBlocks does; not reentrant.
+    Every shift is checked before any is evaluated.  Refuses as
+    DisplacedBlocks does; not reentrant.
     """
-    blocks = coset_blocks(pair, f, 1)
+    blocks = coset_blocks(pair, f, _evaluator_width(pair.s, pair.m))
 
-    def evaluate(shift: ScalarShift) -> float:
-        if shift.sr != pair.sr:
-            raise ValueError(f"bit-depth mismatch: shift has {shift.sr}, pair has {pair.sr}")
-        return float(blocks.means(coset_offsets(pair, shift.wnum, shift.wnum + 1))[0])
+    def evaluate(shifts: Sequence[ScalarShift]) -> list[float]:
+        for shift in shifts:
+            if shift.sr != pair.sr:
+                raise ValueError(f"bit-depth mismatch: shift has {shift.sr}, pair has {pair.sr}")
+        cosets = as_uint64(shift.wnum for shift in shifts)
+        return blocks.all_means(as_uint64(pair.z.components)[:, None] * cosets)
 
     return evaluate
 
 
-def real_evaluator(rule: Rank1Rule, f: PeriodicFunction) -> Callable[[RealShift], float]:
-    """Prepared mean of f over the rule nodes displaced by a real shift.
+def real_evaluator(rule: Rank1Rule, f: PeriodicFunction) -> Callable[[Sequence[RealShift]], list[float]]:
+    """Prepared means of f over the rule nodes displaced by each real shift.
 
     The idealized estimator: fractional parts are taken in floating point,
     so unlike the dyadic evaluators this one carries ordinary rounding in
-    its point coordinates.  Reuses its buffer: not reentrant.
+    its point coordinates.  Every shift is checked before any is
+    evaluated.  Reuses its buffer: not reentrant.
     """
-    nodes = lattice_numerators(rule.z.components, rule.m, rule.n_points) * (1.0 / rule.n_points)
-    xb = np.empty_like(nodes)
-    off = _offset(f)
+    blocks = _RealBlocks(rule, f, _evaluator_width(rule.s, rule.m))
 
-    def evaluate(shift: RealShift) -> float:
-        if shift.s != rule.s:
-            raise ValueError(f"dimension mismatch: shift has {shift.s}, rule has {rule.s}")
-        np.add(nodes, np.array(shift.u)[:, None], out=xb)
-        np.subtract(xb, 1.0, out=xb, where=xb >= 1.0)
-        return float(_row_means(f.eval_batch(xb), off)[0])
+    def evaluate(shifts: Sequence[RealShift]) -> list[float]:
+        for shift in shifts:
+            if shift.s != rule.s:
+                raise ValueError(f"dimension mismatch: shift has {shift.s}, rule has {rule.s}")
+        return blocks.all_means(np.array([shift.u for shift in shifts], dtype=np.float64).reshape(-1, rule.s).T)
 
     return evaluate
 
@@ -261,17 +346,17 @@ def eval_rule(rule: Rank1Rule, f: PeriodicFunction) -> float:
 
 def eval_grid_shifted(rule: Rank1Rule, f: PeriodicFunction, shift: GridShift) -> float:
     """Mean of f over the rule nodes displaced by the grid shift."""
-    return grid_evaluator(rule, f, shift.r)(shift)
+    return grid_evaluator(rule, f, shift.r)([shift])[0]
 
 
 def eval_scalar_shifted(pair: EmbeddedPair, f: PeriodicFunction, shift: ScalarShift) -> float:
     """Mean of f over the base-rule coset selected by the scalar shift."""
-    return scalar_evaluator(pair, f)(shift)
+    return scalar_evaluator(pair, f)([shift])[0]
 
 
 def eval_real_shifted(rule: Rank1Rule, f: PeriodicFunction, shift: RealShift) -> float:
     """Mean of f over nodes displaced by an arbitrary real shift."""
-    return real_evaluator(rule, f)(shift)
+    return real_evaluator(rule, f)([shift])[0]
 
 
 @dataclass(frozen=True)
@@ -291,18 +376,19 @@ ShiftT = TypeVar("ShiftT")
 
 
 def estimate_mean(
-    evaluator: Callable[[ShiftT], float],
+    evaluator: Callable[[Sequence[ShiftT]], Sequence[float]],
     shifts: Sequence[ShiftT],
 ) -> ReplicateEstimate:
-    """Apply the evaluator to each shift replicate and average.
+    """Evaluate every shift replicate in one evaluator call, and average.
 
-    The sample standard deviation uses divisor q - 1 (unbiased variance for
-    iid replicates) and is absent for a single replicate.
+    The evaluator takes the sequence of shifts and returns their rule values
+    in order.  The sample standard deviation uses divisor q - 1 (unbiased
+    variance for iid replicates) and is absent for a single replicate.
     """
     q = len(shifts)
     if q == 0:
         raise ValueError("need at least one shift replicate")
-    values = tuple(evaluator(shift) for shift in shifts)
+    values = tuple(evaluator(shifts))
     mean = math.fsum(values) / q
     if q == 1:
         return ReplicateEstimate(values, mean, None)

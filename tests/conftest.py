@@ -117,3 +117,18 @@ def variance_closed_form(rule: Rank1Rule, f: ProductBernoulliFn) -> float:
 
 def rel_err(got: float, expected: float) -> float:
     return abs(got - expected) / abs(expected)
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap module.name so that every call appends its positional arguments
+    to the list returned; monkeypatch puts the original back.  The length
+    of the list is the number of calls."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

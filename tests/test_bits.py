@@ -1,3 +1,4 @@
+import os
 import random
 import time
 import tracemalloc
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from latshift import (
     BitsExhaustedError,
     FileBitSource,
+    GuardLimitError,
     OsEntropyBitSource,
     SeededBitSource,
     load_bit_file,
@@ -153,6 +155,18 @@ class TestFileBitSource:
         p.write_bytes(b"")
         with pytest.raises(ValueError, match="no bits"):
             load_bit_file(p, "raw")
+
+    @pytest.mark.parametrize("fmt, size, count", [
+        ("raw", (1 << 23) + 1, "67108872 bits"),
+        ("ascii01", (1 << 26) + 1, "67108865 bytes"),
+    ])
+    def test_oversized_file_refused_before_reading(self, tmp_path, fmt, size, count):
+        # sparse files: their size alone passes the guard, and no byte is read
+        p = tmp_path / "bits"
+        p.touch()
+        os.truncate(p, size)
+        with pytest.raises(GuardLimitError, match=f"^{count} of {fmt} bit file .* exceed the 2\\^26 guard"):
+            load_bit_file(p, fmt)
 
     def test_raw_bytes_msb_first(self, tmp_path):
         p = tmp_path / "bits.bin"

@@ -239,6 +239,21 @@ class TestEstimateCommand:
         assert results["sd"] == 0.0
         assert results["bits_consumed"] == 0
 
+    def test_oversized_raw_bit_file_exits_2_before_reading(self, capsys, tmp_path):
+        # 2^23 + 1 bytes hold 2^26 + 8 bits, one byte each once read: the
+        # sparse file is refused from its size, at once
+        p = tmp_path / "big.bin"
+        p.touch()
+        os.truncate(p, (1 << 23) + 1)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "estimate", "--scheme", "grid", "--s", "2", "--m", "3", "--r", "3",
+            "--ell", "1267", "--q", "1", "--bits", f"file:{p}:raw",
+        )
+        assert code == 2 and out == ""
+        assert "67108872 bits of raw bit file" in err and "exceed the 2^26 guard" in err
+        assert time.perf_counter() - start < 3.0
+
     def test_bit_exhaustion_is_validation_error(self, capsys, tmp_path):
         p = tmp_path / "short.txt"
         p.write_text("0" * 5)  # one bit short of the s*r = 6 needed

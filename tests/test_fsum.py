@@ -12,15 +12,23 @@ from latshift import (
     GridShift,
     ProductBernoulliFn,
     Rank1Rule,
+    RealShift,
+    ScalarShift,
+    SeededBitSource,
     eval_grid_shifted,
     extended_rule_value,
+    grid_evaluator,
     korobov_vector,
     moments_grid_shift,
     moments_scalar_shift,
+    real_evaluator,
+    scalar_evaluator,
 )
 from latshift import fsum as fsum_module
 from latshift import moments as moments_module
-from latshift.fsum import _fsum_columns, fsum_blocks, fsum_rows
+from latshift.fsum import _fsum, fsum_blocks, fsum_rows
+
+from conftest import count_calls
 
 PROPERTY = settings(max_examples=300, deadline=None)
 
@@ -82,11 +90,11 @@ def test_rows_equal_fsum_bitwise(rows):
 
 
 def column_sums(rows) -> np.ndarray:
-    """_fsum_columns of the rows laid out one sum per column, as the moment
-    blocks hold them; the terms are formed again only for a column the
-    certificate cannot settle."""
+    """_fsum of the rows laid out one sum per column, as node-major blocks
+    hold them, reduced down the columns; the terms are formed again only
+    for a column the certificate cannot settle."""
     a = np.array(rows)
-    return _fsum_columns(np.array(a.T, order="C"), lambda cols: a[cols].T)
+    return _fsum(np.array(a.T, order="C"), 0, lambda cols: a[cols])
 
 
 @PROPERTY
@@ -94,8 +102,8 @@ def column_sums(rows) -> np.ndarray:
 def test_row_and_column_layouts_equal_fsum_bitwise(rows):
     # the drawn rows, mostly at least as long as they are many, go along the
     # rows; the same rows 41 times over, more rows than terms, go down the
-    # columns of a transposed copy.  _fsum_columns takes the same sums one
-    # per column and reduces them the other way round
+    # columns of a transposed copy.  column_sums takes the same sums one
+    # per column and reduces them down the columns whatever their shape
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fsum_module, "SHORT_TERMS", 0)
         assert bits(fsum_rows(np.array(rows))) == fsum_reference(rows)
@@ -117,6 +125,83 @@ def test_blocked_rows_and_streams_equal_fsum_bitwise(rows, block, data):
         cuts = sorted(data.draw(st.lists(st.integers(0, len(row)), max_size=4)))
         pieces = np.split(row, cuts)
         assert bits([fsum_blocks(lambda: iter(pieces))]) == fsum_reference([rows[0]])
+
+
+def near_midpoint(rng: np.random.Generator, n: int, base: int) -> np.ndarray:
+    """n terms summing to within |e| of the midpoint 1.5 2^base + 2^(base - 53).
+
+    The pairs +-x, all residual after one extraction, cancel exactly, but a
+    float sum of them errs by more than |e| about half the time, and then
+    crosses the midpoint unless the bound says it could.
+    """
+    pairs = rng.standard_normal((n - 3) // 2) * 2.0 ** (base - 45)
+    e = rng.choice((-1.0, 1.0)) * 2.0 ** (base - 53 - int(rng.integers(25, 50)))
+    head = [1.5 * 2.0**base, 2.0 ** (base - 53), e]
+    return rng.permutation(np.concatenate([head, pairs, -pairs, np.zeros((n - 3) % 2)]))
+
+
+@st.composite
+def long_sums(draw):
+    """One to three sums of one length n in [2^10, 2^16], formed by numpy
+    from a drawn seed, each one of eight kinds.  Random lengths are mostly
+    ones k = 2^floor(log2(n) / 2) does not divide."""
+    n = draw(st.one_of(st.sampled_from((1 << 10, 3 << 10, 1 << 13, 1 << 14, 1 << 16)), st.integers(1 << 10, 1 << 16)))
+    base = draw(st.integers(-1000, 900))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("values", "wide", "ladder", "midpoint", "near", "cancel", "zeros", "dense")))
+        if kind == "values":
+            # integrand values about one scale, as the rule means sum them
+            row = (1.0 + 0.1 * rng.standard_normal(n)) * 2.0**base
+        elif kind == "wide":
+            row = rng.standard_normal(n) * 2.0 ** rng.integers(base - 60, base + 1, n).astype(float)
+        elif kind == "ladder":
+            # +-2^(base - k): sums of these land on and near exact midpoints
+            row = rng.choice((-1.0, 1.0), n) * 2.0 ** (base - rng.integers(0, 111, n).astype(float))
+        elif kind == "midpoint":
+            # 2^base +- 2^(base - 53) is a midpoint between two floats; pairs
+            # far below it cancel, and one last term, of either sign or zero,
+            # decides the rounding
+            tiny = rng.integers(1, 1 << 20, (n - 3) // 2) * 2.0 ** (base - 120)
+            last = rng.choice((-1.0, 0.0, 1.0), 1 + (n - 3) % 2) * 2.0 ** (base - 130)
+            head = [2.0**base, rng.choice((-1.0, 1.0)) * 2.0 ** (base - 53)]
+            row = rng.permutation(np.concatenate([head, tiny, -tiny, last]))
+        elif kind == "near":
+            row = near_midpoint(rng, n, base)
+        elif kind == "cancel":
+            # x and -x pairs: exact zero sums
+            half = rng.standard_normal(n // 2) * 2.0**base
+            row = rng.permutation(np.concatenate([half, -half, np.zeros(n % 2)]))
+        elif kind == "zeros":
+            row = rng.choice((0.0, -0.0), n)
+        else:
+            # n terms of one sign just below 2^base: the sum nears n 2^base
+            sign = rng.choice((-1.0, 1.0))
+            row = sign * (2.0**base - rng.integers(1, 1 << 12, n) * 2.0 ** (base - 53))
+        rows.append(row.tolist())
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_sums())
+def test_one_extraction_sums_equal_fsum_bitwise(rows):
+    # sums of one block, along the rows and down the columns: one extraction
+    # where it settles them, a second where it does not
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fsum_module, "SHORT_TERMS", 0)
+        assert bits(fsum_rows(np.array(rows))) == fsum_reference(rows)
+        assert bits(column_sums(rows)) == fsum_reference(rows)
+
+
+def test_near_midpoint_sums_equal_fsum_bitwise(monkeypatch):
+    # a float sum of the residuals crosses the midpoint in about one row in
+    # ten here, so a bound too small to see that rounds those rows wrongly
+    monkeypatch.setattr(fsum_module, "SHORT_TERMS", 0)
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        row = near_midpoint(rng, int(rng.integers(1 << 10, 1 << 13)), int(rng.integers(-800, 800))).tolist()
+        assert bits(fsum_rows(np.array([row]))) == bits(column_sums([row])) == fsum_reference([row])
 
 
 def test_long_rows_and_streams():
@@ -144,42 +229,30 @@ def test_non_finite_rows_go_to_fsum(monkeypatch):
         assert got[3] == math.fsum(rows[3])
 
 
-class CountingFallback:
-    def __init__(self, mp):
-        self.calls = 0
-        inner = fsum_module._fallback
-
-        def counted(terms):
-            self.calls += 1
-            return inner(terms)
-
-        mp.setattr(fsum_module, "_fallback", counted)
-
-
 def test_forced_fallback_is_fsum(monkeypatch):
     # s + t is an exact midpoint and the last residual decides the rounding,
     # which the certificate leaves to math.fsum: once above 1.0, and once
     # below it, where the gap to the next float down is half as wide
     monkeypatch.setattr(fsum_module, "SHORT_TERMS", 0)
-    counter = CountingFallback(monkeypatch)
+    calls = count_calls(monkeypatch, fsum_module, "_fallback")
     rows = [[1.0, 2.0**-53, 2.0**-110], [1.0, -(2.0**-54), -(2.0**-110)], [1.0, 2.0, 0.5]]
     got = fsum_rows(np.array(rows))
-    assert counter.calls == 2
+    assert len(calls) == 2
     assert bits(got) == fsum_reference(rows)
     assert got[:2].tolist() == [1.0 + 2.0**-52, 1.0 - 2.0**-53]
     assert fsum_blocks(lambda: iter([np.array(rows[0])])) == 1.0 + 2.0**-52
-    assert counter.calls == 3
-    # the column entry overwrites its terms, so it asks for the two
-    # unsettled columns again, and only for them
+    assert len(calls) == 3
+    # the sums overwrite their terms, so the columns are asked for again
+    # when two of them are unsettled, and only those two
     asked = []
     a = np.array(rows)
 
     def terms(cols):
         asked.append(cols.tolist())
-        return a[cols].T
+        return a[cols]
 
-    assert bits(_fsum_columns(np.array(a.T, order="C"), terms)) == fsum_reference(rows)
-    assert asked == [[0, 1]] and counter.calls == 5
+    assert bits(_fsum(np.array(a.T, order="C"), 0, terms)) == fsum_reference(rows)
+    assert asked == [[0, 1]] and len(calls) == 5
 
 
 @pytest.mark.parametrize("scheme", ["grid", "scalar"])
@@ -196,9 +269,9 @@ def test_moment_blocks_form_unsettled_columns_again(monkeypatch, scheme):
     monkeypatch.setattr(
         fsum_module, "_settled", lambda *parts: settled(*parts) & (np.arange(len(parts[0])) % 2 == 0)
     )
-    counter = CountingFallback(monkeypatch)
+    calls = count_calls(monkeypatch, fsum_module, "_fallback")
     got = {k: v.hex() if isinstance(v, float) else v for k, v in report().to_dict().items()}
-    assert got == expected and counter.calls >= 64
+    assert got == expected and len(calls) >= 64
 
 
 class EdgeFn(ProductBernoulliFn):
@@ -228,9 +301,9 @@ def test_extended_rule_value_left_to_fsum(monkeypatch, block):
     monkeypatch.setattr(moments_module, "BLOCK_NODES", block)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fsum_module, "_settled", lambda s, *rest: np.zeros(len(s), dtype=bool))
-        counter = CountingFallback(mp)
+        calls = count_calls(mp, fsum_module, "_fallback")
         assert extended_rule_value(pair, f).hex() == expected.hex()
-        assert counter.calls == 1
+        assert len(calls) == 1
     assert extended_rule_value(pair, EdgeFn(2, math.inf)) == math.inf
     assert math.isnan(extended_rule_value(pair, EdgeFn(2, math.nan)))
     finite = EdgeFn(2, 1.0)
@@ -243,9 +316,9 @@ class TestFallbackCount:
 
     def count(self, fn) -> int:
         with pytest.MonkeyPatch.context() as mp:
-            counter = CountingFallback(mp)
+            calls = count_calls(mp, fsum_module, "_fallback")
             fn()
-            return counter.calls
+            return len(calls)
 
     def test_scalar_moments(self):
         pair = EmbeddedPair(4, 12, korobov_vector(17797, 3, 16))
@@ -262,8 +335,55 @@ class TestFallbackCount:
         rows = rng.integers(-(1 << 55), 1 << 55, (4096, 16)).astype(np.float64)
         assert self.count(lambda: fsum_rows(rows)) <= 2
 
+    def test_scalar_moments_at_m0_with_2_18_shifts(self):
+        # the moment and identity sums span many blocks and cancel: each
+        # block takes two extractions, and the totals settle
+        pair = EmbeddedPair(0, 18, korobov_vector(17797, 3, 18))
+        assert self.count(lambda: moments_scalar_shift(pair, ProductBernoulliFn(3))) <= 2
+
+    def test_extended_rule_value_at_2_18_nodes(self):
+        pair = EmbeddedPair(4, 14, korobov_vector(1267, 3, 18))
+        assert self.count(lambda: extended_rule_value(pair, ProductBernoulliFn(3))) <= 2
+
     def test_grid_estimate_replicate(self):
         # one replicate of `estimate --scheme grid --s 3 --m 13 --r 13`
         rule = Rank1Rule(13, korobov_vector(17797, 3, 13))
         shift = GridShift((1234, 5678, 8191), 13)
         assert self.count(lambda: eval_grid_shifted(rule, ProductBernoulliFn(3), shift)) <= 2
+
+
+
+# the replicate shapes of the estimate benchmark: (scheme, s, m, r, q)
+ESTIMATE_SHAPES = (
+    ("grid", 3, 13, 13, 32), ("grid", 2, 13, 13, 16), ("grid", 3, 14, 14, 16), ("grid", 2, 12, 12, 32),
+    ("scalar", 3, 12, 4, 8), ("scalar", 2, 13, 5, 16), ("scalar", 3, 14, 4, 16), ("scalar", 2, 12, 6, 32),
+    ("ideal", 3, 12, 1, 8), ("ideal", 2, 13, 1, 16), ("ideal", 3, 14, 1, 16), ("ideal", 2, 12, 1, 32),
+)
+ESTIMATE_ELLS = (17797, 1267, 12915, 7163, 26245, 23365, 3699, 5709)
+
+
+def estimate_replicates(scheme: str, s: int, m: int, r: int, q: int, ell: int, seed: int) -> list[float]:
+    """The q replicates of `latshift estimate` on these options and seed:N bits."""
+    src, f = SeededBitSource(seed), ProductBernoulliFn(s)
+    if scheme == "scalar":
+        pair = EmbeddedPair(m, s * r, korobov_vector(ell, s, m + s * r))
+        return scalar_evaluator(pair, f)([ScalarShift(src.draw(s * r), s * r) for _ in range(q)])
+    rule = Rank1Rule(m, korobov_vector(ell, s, m))
+    if scheme == "grid":
+        return grid_evaluator(rule, f, r)([GridShift.from_word(src.draw(s * r), r, s) for _ in range(q)])
+    shifts = [RealShift(tuple(src.draw(53) * 2.0**-53 for _ in range(s))) for _ in range(q)]
+    return real_evaluator(rule, f)(shifts)
+
+
+def test_estimate_replicates_settle_after_one_extraction(monkeypatch):
+    # 1920 replicate sums of 2^12 to 2^14 terms; a sum extracted a second
+    # time is one of the `a` entries _last receives
+    fallbacks = count_calls(monkeypatch, fsum_module, "_fallback")
+    second = count_calls(monkeypatch, fsum_module, "_last")
+    sums = 0
+    for shape in ESTIMATE_SHAPES:
+        for seed, ell in enumerate(ESTIMATE_ELLS):
+            sums += len(estimate_replicates(*shape, ell, seed))
+    again = sum(len(args[2]) for args in second)
+    assert sums == 1920 and fallbacks == []
+    assert again <= 0.05 * sums, again

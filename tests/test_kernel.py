@@ -1,6 +1,7 @@
 """The vectorized node kernel against the per-point references in conftest."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -26,11 +27,12 @@ from latshift import (
     rectangle_rule_mean,
     scalar_evaluator,
 )
+from latshift import shifts as shifts_module
 from latshift.lattice import as_uint64, displace, lattice_numerators
 from latshift.moments import chunked_map
 from latshift.shifts import DisplacedBlocks, coset_blocks, coset_offsets
 
-from conftest import coset_node, dyadic_add, product_bernoulli_point, rel_err
+from conftest import coset_node, count_calls, dyadic_add, product_bernoulli_point, rel_err
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -71,7 +73,8 @@ def test_grid_shifted_nodes_match_dyadic_addition(cfg, data):
     nums = displace(lattice_numerators(steps, t, rule.n_points), offsets, t)
     v = DyadicPoint(shift.nums, r)
     points = [dyadic_add(rule.node(j), v) for j in range(rule.n_points)]
-    assert nums[:, :, 0].T.tolist() == [list(p.nums) for p in points]
+    # one offset column and n >= 1 nodes: the block is shift-major, (s, 1, n)
+    assert nums[:, 0, :].T.tolist() == [list(p.nums) for p in points]
     f = ProductBernoulliFn(s)
     values = [product_bernoulli_point(p.as_floats()) for p in points]
     reference = 1.0 + math.fsum(x - 1.0 for x in values) / rule.n_points
@@ -174,13 +177,15 @@ class TestPreparedEvaluators:
     @PROPERTY
     @given(evaluator_cases())
     def test_replicates_match_per_point_reference_and_fresh_evaluators(self, case):
+        # each scheme takes all its shifts in one call; every mean equals a
+        # fresh evaluator's on that shift alone, and the per-point reference
         s, m, r, z, shifts = case
         rule, pair, f = Rank1Rule(m, z), EmbeddedPair(m, s * r, z), ProductBernoulliFn(s)
-        prepared = _prepared(rule, pair, f, r)
-        for v, w, u in shifts:
-            got = [ev(x) for ev, x in zip(prepared, (v, w, u))]
+        batched = [ev(list(xs)) for ev, xs in zip(_prepared(rule, pair, f, r), zip(*shifts))]
+        for i, (v, w, u) in enumerate(shifts):
+            got = [means[i] for means in batched]
             assert all(type(x) is float for x in got)
-            assert got == [ev(x) for ev, x in zip(_prepared(rule, pair, f, r), (v, w, u))]
+            assert got == [ev([x])[0] for ev, x in zip(_prepared(rule, pair, f, r), (v, w, u))]
             nodes = (
                 [dyadic_add(rule.node(j), DyadicPoint(v.nums, r)).as_floats() for j in range(rule.n_points)],
                 [coset_node(pair, j, w.wnum).as_floats() for j in range(rule.n_points)],
@@ -198,12 +203,12 @@ class TestPreparedEvaluators:
         m2 = max(m - dm, 0)
         a = _prepared(Rank1Rule(m, z), EmbeddedPair(m, s * r, z), f, r)
         b = _prepared(Rank1Rule(m2, z), EmbeddedPair(m2, s * r, z), f, r)
-        alone_a = [[ev(x) for ev, x in zip(a, triple)] for triple in shifts]
-        alone_b = [[ev(x) for ev, x in zip(b, triple)] for triple in shifts]
+        alone_a = [[ev([x])[0] for ev, x in zip(a, triple)] for triple in shifts]
+        alone_b = [[ev([x])[0] for ev, x in zip(b, triple)] for triple in shifts]
         mixed_a, mixed_b = [], []
         for triple in reversed(shifts):
-            mixed_b.append([ev(x) for ev, x in zip(b, triple)])
-            mixed_a.append([ev(x) for ev, x in zip(a, triple)])
+            mixed_b.append([ev([x])[0] for ev, x in zip(b, triple)])
+            mixed_a.append([ev([x])[0] for ev, x in zip(a, triple)])
         assert mixed_a[::-1] == alone_a
         assert mixed_b[::-1] == alone_b
 
@@ -214,13 +219,13 @@ class TestPreparedEvaluators:
         rule, pair, f = Rank1Rule(m, z), EmbeddedPair(m, s * r, z), ProductBernoulliFn(s)
         grid, scalar, real = _prepared(rule, pair, f, r)
         with pytest.raises(ValueError, match="dimension"):
-            grid(GridShift((0,) * (s + 1), r))
+            grid([GridShift((0,) * (s + 1), r)])
         with pytest.raises(ValueError, match="bit-depth"):
-            grid(GridShift((0,) * s, r + 1))
+            grid([GridShift((0,) * s, r + 1)])
         with pytest.raises(ValueError, match="bit-depth"):
-            scalar(ScalarShift(0, s * r + 1))
+            scalar([ScalarShift(0, s * r + 1)])
         with pytest.raises(ValueError, match="dimension"):
-            real(RealShift((0.0,) * (s + 1)))
+            real([RealShift((0.0,) * (s + 1))])
 
     @pytest.mark.parametrize("build", [
         lambda z, f: grid_evaluator(Rank1Rule(40, z), f, 4),
@@ -244,3 +249,80 @@ class TestPreparedEvaluators:
             grid_evaluator(Rank1Rule(2, GeneratingVector((1,), 2)), f, 65)
         with pytest.raises(GuardLimitError, match="64-bit"):
             scalar_evaluator(EmbeddedPair(2, 63, GeneratingVector((1,), 65)), f)
+
+
+class CountingFn(ProductBernoulliFn):
+    """The Bernoulli product, counting its eval_batch calls."""
+
+    def __init__(self, s: int) -> None:
+        super().__init__(s)
+        self.calls = 0
+
+    def eval_batch(self, xs):
+        self.calls += 1
+        return super().eval_batch(xs)
+
+
+class TestBatchedEvaluators:
+    """One call evaluates all its shifts, max(1, 2^14 >> m) at a time."""
+
+    @pytest.mark.parametrize("m, q, blocks", [
+        (4, 1, [(1, 16)]),                       # one shift, shift-major
+        (4, 37, [(16, 37)]),                     # more shifts than nodes: node-major
+        (12, 7, [(4, 4096), (3, 4096)]),         # q not a multiple of the width 4
+        (13, 5, [(2, 8192), (2, 8192), (1, 8192)]),
+        (14, 3, [(1, 16384)] * 3),               # width 1 at m = 14
+        (15, 2, [(1, 32768)] * 2),               # and above it
+    ])
+    def test_blocks_equal_fresh_single_shifts_and_per_point(self, monkeypatch, m, q, blocks):
+        s, r = 2, 4
+        z = korobov_like(m + s * r)
+        rule, pair, f = Rank1Rule(m, z), EmbeddedPair(m, s * r, z), ProductBernoulliFn(s)
+        rng = random.Random(100 * m + q)
+        triples = [
+            (GridShift((rng.randrange(16), rng.randrange(16)), r), ScalarShift(rng.randrange(256), s * r),
+             RealShift((rng.random(), rng.random())))
+            for _ in range(q - 1)
+        ]
+        # the last shift repeats the first (or is the only one)
+        triples.append(triples[0] if triples else (GridShift((3, 9), r), ScalarShift(77, s * r), RealShift((0.25, 0.8))))
+        sums = count_calls(monkeypatch, shifts_module, "_fsum")
+        batched = [ev(list(xs)) for ev, xs in zip(_prepared(rule, pair, f, r), zip(*triples))]
+        assert [args[0].shape for args in sums] == blocks * 3
+        monkeypatch.undo()
+        for i, (v, w, u) in enumerate(triples):
+            got = [means[i] for means in batched]
+            assert all(type(x) is float for x in got)
+            assert got == [ev([x])[0] for ev, x in zip(_prepared(rule, pair, f, r), (v, w, u))]
+            nodes = (
+                [dyadic_add(rule.node(j), DyadicPoint(v.nums, r)).as_floats() for j in range(rule.n_points)],
+                [coset_node(pair, j, w.wnum).as_floats() for j in range(rule.n_points)],
+                _real_points(rule, u),
+            )
+            assert got == [_reference_mean(points) for points in nodes]
+
+    @pytest.mark.parametrize("where", [0, 5, 9])
+    def test_bad_shift_anywhere_raises_before_any_evaluation(self, where):
+        # m = 12: blocks of 4 shifts, so a late bad shift sits in the third block
+        s, m, r = 2, 12, 4
+        z = korobov_like(m + s * r)
+        f = CountingFn(s)
+        grid, scalar, real = _prepared(Rank1Rule(m, z), EmbeddedPair(m, s * r, z), f, r)
+        cases = [
+            (grid, GridShift((1, 2), r), GridShift((1, 2, 3), r), "dimension"),
+            (grid, GridShift((1, 2), r), GridShift((1, 2), r + 1), "bit-depth"),
+            (scalar, ScalarShift(5, s * r), ScalarShift(5, s * r + 1), "bit-depth"),
+            (real, RealShift((0.5, 0.25)), RealShift((0.5,)), "dimension"),
+        ]
+        for ev, good, bad, message in cases:
+            shifts = [good] * 10
+            shifts[where] = bad
+            with pytest.raises(ValueError, match=message):
+                ev(shifts)
+            assert f.calls == 0
+        assert len(grid([GridShift((1, 2), r)] * 10)) == 10 and f.calls == 3
+
+
+def korobov_like(t: int) -> GeneratingVector:
+    """An odd two-component vector known to t bits."""
+    return GeneratingVector((1, 17797), t)

@@ -21,6 +21,7 @@ from latshift import (
     korobov_vector,
     load_bit_file,
     rectangle_rule_mean,
+    scalar_evaluator,
 )
 
 from conftest import rel_err
@@ -168,17 +169,17 @@ class TestRealShiftUnbiasedness:
 class TestEstimateMean:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            estimate_mean(lambda w: 0.0, [])
+            estimate_mean(lambda ws: [0.0 for _ in ws], [])
 
     def test_single_replicate_has_no_sd(self):
-        est = estimate_mean(lambda w: 1.25, [ScalarShift(0, 4)])
+        est = estimate_mean(lambda ws: [1.25 for _ in ws], [ScalarShift(0, 4)])
         assert est.q == 1 and est.mean == 1.25 and est.sd is None
 
     def test_constant_replicates(self):
         f = ProductBernoulliFn(2)
         pair = EmbeddedPair(3, 6, korobov_vector(1267, 2, 9))
         w0 = ScalarShift(0, 6)
-        est = estimate_mean(lambda w: eval_scalar_shifted(pair, f, w), [w0] * 5)
+        est = estimate_mean(scalar_evaluator(pair, f), [w0] * 5)
         assert est.mean == eval_rule(pair.base_rule(), f)
         assert est.sd == 0.0
 
@@ -188,7 +189,7 @@ class TestEstimateMean:
         f = ProductBernoulliFn(s)
         pair = EmbeddedPair(m, sr, korobov_vector(17797, s, m + sr))
         shifts = [ScalarShift(w, sr) for w in range(1 << sr)]
-        est = estimate_mean(lambda w: eval_scalar_shifted(pair, f, w), shifts)
+        est = estimate_mean(scalar_evaluator(pair, f), shifts)
         q = est.q
         assert rel_err(est.mean, extended_rule_value(pair, f)) < 1e-12
         # sample variance (divisor q-1) vs exact population variance
