@@ -9,7 +9,7 @@ two per-level merits, each normalized by the best Korobov baseline merit
 at that level.
 
 `merit` runs on the extended-rule identity's index-order node path
-(`moments._index_blocks`) and sums as one `np.sum` over all nodes would:
+(`shifts._index_blocks`) and sums as one `np.sum` over all nodes would:
 deterministic bit for bit, but unlike the moment sums not correctly rounded.
 
 The construction is greedy: component d is chosen from the odd candidates
@@ -55,7 +55,7 @@ from .bits import SplitMix64
 from .errors import GuardLimitError, guard
 from .functions import ProductBernoulliFn
 from .lattice import GeneratingVector, korobov_vector, lattice_numerators
-from .moments import _index_blocks
+from .shifts import _index_blocks
 
 # merits at a level are normalized by the best Korobov merit at that level
 BASELINE_ELLS = (17797, 1267, 12915)
@@ -141,32 +141,29 @@ def merit(z: GeneratingVector, n_points: int) -> MeritValue:
 
 
 @lru_cache(maxsize=None)
+def _baseline(s: int, level: int) -> float:
+    """The best Korobov merit of s coordinates at 2^level nodes."""
+    return min(merit(korobov_vector(ell, s, max(level, 1)), 1 << level).value for ell in BASELINE_ELLS)
+
+
 def _normalizers(s: int, m: int, sr: int) -> tuple[float, float]:
-    base_level = 1 << m
-    ext_level = 1 << (m + sr)
-    rb = min(merit(korobov_vector(ell, s, max(m, 1)), base_level).value for ell in BASELINE_ELLS)
-    re = min(
-        merit(korobov_vector(ell, s, max(m + sr, 1)), ext_level).value for ell in BASELINE_ELLS
-    )
-    return rb, re
+    """The baselines of the levels 2^m and 2^(m+sr), each evaluated once."""
+    return _baseline(s, m), _baseline(s, m + sr)
 
 
 def embedded_merit(z: GeneratingVector, m: int, sr: int) -> EmbeddedMerit:
     """Merits of z at levels 2^m and 2^(m+sr) plus the combined figure.
 
     combined = max(base / best-Korobov-base, extended / best-Korobov-extended);
-    for sr = 0 the two levels coincide and the base term alone is used.
+    for sr = 0 the two levels coincide, and their one merit and baseline
+    are evaluated once.
     """
     if m < 0 or sr < 0:
         raise ValueError(f"need m >= 0 and sr >= 0, got m={m}, sr={sr}")
     base = merit(z, 1 << m)
-    extended = merit(z, 1 << (m + sr))
+    extended = merit(z, 1 << (m + sr)) if sr else base
     rb, re = _normalizers(z.s, m, sr)
-    if sr == 0:
-        combined = base.value / rb
-    else:
-        combined = max(base.value / rb, extended.value / re)
-    return EmbeddedMerit(base, extended, combined)
+    return EmbeddedMerit(base, extended, max(base.value / rb, extended.value / re))
 
 
 def _powers_of_five(count: int, n: int) -> np.ndarray:

@@ -58,7 +58,7 @@ EXIT_CHECK_MISMATCH = 3
 IDEAL_BITS_PER_COORD = 53
 
 # dual points written per block of the streamed dual artifact
-BLOCK_NODES = 1 << 16
+DUAL_ROWS_PER_WRITE = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,7 +121,10 @@ def _emit(text: str | Iterable[str], out_path: str | None) -> None:
 def _json_artifact(command: str, config: dict, body: dict) -> str:
     """The JSON envelope every artifact shares: command, version, config, then body."""
     obj = {"command": command, "version": __version__, "config": config, **body}
-    return json.dumps(obj, indent=2) + "\n"
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError(f"{command} results are not finite, and JSON holds no Infinity or NaN") from None
 
 
 def _config(args, *keys: str) -> dict:
@@ -253,8 +256,8 @@ def cmd_moments(args) -> int:
 def _json_point_rows(duals) -> Iterator[str]:
     """The rows of duals as the entries of an indent-2 JSON list at depth 1,
     written a block at a time; each block but the last ends with a comma."""
-    for lo in range(0, len(duals), BLOCK_NODES):
-        rows = duals[lo : lo + BLOCK_NODES].tolist()
+    for lo in range(0, len(duals), DUAL_ROWS_PER_WRITE):
+        rows = duals[lo : lo + DUAL_ROWS_PER_WRITE].tolist()
         text = ",\n".join("    [\n" + ",\n".join(f"      {v}" for v in h) + "\n    ]" for h in rows)
         yield text + (",\n" if lo + len(rows) < len(duals) else "\n")
 

@@ -8,7 +8,7 @@ Floating point only enters when an integrand is evaluated, so biases at the
 `lattice_numerators` is the vectorized node kernel behind every node set
 the package evaluates: the randomized evaluators, the moment enumerations,
 the extended-rule identity, the CBC merits and the CBC scan's node
-products.  `Rank1Rule.node` is the per-point reference it is tested
+products.  It is also the one node guard.  `Rank1Rule.node` is the per-point reference it is tested
 against.
 """
 
@@ -36,20 +36,6 @@ def as_uint64(values: Iterable[int]) -> np.ndarray:
     return np.array([v & _U64_MASK for v in values], dtype=np.uint64)
 
 
-def guard_nodes(s: int, t: int, n: int, width: int = 1) -> None:
-    """Refuse n * width nodes of s coordinates at depth 2^-t, before any is made.
-
-    Checks the node count, the depth against the 64-bit numerators, and
-    then the s * n * width coordinates the node arrays hold.
-    """
-    guard(n * width, "nodes")
-    if t > NODE_DTYPE_BITS:
-        raise GuardLimitError(
-            f"node depth 2^-{t} exceeds the {NODE_DTYPE_BITS}-bit node numerators"
-        )
-    guard(s * n * width, "node coordinates")
-
-
 def lattice_numerators(steps: Sequence[int], t: int, n: int) -> np.ndarray:
     """Node numerators j * steps[i] mod 2^t for j < n, shape (s, n).
 
@@ -66,7 +52,12 @@ def lattice_numerators(steps: Sequence[int], t: int, n: int) -> np.ndarray:
     numerators, and more than 2^GUARD_BITS node coordinates, in that
     order, before allocating anything.
     """
-    guard_nodes(len(steps), t, n)
+    guard(n, "nodes")
+    if t > NODE_DTYPE_BITS:
+        raise GuardLimitError(
+            f"node depth 2^-{t} exceeds the {NODE_DTYPE_BITS}-bit node numerators"
+        )
+    guard(len(steps) * n, "node coordinates")
     nums = as_uint64(steps)[:, None] * np.arange(n, dtype=np.uint64)
     np.bitwise_and(nums, np.uint64((1 << t) - 1), out=nums)
     return nums

@@ -15,9 +15,10 @@ Disagreement beyond 1e-12 relative raises IdentityCheckError, since both
 routes are exact up to summation rounding.
 
 Both enumerations run through one prepared block evaluator
-(`shifts.DisplacedBlocks`), built once per enumeration, with blocks of
-about BLOCK_NODES nodes (`shifts.BLOCK_NODES`) so that a block's working
-set stays in cache.  Every sum is correctly rounded, bit for bit what
+(`shifts.grid_blocks`, `shifts.coset_blocks`), built once per
+enumeration, and map it over the shift space in blocks of the width it
+sets itself (about `shifts.BLOCK_NODES` nodes, so that a block's working
+set stays in cache).  Every sum is correctly rounded, bit for bit what
 `math.fsum` returns: the per-shift means are the sums of each block along
 its longer axis (down the columns of a node-major block when the shifts
 outnumber the nodes of one, along the rows otherwise), and the moment
@@ -31,32 +32,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import GUARD_BITS, IdentityCheckError, guard
 from .fsum import fsum_blocks, fsum_rows
 from .functions import PeriodicFunction
-from .lattice import EmbeddedPair, Rank1Rule, as_uint64
-from .shifts import BLOCK_NODES, DisplacedBlocks, _offset, coset_blocks, coset_offsets, grid_blocks
+from .lattice import EmbeddedPair, Rank1Rule
+from .shifts import BLOCK_NODES, _index_blocks, _offset, coset_blocks, coset_offsets, grid_blocks
 
 MEAN_IDENTITY_RTOL = 1e-12
-
-
-def _index_blocks(steps: Sequence[int], t: int, f: PeriodicFunction) -> Iterator[np.ndarray]:
-    """f - If at the nodes k * steps mod 2^t, k < 2^t, in index order.
-
-    The nodes go through one `DisplacedBlocks`, BLOCK_NODES at a time, as
-    one shift-major row each.  Each block is a 1-D view of its buffer,
-    which the next block overwrites.
-    """
-    n = 1 << t
-    blocks = DisplacedBlocks(steps, t, min(n, BLOCK_NODES), f, 1)
-    for lo in range(0, n, blocks.n):
-        # a short last block drops the nodes past n
-        yield blocks.values(as_uint64(lo * c for c in steps)[:, None])[0, : n - lo]
-
 
 # nothing in the package calls kahan_sum any more (the sums go through
 # the fsum module); perfbench still binds spans at kahan_sum and
@@ -76,10 +62,6 @@ def chunked_map(block_values: Callable[[int, int], np.ndarray], n: int, block: i
     for lo in range(0, n, block):
         out[lo : lo + block] = block_values(lo, min(lo + block, n))
     return out
-
-
-def _shifts_per_block(m: int) -> int:
-    return max(1, BLOCK_NODES >> m)
 
 
 def _grid_numerators(idx: np.ndarray, s: int, r: int) -> np.ndarray:
@@ -132,6 +114,15 @@ def _report(
     # digits to the rounding of 1 + bias
     delta = total(lambda v: v - offset) / n
     mean = offset + delta
+    if not (math.isfinite(mean) and math.isfinite(check_value)):
+        raise ValueError(f"{scheme} mean {mean!r} and its identity value {check_value!r} are not both finite")
+    # written so that a NaN fails it too
+    rel = abs(mean - check_value) / abs(check_value) if check_value != 0.0 else abs(mean)
+    if not rel <= MEAN_IDENTITY_RTOL:
+        raise IdentityCheckError(
+            f"{scheme} mean {mean!r} disagrees with its identity value "
+            f"{check_value!r} (relative {rel:.3e})"
+        )
     var = total(lambda v: (v - mean) ** 2) / n
 
     def cube(v: np.ndarray) -> np.ndarray:
@@ -140,12 +131,6 @@ def _report(
         return d * d * d
 
     mu3 = total(cube) / n
-    rel = abs(mean - check_value) / abs(check_value) if check_value != 0.0 else abs(mean)
-    if rel > MEAN_IDENTITY_RTOL:
-        raise IdentityCheckError(
-            f"{scheme} mean {mean!r} disagrees with its identity value "
-            f"{check_value!r} (relative {rel:.3e})"
-        )
     bias = delta if f.known_integral is not None else math.nan
     return MomentReport(
         scheme=scheme,
@@ -179,13 +164,12 @@ def moments_grid_shift(rule: Rank1Rule, f: PeriodicFunction, r: int) -> MomentRe
         raise ValueError(f"grid resolution r={r} below rule resolution m={rule.m}")
     guard(1 << (r * s), "grid shifts")
 
-    width = _shifts_per_block(rule.m)
-    blocks = grid_blocks(rule, f, r, width)
+    blocks = grid_blocks(rule, f, r)
 
     def block(lo: int, hi: int) -> np.ndarray:
         return blocks.means(_grid_numerators(np.arange(lo, hi, dtype=np.uint64), s, r))
 
-    values = chunked_map(block, 1 << (r * s - rule.m), width)
+    values = chunked_map(block, 1 << (r * s - rule.m), blocks.width)
     del blocks  # freed before the identity builds its own buffers
     return _report("grid-shift", values, f, rectangle_rule_mean(f, s, r), 1 << (r * s))
 
@@ -194,13 +178,12 @@ def moments_scalar_shift(pair: EmbeddedPair, f: PeriodicFunction) -> MomentRepor
     """Exact moments of the scalar-shifted rule over all 2^sr shifts."""
     guard(1 << pair.sr, "scalar shifts")
     guard(1 << pair.ext, "extension nodes")
-    width = _shifts_per_block(pair.m)
-    blocks = coset_blocks(pair, f, width)
+    blocks = coset_blocks(pair, f)
 
     def block(lo: int, hi: int) -> np.ndarray:
-        return blocks.means(coset_offsets(pair, lo, hi))
+        return blocks.means(coset_offsets(pair, np.arange(lo, hi, dtype=np.uint64)))
 
-    values = chunked_map(block, 1 << pair.sr, width)
+    values = chunked_map(block, 1 << pair.sr, blocks.width)
     del blocks  # freed before the identity builds its own buffers
     return _report("scalar-shift", values, f, extended_rule_value(pair, f), 1 << pair.sr)
 
@@ -223,7 +206,11 @@ def rectangle_rule_mean(f: PeriodicFunction, s: int, r: int) -> float:
     if factor is not None:
         guard(n, "grid coordinates")
         coord_mean = float(fsum_rows(factor(np.arange(n) * (1.0 / n))[None, :])[0]) / n
-        return coord_mean**s
+        try:
+            return coord_mean**s
+        except OverflowError:
+            # the generic path's sum overflows to an infinity alike
+            return math.copysign(math.inf, coord_mean) if s % 2 else math.inf
     total = 1 << (r * s)
     guard(total, "grid points of an integrand with no per-coordinate factorization")
 

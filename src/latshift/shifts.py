@@ -14,34 +14,35 @@ Three randomizations of a rank-1 rule are implemented:
 Both finite schemes read one draw of s*r bits, an int below 2^sr: a scalar
 shift holds it whole, and `GridShift.from_word` splits it into s numerators.
 
-The dyadic evaluators and both moment enumerations share one prepared
-block evaluator, `DisplacedBlocks`.  It builds the unshifted base node
-numerators once (`lattice.lattice_numerators`) and one node buffer.  A
-block adds its offset columns into the buffer as uint64
-(`lattice.displace`, mod 2^t), scales them in place into its float64 view,
-evaluates them in one `eval_batch` call and subtracts If (when the
-integral is known).  The block is laid out the way its sums read it
-(`lattice.block_layout`): shift-major, (B, n) values, when the n nodes of
-a shift are at least as many as the block's B shifts (or cosets), and
-node-major, (n, B), otherwise, so the inner axis is always the longer one.
-The sums come from `fsum._fsum` along that axis, which rounds correctly
-(equal to `math.fsum` bit for bit) in a few whole-array passes and may
-overwrite the values, so no block allocates a node array or a transposed
-copy of its own.  If is added back after the sum, so a mean does not
-depend on the order of its nodes.
+The dyadic evaluators, both moment enumerations and the index-order node
+blocks of the extended-rule identity and the CBC merit (`_index_blocks`)
+share one prepared block evaluator, `DisplacedBlocks`.  It builds the
+unshifted base node numerators once (`lattice.lattice_numerators`, the
+one node guard) and one node buffer.  A block adds its offset columns
+into the buffer as uint64 (`lattice.displace`, mod 2^t), scales them in
+place into its float64 view, evaluates them in one `eval_batch` call and
+subtracts If (when the integral is known).  The block is laid out the way
+its sums read it (`lattice.block_layout`): shift-major, (B, n) values,
+when the n nodes of a shift are at least as many as the block's B shifts
+(or cosets), and node-major, (n, B), otherwise, so the inner axis is
+always the longer one.  The sums come from `fsum._fsum` along that axis,
+which rounds correctly (equal to `math.fsum` bit for bit) in a few
+whole-array passes and may overwrite the values, so no block allocates a
+node array or a transposed copy of its own.  If is added back after the
+sum, so a mean does not depend on the order of its nodes.
 
-The prepared evaluators `grid_evaluator`, `scalar_evaluator` and
-`real_evaluator` take a sequence of shifts and return their means in
-order.  Each checks every shift first, then evaluates them in blocks of
-max(1, BLOCK_NODES >> m) shifts (fewer only where s times the block's
-nodes would pass the guard) in one buffer, built once: a `DisplacedBlocks`
-for the dyadic schemes, float base nodes for the real shift.  A node is
-the same integer (or, for the real shift, the same float) as a fresh
-build would give, and every sum is correctly rounded, so each mean is
-bitwise that of the shift evaluated alone.  Since the buffers are reused,
-one evaluator must not be called again while a call is running (it is
-not reentrant); the means it returns are Python floats and share nothing
-with it.  `eval_{grid,scalar,real}_shifted` are single uses of the same
+A block evaluator sizes its own blocks (`_Blocks.width`).  The prepared
+evaluators `grid_evaluator`, `scalar_evaluator` and `real_evaluator`
+take a sequence of shifts and return their means in order.  Each checks
+every shift first, then evaluates them a block at a time in one buffer,
+built once: a `DisplacedBlocks` for the dyadic schemes, float base nodes
+for the real shift.  A node is the same integer (or, for the real shift,
+the same float) as a fresh build would give, and every sum is correctly
+rounded, so each mean is bitwise that of the shift evaluated alone.
+Since the buffers are reused, one evaluator must not be called again
+while a call is running (it is not reentrant); the means it returns are
+Python floats and share nothing with it.
+`eval_{grid,scalar,real}_shifted` are single uses of the same
 evaluators.
 """
 
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -62,7 +63,6 @@ from .lattice import (
     as_uint64,
     block_layout,
     displace,
-    guard_nodes,
     lattice_numerators,
 )
 
@@ -143,15 +143,20 @@ def _offset(f: PeriodicFunction) -> float:
 
 
 class _Blocks:
-    """Means of f over n nodes displaced by blocks of at most width offset
-    columns, in one buffer that grows to the largest block asked for.
+    """Means of f over n nodes of s coordinates displaced by offset columns,
+    in one buffer that grows to the largest block asked for.
 
-    A subclass's values(offsets) gives f - If at the displaced nodes in the
+    A block takes width = max(1, min(BLOCK_NODES, 2^GUARD_BITS // s) // n)
+    columns: about BLOCK_NODES nodes, fewer where its s * n * width
+    coordinates would pass the guard, and at least one, so a block is
+    within the guard whenever its s * n base coordinates are.  A
+    subclass's values(offsets) gives f - If at the displaced nodes in the
     `lattice.block_layout`, (B, n) when n >= B and (n, B) otherwise.
     """
 
-    def __init__(self, n: int, f: PeriodicFunction, width: int) -> None:
-        self.n, self.f, self.width = n, f, width
+    def __init__(self, s: int, n: int, f: PeriodicFunction) -> None:
+        self.n, self.f = n, f
+        self.width = max(1, min(BLOCK_NODES, (1 << GUARD_BITS) // s) // n)
         self.off = _offset(f)
         self._buf = np.empty(0, dtype=np.uint64)
 
@@ -193,24 +198,22 @@ class DisplacedBlocks(_Blocks):
     """Prepared f - If over the nodes j * steps mod 2^t, j < n, displaced by
     blocks of offset columns.
 
-    Built once per enumeration or estimate: the base numerators (s, n) and
-    one node buffer for up to `width` offset columns.  A call adds its
-    block's offset columns in place as uint64 (`lattice.displace`), in the
-    layout the sums read (`lattice.block_layout`: shift-major when n is at
-    least the block's width, node-major otherwise), scales them in place
-    into the buffer's float64 view (the integers are spent once scaled),
-    evaluates, and subtracts If; `means` then sums along the block's inner
-    axis with a correctly rounded sum that may overwrite the values.
-    Refuses more than 2^GUARD_BITS nodes, a depth beyond 64 bits, or more
-    than 2^GUARD_BITS node coordinates (s * n * width), before allocating.
-    The buffer is reused, so a call must not start while another runs (not
-    reentrant), and the values a call returns are overwritten by the next.
+    Built once per enumeration or estimate: the base numerators (s, n),
+    refused as `lattice.lattice_numerators` refuses them, and one node
+    buffer.  A call adds its block's offset columns in place as uint64
+    (`lattice.displace`), in the layout the sums read
+    (`lattice.block_layout`: shift-major when n is at least the block's
+    width, node-major otherwise), scales them in place into the buffer's
+    float64 view (the integers are spent once scaled), evaluates, and
+    subtracts If; `means` then sums along the block's inner axis with a
+    correctly rounded sum that may overwrite the values.  The buffer is
+    reused, so a call must not start while another runs (not reentrant),
+    and the values a call returns are overwritten by the next.
     """
 
-    def __init__(self, steps: Sequence[int], t: int, n: int, f: PeriodicFunction, width: int) -> None:
-        guard_nodes(len(steps), t, n, width)
-        super().__init__(n, f, width)
+    def __init__(self, steps: Sequence[int], t: int, n: int, f: PeriodicFunction) -> None:
         self.base = lattice_numerators(steps, t, n)
+        super().__init__(len(steps), n, f)
         self.t = t
 
     def values(self, offsets: np.ndarray) -> np.ndarray:
@@ -234,10 +237,9 @@ class _RealBlocks(_Blocks):
     """f - If over the rule nodes displaced by blocks of real shifts, taken
     mod 1 in floating point."""
 
-    def __init__(self, rule: Rank1Rule, f: PeriodicFunction, width: int) -> None:
-        guard_nodes(rule.s, rule.m, rule.n_points, width)
-        super().__init__(rule.n_points, f, width)
+    def __init__(self, rule: Rank1Rule, f: PeriodicFunction) -> None:
         self.nodes = lattice_numerators(rule.z.components, rule.m, rule.n_points) * (1.0 / rule.n_points)
+        super().__init__(rule.s, rule.n_points, f)
 
     def values(self, u: np.ndarray) -> np.ndarray:
         a, b, shape = block_layout(self.nodes, u)
@@ -248,17 +250,17 @@ class _RealBlocks(_Blocks):
         return np.subtract(self.f.eval_batch(xs), self.off, out=floats[: xs[0].size].reshape(shape[1:]))
 
 
-def grid_blocks(rule: Rank1Rule, f: PeriodicFunction, r: int, width: int) -> DisplacedBlocks:
+def grid_blocks(rule: Rank1Rule, f: PeriodicFunction, r: int) -> DisplacedBlocks:
     """The rule nodes, displaced by blocks of r-bit grid shifts.
 
     Nodes at depth m and the shift at depth r combine exactly at depth
     t = max(m, r); the offset columns are shift numerators over 2^t.
     """
     t = max(rule.m, r)
-    return DisplacedBlocks([c << (t - rule.m) for c in rule.z.components], t, rule.n_points, f, width)
+    return DisplacedBlocks([c << (t - rule.m) for c in rule.z.components], t, rule.n_points, f)
 
 
-def coset_blocks(pair: EmbeddedPair, f: PeriodicFunction, width: int) -> DisplacedBlocks:
+def coset_blocks(pair: EmbeddedPair, f: PeriodicFunction) -> DisplacedBlocks:
     """The base-rule cosets of an embedded pair, by their offsets w * z.
 
     Coset w is the extension nodes (j << sr) | w = j * (z << sr) + w * z
@@ -266,19 +268,26 @@ def coset_blocks(pair: EmbeddedPair, f: PeriodicFunction, width: int) -> Displac
     equivalent float expression {(j + w)/2^m * z} would corrupt biases at
     the 1e-9 scale.
     """
-    return DisplacedBlocks([c << pair.sr for c in pair.z.components], pair.ext, 1 << pair.m, f, width)
+    return DisplacedBlocks([c << pair.sr for c in pair.z.components], pair.ext, 1 << pair.m, f)
 
 
-def coset_offsets(pair: EmbeddedPair, lo: int, hi: int) -> np.ndarray:
-    """The offsets w * z (mod 2^64) of the cosets w = lo .. hi - 1, one column each."""
-    return as_uint64(pair.z.components)[:, None] * np.arange(lo, hi, dtype=np.uint64)
+def coset_offsets(pair: EmbeddedPair, cosets: np.ndarray) -> np.ndarray:
+    """The offsets w * z (mod 2^64) of the uint64 coset words w, one column each."""
+    return as_uint64(pair.z.components)[:, None] * cosets
 
 
-def _evaluator_width(s: int, m: int) -> int:
-    """Shifts of 2^m nodes an evaluator takes at a time: one block of
-    BLOCK_NODES nodes, no more node coordinates than the guard allows, and
-    at least one."""
-    return max(1, min(BLOCK_NODES, (1 << GUARD_BITS) // s) >> m)
+def _index_blocks(steps: Sequence[int], t: int, f: PeriodicFunction) -> Iterator[np.ndarray]:
+    """f - If at the nodes k * steps mod 2^t, k < 2^t, in index order.
+
+    The nodes go through one `DisplacedBlocks`, BLOCK_NODES at a time, as
+    one shift-major row each.  Each block is a 1-D view of its buffer,
+    which the next block overwrites.
+    """
+    n = 1 << t
+    blocks = DisplacedBlocks(steps, t, min(n, BLOCK_NODES), f)
+    for lo in range(0, n, blocks.n):
+        # a short last block drops the nodes past n
+        yield blocks.values(as_uint64(lo * c for c in steps)[:, None])[0, : n - lo]
 
 
 def grid_evaluator(rule: Rank1Rule, f: PeriodicFunction, r: int) -> Callable[[Sequence[GridShift]], list[float]]:
@@ -288,7 +297,7 @@ def grid_evaluator(rule: Rank1Rule, f: PeriodicFunction, r: int) -> Callable[[Se
     before any is evaluated.  Refuses as DisplacedBlocks does; reuses its
     buffers: not reentrant.
     """
-    blocks = grid_blocks(rule, f, r, _evaluator_width(rule.s, rule.m))
+    blocks = grid_blocks(rule, f, r)
     up = blocks.t - r
 
     def evaluate(shifts: Sequence[GridShift]) -> list[float]:
@@ -308,14 +317,13 @@ def scalar_evaluator(pair: EmbeddedPair, f: PeriodicFunction) -> Callable[[Seque
     Every shift is checked before any is evaluated.  Refuses as
     DisplacedBlocks does; not reentrant.
     """
-    blocks = coset_blocks(pair, f, _evaluator_width(pair.s, pair.m))
+    blocks = coset_blocks(pair, f)
 
     def evaluate(shifts: Sequence[ScalarShift]) -> list[float]:
         for shift in shifts:
             if shift.sr != pair.sr:
                 raise ValueError(f"bit-depth mismatch: shift has {shift.sr}, pair has {pair.sr}")
-        cosets = as_uint64(shift.wnum for shift in shifts)
-        return blocks.all_means(as_uint64(pair.z.components)[:, None] * cosets)
+        return blocks.all_means(coset_offsets(pair, as_uint64(shift.wnum for shift in shifts)))
 
     return evaluate
 
@@ -328,7 +336,7 @@ def real_evaluator(rule: Rank1Rule, f: PeriodicFunction) -> Callable[[Sequence[R
     its point coordinates.  Every shift is checked before any is
     evaluated.  Reuses its buffer: not reentrant.
     """
-    blocks = _RealBlocks(rule, f, _evaluator_width(rule.s, rule.m))
+    blocks = _RealBlocks(rule, f)
 
     def evaluate(shifts: Sequence[RealShift]) -> list[float]:
         for shift in shifts:
@@ -392,5 +400,9 @@ def estimate_mean(
     mean = math.fsum(values) / q
     if q == 1:
         return ReplicateEstimate(values, mean, None)
-    var = math.fsum((v - mean) ** 2 for v in values) / (q - 1)
+    try:
+        var = math.fsum((v - mean) ** 2 for v in values) / (q - 1)
+    except OverflowError:
+        # a square past the float range: the variance is not finite either
+        var = math.inf
     return ReplicateEstimate(values, mean, math.sqrt(var))

@@ -15,6 +15,8 @@ from latshift import (
     moments_grid_shift,
     moments_scalar_shift,
 )
+from latshift import moments as moments_module
+from latshift import shifts as shifts_module
 
 TABLE_CONFIGS = ((3, 4, 4), (2, 5, 5))
 TABLE_ELLS = (17797, 1267, 12915)
@@ -132,3 +134,16 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def set_block_nodes(monkeypatch, block: int) -> None:
+    """Run the block layer at blocks of about `block` nodes: `shifts` sizes
+    every node block by BLOCK_NODES, and `moments` slices its moment sums
+    and the generic rectangle rule by the same constant."""
+    monkeypatch.setattr(shifts_module, "BLOCK_NODES", block)
+    monkeypatch.setattr(moments_module, "BLOCK_NODES", block)
+
+
+def index_block_count(t: int) -> int:
+    """The number of node blocks `_index_blocks` yields for 2^t nodes."""
+    return sum(1 for _ in shifts_module._index_blocks([1], t, ProductBernoulliFn(1)))

@@ -22,11 +22,10 @@ from latshift import (
     merit,
 )
 import latshift.cbc as cbc_module
-import latshift.moments as moments_module
 from latshift.cbc import _TwoLevelScan, _normalizers, _sample_candidates
 from latshift.functions import bernoulli2
 
-from conftest import rel_err
+from conftest import count_calls, index_block_count, rel_err, set_block_nodes
 
 
 def _run_capped(code: str) -> subprocess.CompletedProcess:
@@ -114,7 +113,9 @@ class TestMerit:
     def test_streamed_blocks_equal_full_array_sum_at_any_block_size(self, monkeypatch, block, t):
         # halving the block sums pairwise is numpy's own tree for every
         # power-of-two block of at least 128 nodes
-        monkeypatch.setattr(moments_module, "BLOCK_NODES", block)
+        set_block_nodes(monkeypatch, block)
+        # the merit's node blocks are of the patched size
+        assert index_block_count(17) == (1 << 17) // block
         self.test_streamed_blocks_equal_full_array_sum(t)
 
     def test_guard_size_fits_in_bounded_memory(self):
@@ -151,6 +152,18 @@ class TestEmbeddedMerit:
         rb, _ = _normalizers(2, 5, 0)
         assert em.combined == em.base.value / rb
         assert em.base == em.extended
+
+    def test_each_baseline_merit_is_evaluated_once(self, monkeypatch):
+        # at sr = 0 the two levels are one: one merit of z and the three
+        # Korobov merits of its baseline
+        cbc_module._baseline.cache_clear()
+        calls = count_calls(monkeypatch, cbc_module, "merit")
+        em = embedded_merit(korobov_vector(17797, 3, 4), 4, 0)
+        assert len(calls) == 4 and em.combined.hex() == "0x1.0000000000000p+0"
+        # the baselines of d = 2, 3 at the one level, then 3 merits of candidates
+        calls.clear()
+        assert cbc_construct(3, 6, 0).components == (1, 19, 29)
+        assert len(calls) == 9
 
     def test_ordering_matches_direct_merit_comparison(self):
         # two candidate vectors at s = 2: the combined ordering must agree

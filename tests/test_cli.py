@@ -150,6 +150,38 @@ def test_scalar_scheme_at_zero_extension_bits(capsys, command):
         assert results["replicates"] == [value, value] and results["bits_consumed"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # (7/6)^s, the integrand at the origin, leaves the float range near s = 4600
+        (["estimate", "--scheme", "scalar", "--s", "5000", "--m", "4", "--r", "0", "--ell", "1",
+          "--q", "2", "--bits", "seed:1"], "estimate results are not finite"),
+        # finite values whose squared deviations pass the float range
+        (["estimate", "--scheme", "grid", "--s", "16384", "--m", "0", "--r", "1", "--ell", "1",
+          "--q", "2", "--bits", "seed:3"], "estimate results are not finite"),
+        (["moments", "--scheme", "scalar", "--s", "5000", "--m", "4", "--r", "0", "--ell", "1"],
+         "scalar-shift mean inf and its identity value inf are not both finite"),
+        (["moments", "--scheme", "grid", "--s", "4700", "--m", "0", "--r", "0", "--ell", "1"],
+         "grid-shift mean inf and its identity value inf are not both finite"),
+    ],
+)
+def test_non_finite_results_are_refused(capsys, tmp_path, argv, message):
+    out_path = tmp_path / "artifact.json"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
+def test_scalar_moments_above_4096_coordinates_run(capsys):
+    # 4097 coordinates of 16 nodes: one block within the guard
+    code, out, err = run(capsys, "moments", "--scheme", "scalar", "--s", "4097", "--m", "4", "--r", "0", "--ell", "1")
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert results["mean"] == 1.1936503616674931e273
+    assert results["mean_check_rel_err"] == 0.0
+
+
 class TestEstimateCommand:
     def test_zero_bit_file_pins_shift_to_zero(self, capsys, tmp_path):
         p = tmp_path / "zeros.txt"
@@ -366,7 +398,7 @@ class TestDualCommand:
     def test_streamed_artifact_equals_json_dumps(self, capsys, monkeypatch, s, m, vector, H, rows_per_write):
         from latshift import cli
 
-        monkeypatch.setattr(cli, "BLOCK_NODES", rows_per_write)
+        monkeypatch.setattr(cli, "DUAL_ROWS_PER_WRITE", rows_per_write)
         code, out, _ = run(capsys, "dual", "--s", str(s), "--m", str(m), *vector, "--H", str(H))
         assert code == 0
         option, value = vector

@@ -25,10 +25,9 @@ from latshift import (
     scalar_evaluator,
 )
 from latshift import fsum as fsum_module
-from latshift import moments as moments_module
 from latshift.fsum import _fsum, fsum_blocks, fsum_rows
 
-from conftest import count_calls
+from conftest import count_calls, index_block_count, set_block_nodes
 
 PROPERTY = settings(max_examples=300, deadline=None)
 
@@ -298,7 +297,9 @@ def test_extended_rule_value_left_to_fsum(monkeypatch, block):
     xs = (z * np.arange(n, dtype=np.uint64)) % np.uint64(n) * (1.0 / n)
     f = ProductBernoulliFn(2)
     expected = f.known_integral + math.fsum((f.eval_batch(xs) - f.known_integral).tolist()) / n
-    monkeypatch.setattr(moments_module, "BLOCK_NODES", block)
+    set_block_nodes(monkeypatch, block)
+    # the index blocks are of the patched size: ceil(2^17 / block) of them
+    assert index_block_count(17) == -(-(1 << 17) // block)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fsum_module, "_settled", lambda s, *rest: np.zeros(len(s), dtype=bool))
         calls = count_calls(mp, fsum_module, "_fallback")

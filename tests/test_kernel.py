@@ -30,7 +30,15 @@ from latshift import (
 from latshift import shifts as shifts_module
 from latshift.lattice import as_uint64, displace, lattice_numerators
 from latshift.moments import chunked_map
-from latshift.shifts import DisplacedBlocks, coset_blocks, coset_offsets
+from latshift.shifts import (
+    BLOCK_NODES,
+    DisplacedBlocks,
+    _index_blocks,
+    _RealBlocks,
+    coset_blocks,
+    coset_offsets,
+    grid_blocks,
+)
 
 from conftest import coset_node, count_calls, dyadic_add, product_bernoulli_point, rel_err
 
@@ -88,8 +96,10 @@ def test_coset_blocks_match_per_point_and_single_shift(cfg, block):
     pair = EmbeddedPair(m, s * r, z)
     f = ProductBernoulliFn(s)
     n = 1 << m
-    blocks = coset_blocks(pair, f, block)
-    values = chunked_map(lambda lo, hi: blocks.means(coset_offsets(pair, lo, hi)), 1 << pair.sr, block)
+    blocks = coset_blocks(pair, f)
+    values = chunked_map(
+        lambda lo, hi: blocks.means(coset_offsets(pair, np.arange(lo, hi, dtype=np.uint64))), 1 << pair.sr, block
+    )
     for w, value in enumerate(values.tolist()):
         assert value == eval_scalar_shifted(pair, f, ScalarShift(w, pair.sr))
         points = [coset_node(pair, j, w) for j in range(n)]
@@ -107,14 +117,64 @@ def test_grid_shift_mean_equals_rectangle_rule(cfg):
     assert rel_err(report.mean, rectangle_rule_mean(f, s, r)) < 1e-12
 
 
+@pytest.mark.parametrize("s", [1, 3, 4096, 4097, 1 << 20])
+def test_blocks_size_themselves_and_are_refused_only_above_the_guard(monkeypatch, s):
+    # n nodes of s coordinates: blocks are built where s * n <= 2^21, which
+    # holds at most 16 MB of numerators, and refused where s * n > 2^26
+    z = GeneratingVector((1,) * s, 16)
+    made = []
+
+    class Unevaluated(ProductBernoulliFn):
+        # the index blocks evaluate their first block; its values do not matter here
+        def eval_batch(self, xs):
+            return np.zeros(xs.shape[1:])
+
+    f = Unevaluated(s)
+
+    class Recorded(DisplacedBlocks):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(shifts_module, "DisplacedBlocks", Recorded)
+
+    def index_blocks(m):
+        next(_index_blocks(z.components, m, f))
+        return made[-1]
+
+    for m in [0, 1, 4, 8, 14, 15]:
+        rule, pair = Rank1Rule(m, z), EmbeddedPair(m, 0, z)
+        builders = {
+            "grid": lambda: grid_blocks(rule, f, m),
+            "coset": lambda: coset_blocks(pair, f),
+            "real": lambda: _RealBlocks(rule, f),
+            "index": lambda: index_blocks(m),
+        }
+        for name, build in builders.items():
+            # index blocks hold at most BLOCK_NODES of the 2^m nodes
+            n = min(1 << m, BLOCK_NODES) if name == "index" else 1 << m
+            if s * n > 1 << 26:
+                with pytest.raises(GuardLimitError) as refused:
+                    lattice_numerators(z.components, m, n)
+                with pytest.raises(GuardLimitError) as got:
+                    build()
+                assert str(got.value) == str(refused.value), (name, m)
+            elif s * n <= 1 << 21:
+                blocks = build()
+                assert blocks.n == n, (name, m)
+                assert blocks.width == max(1, min(BLOCK_NODES, (1 << 26) // s) // n), (name, m)
+
+
 class TestKernelGuard:
     def test_refuses_node_count_above_guard(self):
         with pytest.raises(GuardLimitError, match="guard"):
             lattice_numerators([1], 40, 1 << 40)
 
     def test_refuses_blocks_above_guard(self):
-        with pytest.raises(GuardLimitError):
-            DisplacedBlocks([1], 16, 1 << 16, ProductBernoulliFn(1), 1 << 11)
+        # a block takes at least one column, so its nodes pass the guard
+        # only where the base nodes do
+        with pytest.raises(GuardLimitError, match="^134217728 nodes exceed"):
+            DisplacedBlocks([1], 27, 1 << 27, ProductBernoulliFn(1))
 
     def test_refuses_depth_beyond_numerator_dtype(self):
         with pytest.raises(GuardLimitError, match="64-bit"):
@@ -127,11 +187,11 @@ class TestKernelGuard:
         with pytest.raises(GuardLimitError, match="^81920000 node coordinates exceed the 2"):
             lattice_numerators(steps, 14, 1 << 14)
         with pytest.raises(GuardLimitError, match="^81920000 node coordinates exceed the 2"):
-            DisplacedBlocks(steps, 14, 1 << 10, ProductBernoulliFn(1), 16)
+            DisplacedBlocks(steps, 14, 1 << 14, ProductBernoulliFn(1))
         with pytest.raises(GuardLimitError, match="64-bit"):
             lattice_numerators(steps, 65, 1 << 14)
         with pytest.raises(GuardLimitError, match="^134217728 nodes exceed"):
-            DisplacedBlocks(steps, 14, 1 << 16, ProductBernoulliFn(1), 1 << 11)
+            DisplacedBlocks(steps, 14, 1 << 27, ProductBernoulliFn(1))
         # 4096 coordinates of 2^14 nodes are exactly at the guard
         assert lattice_numerators([1] * 4096, 14, 1 << 14).shape == (4096, 1 << 14)
 

@@ -1,0 +1,51 @@
+"""The package's modules import only from the layers below their own."""
+
+import ast
+from pathlib import Path
+
+import latshift
+
+# lowest first; a module may import any module of a lower layer, none of
+# its own layer or above
+LAYERS = (
+    ("errors", "fsum", "reference"),
+    ("lattice", "bits"),
+    ("functions",),
+    ("shifts",),
+    ("moments", "cbc", "dual"),
+    ("cli",),
+)
+LAYER_OF = {name: k for k, names in enumerate(LAYERS) for name in names}
+PACKAGE = Path(latshift.__file__).parent
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules that the module at path imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                # from . import name: a module, or a name of the package itself
+                found.update(alias.name for alias in node.names if alias.name in LAYER_OF)
+            elif (node.module or "").startswith("latshift."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("latshift."))
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYER_OF)
+
+
+def test_modules_import_only_lower_layers():
+    wrong = {
+        (name, imported)
+        for name in LAYER_OF
+        for imported in package_imports(PACKAGE / f"{name}.py")
+        if LAYER_OF[imported] >= LAYER_OF[name]
+    }
+    assert wrong == set()

@@ -31,7 +31,7 @@ from latshift.moments import _grid_numerators, _report, chunked_map
 from latshift.reference import REFERENCE_CELLS
 from latshift.shifts import coset_blocks, coset_offsets, grid_blocks
 
-from conftest import rel_err
+from conftest import index_block_count, rel_err, set_block_nodes
 
 # frozen from the exact-rational enumeration oracle (Fraction arithmetic,
 # converted to float at the end); the float pipeline must agree closely
@@ -121,12 +121,12 @@ def full_grid_report(rule: Rank1Rule, f: ProductBernoulliFn, r: int):
     """The grid-shift report over all 2^(r*s) shifts, every class in full."""
     s = rule.s
 
-    blocks = grid_blocks(rule, f, r, 1 << 10)
+    blocks = grid_blocks(rule, f, r)
 
     def block(lo, hi):
         return blocks.means(_grid_numerators(np.arange(lo, hi, dtype=np.uint64), s, r))
 
-    values = chunked_map(block, 1 << (r * s), 1 << 10)
+    values = chunked_map(block, 1 << (r * s), blocks.width)
     return _report("grid-shift", values, f, rectangle_rule_mean(f, s, r), 1 << (r * s))
 
 
@@ -325,12 +325,21 @@ class TestBlockSizes:
             check = rectangle_rule_mean(f, s, r)
             moments = lambda: moments_grid_shift(rule, f, r)  # noqa: E731
         expected = fsum_report_bits(values, check)
-        for block in [k << m for k in range(1, 8)] + [1 << 16]:
-            monkeypatch.setattr(moments_module, "BLOCK_NODES", block)
+        sizes = [k << m for k in range(1, 8)] + [1 << 16]
+        widths = []
+        for block in sizes:
+            set_block_nodes(monkeypatch, block)
             if scheme == "scalar":
                 assert extended_rule_value(pair, f).hex() == check.hex(), block
+                # the identity's index blocks are of the patched size too
+                assert index_block_count(pair.ext) == -(-(1 << pair.ext) // block), block
+                widths.append(coset_blocks(pair, f).width)
+            else:
+                widths.append(grid_blocks(rule, f, r).width)
             got = report_bits(moments())
             assert {k: got[k] for k in expected} == expected, block
+        # the patch reaches the block width: each size blocks the shifts its own way
+        assert widths == [block >> m for block in sizes]
 
 
 class TestBlockMemory:
@@ -357,10 +366,20 @@ class TestReportSums:
         pair = EmbeddedPair(4, 12, korobov_vector(5709, 2, 16))
         f = ProductBernoulliFn(2)
         rep = moments_scalar_shift(pair, f)
-        values = coset_blocks(pair, f, 1 << 12).means(coset_offsets(pair, 0, 1 << 12)).tolist()
+        values = coset_blocks(pair, f).means(coset_offsets(pair, np.arange(1 << 12, dtype=np.uint64))).tolist()
         d = [v - rep.mean for v in values]
         assert rep.mu3.hex() == (math.fsum(x * x * x for x in d) / len(d)).hex()
         assert rep.variance.hex() == (math.fsum(x * x for x in d) / len(d)).hex()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_mean_or_identity_value_is_refused(self, bad):
+        f = ProductBernoulliFn(2)
+        with pytest.raises(ValueError, match=f"^scalar-shift mean {bad!r} and its identity value {bad!r} are not"):
+            _report("scalar-shift", np.array([1.0, bad]), f, bad, 2)
+        with pytest.raises(ValueError, match=f"^grid-shift mean 1.0 and its identity value {bad!r} are not"):
+            _report("grid-shift", np.array([1.0, 1.0]), f, bad, 2)
+        with pytest.raises(ValueError, match=f"^grid-shift mean {bad!r} and its identity value 1.0 are not"):
+            _report("grid-shift", np.array([1.0, bad]), f, 1.0, 2)
 
     def test_chunked_map_order_and_values(self):
         calls = []

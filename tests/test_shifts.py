@@ -175,6 +175,10 @@ class TestEstimateMean:
         est = estimate_mean(lambda ws: [1.25 for _ in ws], [ScalarShift(0, 4)])
         assert est.q == 1 and est.mean == 1.25 and est.sd is None
 
+    def test_squares_past_the_float_range_give_an_infinite_sd(self):
+        est = estimate_mean(lambda ws: [1e300, -1e300], [ScalarShift(0, 4)] * 2)
+        assert est.mean == 0.0 and est.sd == math.inf
+
     def test_constant_replicates(self):
         f = ProductBernoulliFn(2)
         pair = EmbeddedPair(3, 6, korobov_vector(1267, 2, 9))
