@@ -33,18 +33,21 @@ their values in that layout to begin with.  Both hand the terms to one
 dispatcher, _fsum, which overwrites them and asks its caller to form the
 terms again for a sum the certificate cannot settle.  Sums longer than
 BLOCK_TERMS are reduced a block at a time and the blocks' parts (s, t, r,
-two exact floats and one within its bound) are reduced once more.  Every
-other sum, including sums with a non-finite term or a scale near
-overflow, goes to math.fsum, and so does an input of fewer than
-SHORT_TERMS terms in all, where the passes' fixed cost (some 30-50 numpy
-calls) exceeds math.fsum's.
+two exact floats and one within its bound) are reduced once more.
+fsum_blocks first joins the blocks it is fed into whole pieces of
+BLOCK_TERMS, whatever their sizes, so a sum of at most BLOCK_TERMS terms
+fed in several blocks still settles after one extraction, and a longer
+one takes as few pieces as it can.  Every other sum, including sums
+with a non-finite term or a scale near overflow, goes to math.fsum, and
+so does an input of fewer than SHORT_TERMS terms in all, where the
+passes' fixed cost (some 30-50 numpy calls) exceeds math.fsum's.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain, islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -231,20 +234,40 @@ def fsum_rows(a: np.ndarray) -> np.ndarray:
     return _fsum(np.array(a if axis else a.T, order="C"), axis, lambda i: a[i])
 
 
+def _joined(blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """The terms of the 1-D blocks, in order, copied into pieces of
+    BLOCK_TERMS (the last may be shorter), each a new (n, 1) array.
+
+    A block is copied before the next is asked for, and no two pieces share
+    memory, since `_reduce` holds two before it reduces either.
+    """
+    piece, fill = np.empty(BLOCK_TERMS), 0
+    for b in map(np.asarray, blocks):
+        lo = 0
+        while lo < len(b):
+            take = min(len(b) - lo, BLOCK_TERMS - fill)
+            piece[fill : fill + take] = b[lo : lo + take]
+            fill += take
+            lo += take
+            if fill == BLOCK_TERMS:
+                yield piece.reshape(-1, 1)
+                piece, fill = np.empty(BLOCK_TERMS), 0
+    if fill:
+        yield piece[:fill].reshape(-1, 1)
+
+
 def fsum_blocks(blocks: Callable[[], Iterable[np.ndarray]]) -> float:
     """math.fsum of the terms of the 1-D arrays blocks() yields, in order.
 
-    The terms are reduced at most BLOCK_TERMS at a time; blocks() is called
+    The terms are joined into whole pieces of BLOCK_TERMS, whatever the
+    sizes of the blocks, and reduced a piece at a time, so a sum of at most
+    BLOCK_TERMS terms may settle after one extraction.  blocks() is called
     a second time, to feed math.fsum, only when the certificate cannot
     settle the sum.  Both passes copy each block's terms out before they
     ask for the next block, so blocks() may yield views of one buffer that
     every block overwrites.
     """
-    pieces = (
-        np.array(b[lo : lo + BLOCK_TERMS], dtype=np.float64).reshape(-1, 1)
-        for b in map(np.asarray, blocks())
-        for lo in range(0, len(b), BLOCK_TERMS)
-    )
+    pieces = _joined(blocks())
     head = list(islice(pieces, 2))
     if len(head) < 2 and sum(x.size for x in head) < SHORT_TERMS:
         return math.fsum(head[0][:, 0].tolist() if head else ())

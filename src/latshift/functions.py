@@ -22,6 +22,10 @@ _B2_C = 1.0 / 12.0
 
 TWO_PI_SQ = 2.0 * math.pi**2
 
+# eval_batch forms the factors of several coordinates in one temporary of at
+# most this many values (or one row, if a row is longer)
+_FACTOR_TERMS = 1 << 16
+
 
 def bernoulli2(x):
     """B2(x) = x^2 - x + 1/6 for x in [0, 1); x may be a float or an array."""
@@ -40,6 +44,11 @@ class PeriodicFunction(ABC):
 
     #: exact value of the integral when known, else None
     known_integral: float | None = None
+
+    #: True when f(1 - x) == f(x) bit for bit at dyadic points, every
+    #: coordinate reflected (0 to itself); the scalar-shift moments then
+    #: visit only half the cosets
+    reflection_symmetric: bool = False
 
     @property
     @abstractmethod
@@ -77,6 +86,8 @@ class ProductBernoulliFn(PeriodicFunction):
 
     Fourier coefficients factor per coordinate with g(0) = 1 and
     g(h) = 1 / (2 pi^2 h^2) otherwise, all real and strictly positive.
+    Reflection symmetric bit for bit: for dyadic x, (1 - x) - 1/2 is
+    exactly -(x - 1/2), and each factor squares it.
 
     Parameters
     ----------
@@ -85,6 +96,7 @@ class ProductBernoulliFn(PeriodicFunction):
     """
 
     known_integral = 1.0
+    reflection_symmetric = True
 
     def __init__(self, s: int) -> None:
         if s < 1:
@@ -108,16 +120,30 @@ class ProductBernoulliFn(PeriodicFunction):
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
         if len(xs) != self._s:
             raise ValueError(f"dimension mismatch: got {len(xs)}, expected {self._s}")
-        # factor by factor in one temporary, as factor computes it
-        out = np.ones(xs.shape[1:])
-        tmp = np.empty_like(out)
-        for x in xs:
-            np.subtract(x, 0.5, out=tmp)
-            tmp *= tmp
-            tmp -= _B2_C
-            tmp += 1.0
-            out *= tmp
-        return out
+        # the factors of a group of coordinates, as factor computes them, in
+        # one temporary; the running product is folded into the group's
+        # first row and carried down its rows, so every node's product is
+        # ((f_1 f_2) f_3) ... in coordinate order, bit for bit.  Two
+        # temporaries alternate, so the last group's product is read while
+        # the next is formed
+        nodes = xs[0].size
+        rows = max(1, min(self._s, _FACTOR_TERMS // max(nodes, 1)))
+        temps = np.empty((min(2, -(-self._s // rows)), rows) + xs.shape[1:])
+        prod = None
+        # a product past the float range becomes inf, which every caller refuses
+        with np.errstate(over="ignore"):
+            for k, lo in enumerate(range(0, self._s, rows)):
+                f = temps[k % 2, : min(rows, self._s - lo)]
+                np.subtract(xs[lo : lo + rows], 0.5, out=f)
+                f *= f
+                f -= _B2_C
+                f += 1.0
+                if prod is not None:
+                    f[0] *= prod
+                for i in range(1, len(f)):
+                    f[i] *= f[i - 1]
+                prod = f[-1, ...]
+        return prod
 
     def fourier_coeff(self, h: np.ndarray) -> np.ndarray:
         h = np.asarray(h)

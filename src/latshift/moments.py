@@ -25,14 +25,18 @@ outnumber the nodes of one, along the rows otherwise), and the moment
 sums and the identity values come from `fsum.fsum_blocks`, so no result
 depends on the block size.  The grid enumeration visits one shift per
 lattice-translation class only, since every shift in a class gives the
-same rule value.
+same rule value.  The scalar enumeration of an f that declares
+`reflection_symmetric` visits cosets 0 .. 2^(sr-1) only, since coset
+2^sr - w holds the reflections of coset w's nodes and so gives the same
+mean; the cosets strictly between are counted twice.  The identity routes
+keep every node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -95,19 +99,34 @@ def _report(
     f: PeriodicFunction,
     check_value: float,
     shift_space_size: int,
+    mirrored: bool = False,
 ) -> MomentReport:
     """Moments of the shift-space distribution that values lists once per class.
 
     values holds one rule value per class of equally likely shifts, each
     class the same size, so means over values are means over the space.
+    When mirrored, values holds classes 0 .. n/2 of n, and each class
+    strictly between stands for its mirror n - w as well, so its terms are
+    doubled: exact short of overflow, which makes every sum the correctly
+    rounded sum of the same n terms as without mirroring.
     """
     offset = _offset(f)
-    n = len(values)
+    k = len(values)
+    n = 2 * (k - 1) if mirrored else k
 
     def total(term: Callable[[np.ndarray], np.ndarray]) -> float:
         # terms are formed a slice at a time, so no full-length temporary is held
-        slices = range(0, n, BLOCK_NODES)
-        return fsum_blocks(lambda: (term(values[lo : lo + BLOCK_NODES]) for lo in slices))
+        def slices() -> Iterator[np.ndarray]:
+            for lo in range(0, k, BLOCK_NODES):
+                t = term(values[lo : lo + BLOCK_NODES])
+                if mirrored:
+                    t[max(1 - lo, 0) : k - 1 - lo] *= 2.0
+                yield t
+
+        # a term past the float range is inf (as x + x is for a doubled x),
+        # and a sum with an infinite term is not finite
+        with np.errstate(over="ignore"):
+            return fsum_blocks(slices)
 
     # the mean is accumulated about the known integral, and the bias is kept
     # as that offset sum directly: biases near 1e-9 would otherwise lose
@@ -175,7 +194,14 @@ def moments_grid_shift(rule: Rank1Rule, f: PeriodicFunction, r: int) -> MomentRe
 
 
 def moments_scalar_shift(pair: EmbeddedPair, f: PeriodicFunction) -> MomentReport:
-    """Exact moments of the scalar-shifted rule over all 2^sr shifts."""
+    """Exact moments of the scalar-shifted rule over all 2^sr shifts.
+
+    Coset 2^sr - w holds the nodes of coset w reflected, x -> 1 - x mod 1
+    (extension index k -> -k mod 2^(m+sr)).  For an f that declares
+    reflection_symmetric, the two cosets' means are the same correctly
+    rounded sum of the same values, so only cosets 0 .. 2^(sr-1) are
+    enumerated and `_report` counts each one strictly between twice.
+    """
     guard(1 << pair.sr, "scalar shifts")
     guard(1 << pair.ext, "extension nodes")
     blocks = coset_blocks(pair, f)
@@ -183,9 +209,11 @@ def moments_scalar_shift(pair: EmbeddedPair, f: PeriodicFunction) -> MomentRepor
     def block(lo: int, hi: int) -> np.ndarray:
         return blocks.means(coset_offsets(pair, np.arange(lo, hi, dtype=np.uint64)))
 
-    values = chunked_map(block, 1 << pair.sr, blocks.width)
+    mirrored = f.reflection_symmetric and pair.sr > 0
+    cosets = (1 << pair.sr - 1) + 1 if mirrored else 1 << pair.sr
+    values = chunked_map(block, cosets, blocks.width)
     del blocks  # freed before the identity builds its own buffers
-    return _report("scalar-shift", values, f, extended_rule_value(pair, f), 1 << pair.sr)
+    return _report("scalar-shift", values, f, extended_rule_value(pair, f), 1 << pair.sr, mirrored)
 
 
 def rectangle_rule_mean(f: PeriodicFunction, s: int, r: int) -> float:

@@ -213,6 +213,64 @@ def test_long_rows_and_streams():
     )
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [[1 << 14] * 4, [1 << 14] * 2 + [1], [1 << 14] * 4 + [1], [(1 << 16) + 1], [1, (1 << 16) - 1, 1 << 14],
+     [4097, 12289, 65535, 3, 30001], [(1 << 15) + 3] * 5, [(1 << 16) + 1] * 3, [0, 1 << 14, 0, 40000]],
+)
+def test_blocks_straddling_block_terms_equal_fsum_bitwise(sizes):
+    # blocks of 2^14, odd sizes, and totals just past 2^16 are joined into
+    # pieces of BLOCK_TERMS whose edges fall inside the blocks; each block
+    # is a view of one buffer that the next block overwrites
+    rng = np.random.default_rng(sum(sizes))
+    total = sum(sizes)
+    for terms in (
+        1.0 + 0.1 * rng.standard_normal(total),
+        rng.standard_normal(total) * 2.0 ** rng.integers(-60, 1, total).astype(float),
+        near_midpoint(rng, total, 40),
+    ):
+        buf = np.empty(max(sizes))
+        cuts = np.cumsum([0] + sizes)
+
+        def blocks():
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                buf[: hi - lo] = terms[lo:hi]
+                yield buf[: hi - lo]
+
+        assert bits([fsum_blocks(blocks)]) == fsum_reference([terms.tolist()])
+
+
+def test_joined_pieces_are_whole_and_share_no_memory():
+    # _reduce holds two pieces before it reduces either, so a piece that
+    # shared memory with the next would be overwritten under it
+    blocks = [np.full(1 << 14, float(k)) for k in range(9)] + [np.full(5, 9.0)]
+    pieces = list(fsum_module._joined(iter(blocks)))
+    assert [len(x) for x in pieces] == [1 << 16, 1 << 16, (1 << 14) + 5]
+    assert all(x.shape[1:] == (1,) for x in pieces)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(pieces) for b in pieces[i + 1 :])
+    assert np.concatenate(pieces)[:, 0].tolist() == np.concatenate(blocks).tolist()
+    # the terms of two different pieces in flight: 2^16 ones, then 2^16
+    # terms of 2^-40 that a shared buffer would count twice
+    two = [np.ones(1 << 14)] * 4 + [np.full(1 << 14, 2.0**-40)] * 4 + [np.array([3.0])]
+    assert fsum_blocks(lambda: iter(two)) == math.fsum(np.concatenate(two).tolist())
+
+
+def test_sum_of_one_joined_piece_settles_after_one_extraction(monkeypatch):
+    # 2^15 to 2^16 integrand values fed in blocks of 2^14 form one piece,
+    # which one extraction settles; longer sums take a second per piece
+    second = count_calls(monkeypatch, fsum_module, "_last")
+    fallbacks = count_calls(monkeypatch, fsum_module, "_fallback")
+    rng = np.random.default_rng(7)
+    for total in ((1 << 15) + 1, 3 << 14, 1 << 16):
+        terms = 1.0 + 0.1 * rng.standard_normal(total)
+        blocks = lambda: (terms[lo : lo + (1 << 14)] for lo in range(0, total, 1 << 14))  # noqa: E731
+        assert bits([fsum_blocks(blocks)]) == fsum_reference([terms.tolist()])
+    assert second == [] and fallbacks == []
+    terms = 1.0 + 0.1 * rng.standard_normal((1 << 16) + 1)
+    assert bits([fsum_blocks(lambda: iter([terms]))]) == fsum_reference([terms.tolist()])
+    assert len(second) == 3
+
+
 def test_empty_and_degenerate_shapes():
     assert fsum_rows(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
     assert fsum_rows(np.zeros((0, 4))).shape == (0,)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,15 @@ from latshift.functions import TWO_PI_SQ
 from conftest import autocorrelation, bernoulli4, product_bernoulli_point, rel_err
 
 REL = 1e-14
+
+
+def coordinate_loop(xs: np.ndarray) -> np.ndarray:
+    """prod_i (1 + B2(x_i)) one coordinate at a time, as factor forms each
+    factor: the order eval_batch must reproduce bit for bit."""
+    out = np.ones(xs.shape[1:])
+    for x in xs:
+        out *= ProductBernoulliFn(1).factor(x)
+    return out
 
 
 class TestBernoulliPolynomials:
@@ -75,6 +85,42 @@ class TestProductBernoulliFn:
         assert got.shape == xs.shape[1:]
         assert got.tobytes() == expected.tobytes()
         assert got[:3].tobytes() == got[3:6].tobytes()
+
+    @pytest.mark.parametrize(
+        "s, shape",
+        [(1, ()), (1, (0,)), (1, (7,)), (1, (300,)), (1, ((1 << 16) + 1,)),
+         (3, (16, 4)), (3, (300,)), (3, (3, 1 << 12)), (3, ((1 << 16) + 1,)),
+         (600, (7,)), (600, (16, 4)), (600, (128,)), (600, (1 << 10,))],
+    )
+    def test_grouped_eval_batch_matches_coordinate_loop(self, s, shape):
+        # groups of factors, folded and multiplied down the rows, against
+        # the loop over coordinates they replace: one group and several,
+        # and one row a group above 2^16 nodes
+        rng = np.random.default_rng(s)
+        xs = rng.integers(0, 1 << 20, size=(s,) + shape) * 2.0**-20
+        got = ProductBernoulliFn(s).eval_batch(xs)
+        assert got.shape == shape
+        assert got.tobytes() == coordinate_loop(xs).tobytes()
+
+    def test_grouped_eval_batch_temporary_is_bounded(self):
+        # the factors take at most 2 x 2^16 values, or two rows when a row
+        # is longer: far below the s values a node the coordinates take
+        for s, nodes in ((600, 1 << 12), (8, 1 << 17)):
+            f = ProductBernoulliFn(s)
+            xs = np.full((s, nodes), 0.25)
+            tracemalloc.start()
+            try:
+                f.eval_batch(xs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * 2 * max(1 << 16, nodes) + 4096, (s, nodes, peak)
+
+    def test_overflowing_product_is_inf_without_warning(self):
+        # (7/6)^s at the origin leaves the float range near s = 4600; the
+        # suite turns any RuntimeWarning into an error
+        got = ProductBernoulliFn(5000).eval_batch(np.zeros((5000, 3)))
+        assert got.tolist() == [math.inf] * 3
 
     @pytest.mark.parametrize("t", range(17))
     def test_factor_in_one_buffer_matches_formula(self, t):

@@ -27,6 +27,7 @@ from latshift import (
     rectangle_rule_mean,
     scalar_evaluator,
 )
+from latshift import errors as errors_module
 from latshift import shifts as shifts_module
 from latshift.lattice import as_uint64, displace, lattice_numerators
 from latshift.moments import chunked_map
@@ -180,7 +181,7 @@ class TestKernelGuard:
         with pytest.raises(GuardLimitError, match="64-bit"):
             lattice_numerators([1], 65, 4)
 
-    def test_refuses_coordinates_above_guard_after_the_other_checks(self):
+    def test_refuses_coordinates_above_guard_after_the_other_checks(self, monkeypatch):
         # 5000 coordinates of 2^14 nodes: within the node guard, refused by
         # the coordinate count; a count or depth refused before keeps its message
         steps = [1] * 5000
@@ -192,8 +193,12 @@ class TestKernelGuard:
             lattice_numerators(steps, 65, 1 << 14)
         with pytest.raises(GuardLimitError, match="^134217728 nodes exceed"):
             DisplacedBlocks(steps, 14, 1 << 27, ProductBernoulliFn(1))
-        # 4096 coordinates of 2^14 nodes are exactly at the guard
-        assert lattice_numerators([1] * 4096, 14, 1 << 14).shape == (4096, 1 << 14)
+        # the guard reads GUARD_BITS when called: at 2^12, 16 coordinates of
+        # 2^8 nodes are exactly at it, and 17 are one coordinate above
+        monkeypatch.setattr(errors_module, "GUARD_BITS", 12)
+        assert lattice_numerators([1] * 16, 14, 1 << 8).shape == (16, 1 << 8)
+        with pytest.raises(GuardLimitError, match=r"^4352 node coordinates exceed the 2\^12 guard$"):
+            lattice_numerators([1] * 17, 14, 1 << 8)
 
     def test_depth_64_wraps_exactly(self):
         z = (1 << 64) - 1

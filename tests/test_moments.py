@@ -13,6 +13,7 @@ from latshift import (
     GeneratingVector,
     GridShift,
     GuardLimitError,
+    PeriodicFunction,
     ProductBernoulliFn,
     Rank1Rule,
     ScalarShift,
@@ -31,7 +32,7 @@ from latshift.moments import _grid_numerators, _report, chunked_map
 from latshift.reference import REFERENCE_CELLS
 from latshift.shifts import coset_blocks, coset_offsets, grid_blocks
 
-from conftest import index_block_count, rel_err, set_block_nodes
+from conftest import count_calls, index_block_count, rel_err, set_block_nodes
 
 # frozen from the exact-rational enumeration oracle (Fraction arithmetic,
 # converted to float at the end); the float pipeline must agree closely
@@ -340,6 +341,92 @@ class TestBlockSizes:
             assert {k: got[k] for k in expected} == expected, block
         # the patch reaches the block width: each size blocks the shifts its own way
         assert widths == [block >> m for block in sizes]
+
+
+class FullFn(ProductBernoulliFn):
+    """The Bernoulli product without its reflection declaration, so every
+    coset is enumerated."""
+
+    reflection_symmetric = False
+
+
+class SkewFn(PeriodicFunction):
+    """prod_i (1/2 + x_i): integral 1, and f(1 - x) != f(x)."""
+
+    known_integral = 1.0
+
+    def __init__(self, s: int, symmetric: bool = False) -> None:
+        self._s = s
+        # a false declaration, for the identity to catch
+        self.reflection_symmetric = symmetric
+
+    @property
+    def s(self) -> int:
+        return self._s
+
+    def eval_batch(self, xs: np.ndarray) -> np.ndarray:
+        out = np.ones(xs.shape[1:])
+        for x in xs:
+            out *= 0.5 + x
+        return out
+
+
+def brute_scalar_values(pair: EmbeddedPair, f: PeriodicFunction) -> tuple[list[float], float]:
+    """Every coset's mean from its nodes in Python ints and floats, and the
+    extended rule's mean over all nodes in index order."""
+    t, sr, z = pair.ext, pair.sr, pair.z.components
+
+    def value(k: int) -> float:
+        return f.eval_real([(k * c % (1 << t)) / (1 << t) for c in z])
+
+    cosets = [
+        1.0 + math.fsum(value((j << sr) | w) - 1.0 for j in range(1 << pair.m)) / (1 << pair.m)
+        for w in range(1 << sr)
+    ]
+    return cosets, 1.0 + math.fsum(value(k) - 1.0 for k in range(1 << t)) / (1 << t)
+
+
+class TestReflectionSymmetry:
+    """A reflection-symmetric f enumerates cosets 0 .. 2^(sr-1) and counts
+    the ones between twice; its reports equal the full enumeration's."""
+
+    # sr = 0, sr = 1 and m = 0 included
+    CELLS = ((1, 0, 0), (2, 3, 0), (1, 0, 1), (1, 2, 1), (2, 0, 1), (2, 3, 1), (1, 0, 5), (3, 0, 2),
+             (2, 2, 2), (3, 1, 3), (2, 4, 3), (2, 0, 6), (3, 4, 4))
+
+    @pytest.mark.parametrize("s, m, r", CELLS)
+    def test_half_and_full_enumerations_give_equal_reports(self, s, m, r, monkeypatch):
+        sr = s * r
+        calls = count_calls(monkeypatch, moments_module, "chunked_map")
+        for ell in (1267, 17797, 5709):
+            pair = EmbeddedPair(m, sr, korobov_vector(ell, s, max(m + sr, 1)))
+            half = moments_scalar_shift(pair, ProductBernoulliFn(s))
+            full = moments_scalar_shift(pair, FullFn(s))
+            assert half == full and report_bits(half) == report_bits(full), ell
+        half_cosets = (1 << sr - 1) + 1 if sr else 1
+        assert [args[1] for args in calls] == [half_cosets, 1 << sr] * 3
+
+    @pytest.mark.parametrize("s, m, r", [(1, 0, 3), (2, 1, 2), (2, 2, 2), (3, 0, 2), (1, 3, 4)])
+    def test_asymmetric_integrand_matches_brute_force(self, s, m, r, monkeypatch):
+        calls = count_calls(monkeypatch, moments_module, "chunked_map")
+        pair = EmbeddedPair(m, s * r, korobov_vector(1267, s, m + s * r))
+        f = SkewFn(s)
+        values, check = brute_scalar_values(pair, f)
+        # some reflected cosets differ, so halving would change the moments
+        assert any(values[w] != values[-w] for w in range(1, len(values)))
+        got = report_bits(moments_scalar_shift(pair, f))
+        expected = fsum_report_bits(values, check)
+        assert {k: got[k] for k in expected} == expected
+        assert [args[1] for args in calls] == [1 << s * r]
+
+    def test_false_declaration_fails_the_identity(self):
+        # the extended rule keeps every node, so half the cosets of an f
+        # that is not symmetric miss its mean
+        from latshift import IdentityCheckError
+
+        pair = EmbeddedPair(2, 4, korobov_vector(1267, 2, 6))
+        with pytest.raises(IdentityCheckError, match="^scalar-shift mean"):
+            moments_scalar_shift(pair, SkewFn(2, symmetric=True))
 
 
 class TestBlockMemory:
