@@ -33,7 +33,7 @@ from typing import Iterable, Iterator
 from . import __version__
 from .bits import BitSource, parse_bit_source
 from .cbc import cbc_construct, embedded_merit
-from .dual import TruncationBox, _dual_array, _guard_box
+from .dual import PreparedBox, TruncationBox
 from .errors import GuardLimitError, guard
 from .functions import ProductBernoulliFn
 from .lattice import EmbeddedPair, GeneratingVector, Rank1Rule, korobov_vector
@@ -56,9 +56,6 @@ EXIT_CHECK_MISMATCH = 3
 
 # float bits per coordinate when realizing the idealized real-shift scheme
 IDEAL_BITS_PER_COORD = 53
-
-# dual points written per block of the streamed dual artifact
-DUAL_ROWS_PER_WRITE = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -253,13 +250,14 @@ def cmd_moments(args) -> int:
     return EXIT_OK
 
 
-def _json_point_rows(duals) -> Iterator[str]:
-    """The rows of duals as the entries of an indent-2 JSON list at depth 1,
-    written a block at a time; each block but the last ends with a comma."""
-    for lo in range(0, len(duals), DUAL_ROWS_PER_WRITE):
-        rows = duals[lo : lo + DUAL_ROWS_PER_WRITE].tolist()
-        text = ",\n".join("    [\n" + ",\n".join(f"      {v}" for v in h) + "\n    ]" for h in rows)
-        yield text + (",\n" if lo + len(rows) < len(duals) else "\n")
+def _json_point_rows(duals: PreparedBox) -> Iterator[str]:
+    """The duals as the entries of an indent-2 JSON list at depth 1, less
+    the newline after the last, written a block of the box at a time."""
+    sep = ""
+    for block in duals.blocks():
+        rows = duals.rows(block).tolist()
+        yield sep + ",\n".join("    [\n" + ",\n".join(f"      {v}" for v in h) + "\n    ]" for h in rows)
+        sep = ",\n"
 
 
 def cmd_dual(args) -> int:
@@ -268,15 +266,15 @@ def cmd_dual(args) -> int:
         # the candidate count needs only s, m and H: refuse it before the
         # s components of the vector are built (an s or m out of range is
         # refused when the rule is built)
-        _guard_box(args.s, args.m, box)
-    duals = _dual_array(_rule_from_args(args), box)
+        box.guard(args.s, args.m)
+    duals = box.prepare(_rule_from_args(args))
     config = _config(args, "s", "m", "ell", "z", "H")
     text = _json_artifact("dual", config, {"count": len(duals), "points": []})
     if len(duals):
         # the artifact as json.dumps(indent=2) prints it, without holding
         # the points as Python objects or as one string
         head, tail = text.rsplit("[]", 1)
-        text = chain((head, "[\n"), _json_point_rows(duals), ("  ]", tail))
+        text = chain((head, "[\n"), _json_point_rows(duals), ("\n  ]", tail))
     _emit(text, args.out)
     return EXIT_OK
 

@@ -11,12 +11,19 @@ moments of the ideally shifted rule:
   (h, k) with both k and h - k nonzero, of f^(h) f^*(k) f^*(h - k).
 
 Sums are truncated to a symmetric box |h_i| <= H; each result carries a
-computable (crude, monotone-in-H) bound on the discarded tail.  The box
-duals are one (D, s) integer array solved in closed form for the last
-coordinate (`dual_points` is its tuple view); every series takes its
-coefficients from one batched `fourier_coeff` call and sums whole arrays
-through `fsum_rows`, bit for bit as `math.fsum`, so no series depends on
-the order of its terms.  The third-moment series forms each unordered pair
+computable (crude, monotone-in-H) bound on the discarded tail.  A box
+prepares the duals of one rule at a time (`TruncationBox.prepare`): it
+checks the box guard once, solves the congruence in closed form for the
+last coordinate over blocks of candidates, and keeps each dual as one
+sorted int64 key, 8 bytes a dual, from which it decodes rows a block at a
+time.  It also keeps the coefficients of the last integrand asked for, 8
+bytes a dual, so the four calls of one op on one box (`dual_points` and the
+three series) solve the duals once and call `fourier_coeff` once.  The
+error and variance series stream blocks of terms through `fsum_blocks`,
+the `dual` command writes its rows a block at a time, and the third-moment
+series reads only keys and coefficients.  Every sum is correctly rounded,
+bit for bit as `math.fsum`, so no result depends on the order or the
+blocking of its terms.  The third-moment series forms each unordered pair
 {k, h - k} once, a block of h rows at a time, and for even coefficients
 (c(-h) = c(h), as for every real integrand with real coefficients) sums
 only the rows of half the duals: the sorted duals are closed under
@@ -27,17 +34,23 @@ scaling then transports single-replicate moments to the replicate mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .errors import guard, guard_power
-from .fsum import fsum_rows
+from .fsum import fsum_blocks, fsum_rows
 from .functions import PeriodicFunction
 from .lattice import NODE_DTYPE_BITS, DyadicPoint, Rank1Rule
 from .shifts import GridShift, RealShift
 
 DualIndex = tuple[int, ...]
+
+# box duals per block: the candidates a block of the key build solves, and
+# the rows a block decodes, so memory beyond the keys and coefficients (8
+# bytes a dual each) stays flat whatever the dual count
+_DUAL_BLOCK = 1 << 16
 
 # dual pairs per array pass of the third-moment series: a pass takes as many
 # rows as fit this many pairs over the columns their windows span, and holds
@@ -45,17 +58,116 @@ DualIndex = tuple[int, ...]
 # count
 _PAIR_BLOCK = 1 << 13
 
+# above every key, and above every difference of two keys
+_SENTINEL_KEY = np.iinfo(np.int64).max
+
 
 @dataclass(frozen=True)
 class TruncationBox:
-    """Symmetric index box |h_i| <= H used to truncate the infinite sums."""
+    """Symmetric index box |h_i| <= H used to truncate the infinite sums.
+
+    The box keeps the prepared duals of the last rule it was used with and
+    the coefficients of the last integrand asked for (see `prepare`), with
+    a reference to that integrand, for as long as the box lives: 16 bytes a
+    dual, about 1 GB at the 2^26 candidate duals the guard admits.  They
+    take no part in equality, hashing or repr.  Threads may share a box,
+    since every call reads one complete set of duals and coefficients, but
+    calls for different rules or integrands replace each other's, so a
+    thread is better served by a box of its own.
+    """
 
     H: int
+    _prepared: PreparedBox | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # below 2^62, box coordinates and their differences fit int64
         if type(self.H) is not int or not 1 <= self.H < 1 << 62:
             raise ValueError(f"box bound must be an int in [1, 2^62), got {self.H!r}")
+
+    def guard(self, s: int, m: int) -> int:
+        """Refuse more than 2^GUARD_BITS candidate duals of a 2^m-point rule in
+        s dimensions, from s, m and H alone, before any is built; returns the
+        values of h_s one prefix h_1..h_{s-1} allows."""
+        width = 2 * self.H + 1
+        per = -(-width >> m)
+        guard_power(width, s - 1, per, "candidate duals over the box prefixes")
+        return per
+
+    def prepare(self, rule: Rank1Rule) -> PreparedBox:
+        """The box duals of rule, built on the first call for an equal rule.
+
+        The box keeps one rule's duals and the coefficients of one
+        integrand, so every call of one op on one box shares them; a call
+        for another rule builds that rule's in their place.
+        """
+        prepared = self._prepared
+        if prepared is None or prepared.rule != rule:
+            prepared = PreparedBox(rule, self)
+            object.__setattr__(self, "_prepared", prepared)
+        return prepared
+
+
+class PreparedBox:
+    """The duals of one rule in one box, as sorted int64 keys.
+
+    Each dual is keyed in the balanced base 4H + 1: key(h) is the sum of
+    h_i (4H + 1)^(s - i).  Its digits lie in [-H, H], so the key orders like
+    the duals (lexicographically) and decodes uniquely, and the base covers
+    the doubled box |l_i| <= 2H, so key(h) - key(k) is the key of h - k.
+    The keys fit int64: for s = 1 the key is h itself, and for s >= 2 the
+    candidate guard bounds (4H + 1)^s below 2^54.  Rows are decoded from the
+    keys a block of `_DUAL_BLOCK` at a time, and the coefficients of the
+    last integrand asked for are kept, so a prepared box holds 16 bytes a
+    dual.
+
+    `keys` and `coefficients(f)` are read-only arrays of D + 1 entries: the
+    D duals' in increasing key order, then a sentinel at index D, a key
+    above every key and every difference of two keys, and a zero
+    coefficient.  A lookup that finds no dual can so be pointed at index D
+    and read a zero term.
+    """
+
+    def __init__(self, rule: Rank1Rule, box: TruncationBox) -> None:
+        self.rule, self.H = rule, box.H
+        self._base = 4 * box.H + 1
+        self.keys = _box_keys(rule, box.H, box.guard(rule.s, rule.m))
+        self.keys.flags.writeable = False
+        self._last: tuple[PeriodicFunction, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return len(self.keys) - 1
+
+    def blocks(self) -> Iterator[slice]:
+        """Consecutive slices of the duals, `_DUAL_BLOCK` at a time."""
+        D = len(self)
+        return (slice(lo, min(lo + _DUAL_BLOCK, D)) for lo in range(0, D, _DUAL_BLOCK))
+
+    def rows(self, block: slice) -> np.ndarray:
+        """The duals of a block of `blocks` as an (n, s) int64 array."""
+        k = self.keys[block]
+        out = np.empty((len(k), self.rule.s), dtype=np.int64)
+        # digit i is (k + H) mod (4H + 1), less H, from the last coordinate
+        for i in range(self.rule.s - 1, 0, -1):
+            k, digit = np.divmod(k + self.H, self._base)
+            out[:, i] = digit - self.H
+        out[:, 0] = k
+        return out
+
+    def coefficients(self, f: PeriodicFunction) -> np.ndarray:
+        """f's Fourier coefficient at every dual, then the zero sentinel, from
+        one `fourier_coeff` call a block; kept for f (the same object) until
+        another f is asked for."""
+        last = self._last
+        if last is None or last[0] is not f:
+            # the last integrand's are let go first, so one array is held,
+            # and the new ones are kept only once complete
+            self._last = last = None
+            coeffs = np.zeros(len(self.keys))
+            for block in self.blocks():
+                coeffs[block] = f.fourier_coeff(self.rows(block))
+            coeffs.flags.writeable = False
+            self._last = last = (f, coeffs)
+        return last[1]
 
 
 @dataclass(frozen=True)
@@ -111,46 +223,60 @@ def mean_cumulants(single: CumulantSet, q: int) -> CumulantSet:
     )
 
 
-def _guard_box(s: int, m: int, box: TruncationBox) -> int:
-    """Refuse more than 2^GUARD_BITS candidate duals of a 2^m-point rule in s
-    dimensions, from s, m and H alone; returns the values of h_s a prefix allows."""
-    width = 2 * box.H + 1
-    per = -(-width >> m)
-    guard_power(width, s - 1, per, "candidate duals over the box prefixes")
-    return per
+def _box_keys(rule: Rank1Rule, H: int, per: int) -> np.ndarray:
+    """The sorted keys of the box duals of rule, then `_SENTINEL_KEY`.
 
-
-def _dual_array(rule: Rank1Rule, box: TruncationBox) -> np.ndarray:
-    """`dual_points` as a (D, s) int64 array, one row per dual."""
-    s, H, n = rule.s, box.H, rule.n_points
-    width = 2 * H + 1
-    per = _guard_box(s, rule.m, box)
-    prefixes = np.indices((width,) * (s - 1)).reshape(s - 1, width ** (s - 1)).T - H
+    The congruence h . z = 0 (mod 2^m) is solved for the last coordinate:
+    every component of z is odd, hence invertible mod 2^m, so a prefix
+    h_1..h_{s-1} forces the residue of h_s mod 2^m, and h_s then steps by
+    2^m across the box.  Candidate c is the (c mod per)-th such h_s of the
+    prefix numbered c // per in lexicographic order (per values of h_s
+    cover the box), and candidates are solved `_DUAL_BLOCK` at a time, in
+    order, so the kept keys come out sorted.
+    """
+    s, n = rule.s, rule.n_points
+    width, base = 2 * H + 1, 4 * H + 1
     z = [c & (n - 1) for c in rule.z.components]
     # uint64 arithmetic wraps exactly mod n up to n = 2^64
     wide = np.uint64 if rule.m <= NODE_DTYPE_BITS else object
-    partial = prefixes.astype(wide) @ np.array(z[:-1], dtype=wide)
-    # h_s = offset - H is the smallest solution >= -H; an offset >= width
-    # leaves none in the box, so clipping at width loses nothing
-    offset = ((0 - partial) * pow(z[-1], -1, n) + H) & (n - 1)
-    offset = np.minimum(offset, width).astype(np.int64)
-    hs = offset[:, None] - H + min(n, width) * np.arange(per)
-    keep = hs <= H
-    duals = np.column_stack((np.repeat(prefixes, keep.sum(axis=1), axis=0), hs[keep]))
-    return duals[duals.any(axis=1)]
+    inverse, step = pow(z[-1], -1, n), min(n, width)
+    candidates = width ** (s - 1) * per
+    keys = []
+    for c0 in range(0, candidates, _DUAL_BLOCK):
+        prefix, j = np.divmod(np.arange(c0, min(c0 + _DUAL_BLOCK, candidates)), per)
+        first = int(prefix[0])
+        prefix -= first
+        # the block's prefixes h . z mod 2^64 (or exactly) and their keys,
+        # digit by digit from the last prefix coordinate
+        p = np.arange(first, first + int(prefix[-1]) + 1)
+        partial, prefix_key = np.zeros(len(p), dtype=wide), np.zeros(len(p), dtype=np.int64)
+        weight = base
+        for zi in reversed(z[:-1]):
+            p, digit = np.divmod(p, width)
+            digit -= H
+            partial += digit.astype(wide) * zi
+            prefix_key += digit * weight
+            weight *= base
+        # h_s = offset - H is the smallest solution >= -H; an offset >= width
+        # leaves none in the box, so clipping at width loses nothing
+        offset = ((0 - partial) * inverse + H) & (n - 1)
+        offset = np.minimum(offset, width).astype(np.int64)
+        hs = offset[prefix] - H + step * j
+        key = prefix_key[prefix] + hs
+        keys.append(key[(hs <= H) & (key != 0)])
+    keys.append(np.array([_SENTINEL_KEY]))
+    return np.concatenate(keys)
 
 
 def dual_points(rule: Rank1Rule, box: TruncationBox) -> list[DualIndex]:
     """All nonzero h with |h_i| <= H and h . z = 0 (mod 2^m), in lexicographic order.
 
-    The congruence is solved for the last coordinate, for all prefixes
-    h_1..h_{s-1} of the box at once: every component of z is odd, hence
-    invertible mod 2^m, so a prefix forces the residue of h_s mod 2^m, and
-    h_s then steps by 2^m across the box.  Refuses more than 2^GUARD_BITS
-    candidates (box prefixes times the h_s one prefix can take) before
-    building any.
+    The duals are solved in closed form (see `_box_keys`) and kept by the
+    box.  Refuses more than 2^GUARD_BITS candidates (box prefixes times the
+    h_s one prefix can take) before building any.
     """
-    return list(map(tuple, _dual_array(rule, box).tolist()))
+    duals = box.prepare(rule)
+    return [h for block in duals.blocks() for h in map(tuple, duals.rows(block).tolist())]
 
 
 def _fsum(terms: np.ndarray) -> float:
@@ -188,18 +314,27 @@ def shift_error_series(
     a RealShift, a GridShift, a DyadicPoint, or a float sequence.
     """
     c = _shift_floats(shift, rule.s)
-    duals = _dual_array(rule, box)
-    # h . c summed left to right from +0.0, as Python's sum() would
-    phase = sum((hi * ci for hi, ci in zip(duals.T, c)), np.zeros(len(duals)))
-    terms = np.cos(2.0 * math.pi * phase)
-    terms *= f.fourier_coeff(duals)
-    return SeriesResult(_fsum(terms), f.coefficient_tail_bound(box.H, 1), box.H)
+    duals = box.prepare(rule)
+    coeffs = duals.coefficients(f)
+
+    def terms() -> Iterator[np.ndarray]:
+        for block in duals.blocks():
+            # h . c summed left to right from +0.0, as Python's sum() would
+            rows = duals.rows(block)
+            phase = sum((hi * ci for hi, ci in zip(rows.T, c)), np.zeros(len(rows)))
+            values = np.cos(2.0 * math.pi * phase)
+            values *= coeffs[block]
+            yield values
+
+    return SeriesResult(fsum_blocks(terms), f.coefficient_tail_bound(box.H, 1), box.H)
 
 
 def cp_variance_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox) -> SeriesResult:
     """Truncated dual series for Var(Q_u f) under uniform real shifts."""
-    coeffs = f.fourier_coeff(_dual_array(rule, box))
-    return SeriesResult(_fsum(coeffs * coeffs), f.coefficient_tail_bound(box.H, 2), box.H)
+    duals = box.prepare(rule)
+    coeffs = duals.coefficients(f)
+    squares = fsum_blocks(lambda: (coeffs[block] * coeffs[block] for block in duals.blocks()))
+    return SeriesResult(squares, f.coefficient_tail_bound(box.H, 2), box.H)
 
 
 def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox) -> SeriesResult:
@@ -212,23 +347,26 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     quadratic in the number of box duals, so more than 2^GUARD_BITS pairs
     are refused before any is formed.
 
-    Each dual is keyed in the balanced base 4H + 1, whose digits cover the
-    doubled box |l_i| <= 2H that holds every difference h - k.  The key is
-    linear and orders like the duals, so key(h) - key(k) names h - k, and
-    one binary search over the sorted dual keys finds every l; zero is not
-    a box dual, so l = 0 is never found.
+    The keys of the prepared box (`PreparedBox`) are linear and order like
+    the duals, so key(h) - key(k) names h - k, and one binary search over
+    the sorted keys finds every l; zero is not a box dual, so l = 0 is never
+    found.
 
     The term c(k) c(l) is the same float as c(l) c(k), so row h takes each
     unordered pair once: twice for key(k) < key(l), once on the diagonal
-    k = l = h / 2.  Doubling is exact (short of overflow), so each inner sum
-    from `fsum_rows` is bitwise the `math.fsum` of all the ordered terms.
-    Row h forms the k of its window: 2 key(k) <= key(h), which is
-    key(k) <= key(l), and k_1 >= h_1 - H, below which l_1 > H.  Both ends
+    k = l = h / 2.  Row h forms the k of its window: 2 key(k) <= key(h),
+    which is key(k) <= key(l), and k_1 >= h_1 - H, below which l_1 > H.
+    In keys, l_1 <= H is key(l) <= H R + (R - 1) / 2 with R = (4H + 1)^(s-1),
+    since the other digits of l add at most 2H (R - 1) / 4H.  Both ends
     rise with h, so a block of consecutive rows spans the union of their
-    windows; it takes as many rows as fit `_PAIR_BLOCK` pairs.  A row keeps
-    the terms whose l is found and whose k lies before its window's end (a
-    k before its window's start has no l in the box); a zero term leaves an
-    exact sum unchanged.
+    windows; it takes as many rows as fit `_PAIR_BLOCK` pairs.  A k past
+    its row's window (where key(l) < key(k)), and a k whose l is not found
+    (as for a k before its window's start, whose l is not in the box), take
+    the zero sentinel coefficient in place of c(l); a zero term leaves an
+    exact sum unchanged.  Every term is doubled after its product is
+    rounded, which is exact short of overflow, and each row's one diagonal
+    term is then put back as it was.  So each inner sum from `fsum_rows` is
+    bitwise the `math.fsum` of all the ordered terms.
 
     Reflection: the box duals are the nonzero lattice points of a box
     symmetric about 0, so h is a dual exactly when -h is, and negation
@@ -246,31 +384,40 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     times a bound on the unconstrained double sum covers the remainder.
     """
     H = box.H
-    duals = _dual_array(rule, box)
+    duals = box.prepare(rule)
     D = len(duals)
     guard(D**2, "dual pairs")
-    coeffs = f.fourier_coeff(duals)
-    # keys increase with the lexicographic row order.  They fit int64: for
-    # s = 1 the key is h itself and |h - k| <= 2H < 2^63; for s >= 2 the
-    # candidate guard gives 3^(s-1) <= (2H + 1)^(s-1) <= 2^26, so s <= 17,
-    # and |key| < (4H + 1)^s / 2 < 2^53
-    radix = np.array([(4 * H + 1) ** i for i in range(rule.s - 1, -1, -1)], dtype=np.int64)
-    keys = duals @ radix
-    # row h's window of k is [lo[h], hi[h]), empty where lo[h] >= hi[h]
-    lo = np.searchsorted(duals[:, 0], duals[:, 0] - H)
-    hi = np.searchsorted(2 * keys, keys, "right")
+    # D keys and D coefficients, each with its sentinel at index D
+    keys, looked_up = duals.keys, duals.coefficients(f)
+    coeffs = looked_up[:D]
+    # row h's window of k is [lo[h], hi[h]), empty where lo[h] >= hi[h];
+    # hi >= 1, since the least key is negative and twice it is below every key
+    hi = np.searchsorted(2 * keys[:D], keys[:D], "right")
+    # the rows whose window ends with the diagonal pair k = l = h / 2
+    halves = keys[hi - 1]
+    halves *= 2
+    diagonal = np.flatnonzero(halves == keys[:D])
+    del halves
+    R = (4 * H + 1) ** (rule.s - 1)
+    lo = np.searchsorted(keys[:D], keys[:D] - (H * R + (R - 1) // 2))
 
     def block_sums(r0: int, r1: int) -> np.ndarray:
         c0, c1 = lo[r0], max(lo[r0], hi[r1 - 1])
-        cols = np.arange(c0, c1)
         diff = keys[r0:r1, None] - keys[c0:c1]  # key of h - k, one row per h
-        idx = np.minimum(np.searchsorted(keys, diff), D - 1)
-        keep = (keys[idx] == diff) & (cols < hi[r0:r1, None])
-        terms = np.zeros(diff.shape)
-        np.multiply(coeffs[c0:c1], coeffs[idx], out=terms, where=keep)
+        idx = np.searchsorted(keys[:D], diff)
+        # no dual l, or l before k (k past its row's window): the sentinel
+        miss = np.take(keys, idx) != diff
+        miss |= idx < np.arange(c0, c1)
+        np.putmask(idx, miss, D)
+        terms = np.take(looked_up, idx)
+        terms *= coeffs[c0:c1]
         # off the diagonal a term stands for both orders of its pair
-        np.multiply(terms, 2.0, out=terms, where=idx != cols)
-        del diff, idx, keep  # freed before fsum_rows copies the terms
+        rows_d = diagonal[np.searchsorted(diagonal, r0) : np.searchsorted(diagonal, r1)]
+        at = (rows_d - r0, hi[rows_d] - 1 - c0)
+        once = terms[at]
+        terms *= 2.0
+        terms[at] = once
+        del diff, idx, miss  # freed before fsum_rows copies the terms
         return fsum_rows(terms)
 
     # row D - 1 - i is -h_i; with even coefficients its inner sum is row i's
@@ -285,6 +432,7 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
         inner[r0:r1] = block_sums(r0, r1)
         r0 = r1
     inner[rows:] = inner[: D - rows][::-1]
+    del lo, hi
     tail1 = f.coefficient_tail_bound(H, 1)
     tail = 3.0 * tail1 * (_fsum(np.abs(coeffs)) + tail1)
     return SeriesResult(_fsum(coeffs * inner), tail, H)

@@ -238,20 +238,27 @@ def _joined(blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
     """The terms of the 1-D blocks, in order, copied into pieces of
     BLOCK_TERMS (the last may be shorter), each a new (n, 1) array.
 
-    A block is copied before the next is asked for, and no two pieces share
-    memory, since `_reduce` holds two before it reduces either.
+    A piece starts at the size of the terms its first block gives it and
+    grows to BLOCK_TERMS only when a later block adds to it, so a sum fed in
+    one block holds one copy of its terms.  A block is copied before the
+    next is asked for, and no two pieces share memory, since `_reduce` holds
+    two before it reduces either.
     """
-    piece, fill = np.empty(BLOCK_TERMS), 0
+    piece, fill = np.empty(0), 0
     for b in map(np.asarray, blocks):
         lo = 0
         while lo < len(b):
             take = min(len(b) - lo, BLOCK_TERMS - fill)
+            if fill + take > len(piece):
+                grown = np.empty(BLOCK_TERMS if fill else take)
+                grown[:fill] = piece[:fill]
+                piece = grown
             piece[fill : fill + take] = b[lo : lo + take]
             fill += take
             lo += take
             if fill == BLOCK_TERMS:
                 yield piece.reshape(-1, 1)
-                piece, fill = np.empty(BLOCK_TERMS), 0
+                piece, fill = np.empty(0), 0
     if fill:
         yield piece[:fill].reshape(-1, 1)
 

@@ -77,33 +77,46 @@ class NoModelFn(ConstantFn):
     coefficient_tail_bound = PeriodicFunction.coefficient_tail_bound
 
 
+class Coefficients(dict):
+    """f's coefficient at each index tuple, from one single-index
+    `fourier_coeff` call per distinct index, filled as it is asked."""
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, h):
+        self[h] = value = self.f.fourier_coeff(h)
+        return value
+
+
 def dualwise_error(duals, f, c):
     """Reference error series: one coefficient and one cosine per dual tuple."""
     two_pi = 2.0 * math.pi
+    coeff = Coefficients(f)
     return math.fsum(
-        math.cos(two_pi * sum(hi * ci for hi, ci in zip(h, c))) * f.fourier_coeff(h)
-        for h in duals
+        math.cos(two_pi * sum(hi * ci for hi, ci in zip(h, c))) * coeff[h] for h in duals
     )
 
 
 def dualwise_variance(duals, f):
     """Reference variance series: one coefficient per dual tuple."""
-    coeffs = (f.fourier_coeff(h) for h in duals)
-    return math.fsum(c * c for c in coeffs)
+    coeff = Coefficients(f)
+    return math.fsum(coeff[h] * coeff[h] for h in duals)
 
 
 def pairwise_third_moment(duals, f, H):
     """Reference double sum over dual pairs: for each h, the k with
-    l = h - k nonzero and inside the box, each coefficient evaluated afresh."""
-    coeffs = [f.fourier_coeff(h) for h in duals]
+    l = h - k nonzero and inside the box, each pair formed on its own."""
+    coeff = Coefficients(f)
     outer = []
-    for h, ch in zip(duals, coeffs):
+    for h in duals:
         inner = []
-        for k, ck in zip(duals, coeffs):
+        for k in duals:
             l = tuple(hi - ki for hi, ki in zip(h, k))
             if any(l) and all(-H <= li <= H for li in l):
-                inner.append(ck * f.fourier_coeff(l))
-        outer.append(ch * math.fsum(inner))
+                inner.append(coeff[k] * coeff[l])
+        outer.append(coeff[h] * math.fsum(inner))
     return math.fsum(outer)
 
 
@@ -215,7 +228,7 @@ class TestDualPoints:
     def test_reversed_order_is_negation(self, m, z, H):
         # the nonzero lattice points of a box symmetric about 0, in
         # lexicographic order: row D - 1 - i is -h_i, and D is even
-        duals = dual_module._dual_array(Rank1Rule(m, GeneratingVector(z, max(m, 1))), TruncationBox(H))
+        duals = np.array(dual_points(Rank1Rule(m, GeneratingVector(z, max(m, 1))), TruncationBox(H)))
         assert len(duals) % 2 == 0
         assert np.array_equal(duals[::-1], -duals)
 
@@ -237,10 +250,80 @@ class TestDualPoints:
                 assert messages[0] == messages[1], (base, exponent, factor)
         # s = 2 * 10^6 at H = 1: 3^1999999 prefixes, about 3.2 million bits
         with pytest.raises(GuardLimitError, match=r"at least 2\^3169925 candidate duals"):
-            dual_module._guard_box(2_000_000, 0, TruncationBox(1))
+            TruncationBox(1).guard(2_000_000, 0)
         # an exponent past the float range is refused all the same
         with pytest.raises(GuardLimitError, match=r"at least 2\^\(2\^1328\) candidate duals"):
-            dual_module._guard_box(10**400, 0, TruncationBox(1))
+            TruncationBox(1).guard(10**400, 0)
+
+
+def series_hex(rule, f, box):
+    """Every output of one dual op on box, as exact text."""
+    shift = RealShift(tuple((0.3 + 0.21 * i) % 1.0 for i in range(rule.s)))
+    results = (
+        shift_error_series(rule, f, shift, box),
+        cp_variance_series(rule, f, box),
+        third_moment_series(rule, f, box),
+    )
+    return dual_points(rule, box), [(r.value.hex(), r.tail_bound.hex()) for r in results]
+
+
+class TestPreparedBox:
+    # two rules of one dimension with different duals in |h_i| <= 4, and
+    # two integrands, one with even coefficients and one without
+    RULES = (Rank1Rule(4, korobov_vector(17797, 3, 4)), Rank1Rule(3, korobov_vector(7163, 3, 3)))
+    FNS = (ProductBernoulliFn(3), ArbitraryCoeffFn(3))
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_reused_box_equals_fresh_boxes(self, block, monkeypatch):
+        fresh = {(r, f): series_hex(r, f, TruncationBox(4)) for r in self.RULES for f in self.FNS}
+        assert fresh[self.RULES[0], self.FNS[0]][0] != fresh[self.RULES[1], self.FNS[0]][0]
+        # every series, on a box reused across rules and integrands in both
+        # orders, with the duals built and decoded a few at a time
+        monkeypatch.setattr(dual_module, "_DUAL_BLOCK", block)
+        for rules in (self.RULES, self.RULES[::-1]):
+            for fns in (self.FNS, self.FNS[::-1]):
+                box = TruncationBox(4)
+                for rule in rules:
+                    for f in fns:
+                        assert series_hex(rule, f, box) == fresh[rule, f]
+                # and back to the first rule and integrand
+                assert series_hex(rules[0], fns[0], box) == fresh[rules[0], fns[0]]
+
+    def test_box_hands_out_only_its_rule_and_integrand(self):
+        box = TruncationBox(4)
+        first, second = self.RULES
+        prepared = box.prepare(first)
+        # an equal rule shares the prepared duals; another rule replaces them
+        assert box.prepare(Rank1Rule(4, korobov_vector(17797, 3, 4))) is prepared
+        assert box.prepare(second) is not prepared
+        assert dual_points(second, box) == sorted(brute_force_duals(second, 4))
+        assert dual_points(first, box) == sorted(brute_force_duals(first, 4))
+        for f in (*self.FNS, ProductBernoulliFn(3)):
+            coeffs = box.prepare(first).coefficients(f)
+            expected = [f.fourier_coeff(h) for h in dual_points(first, box)] + [0.0]
+            assert [c.hex() for c in coeffs.tolist()] == [float(c).hex() for c in expected]
+        # keys and coefficients end in their sentinels and cannot be written
+        prepared = box.prepare(first)
+        assert len(prepared.keys) == len(prepared) + 1 == len(dual_points(first, box)) + 1
+        assert prepared.keys[-1] > prepared.keys[-2] - prepared.keys[0]
+        assert not prepared.keys.flags.writeable and not coeffs.flags.writeable
+        # the prepared duals take no part in the box's value
+        assert box == TruncationBox(4) and hash(box) == hash(TruncationBox(4))
+        assert repr(box) == "TruncationBox(H=4)"
+
+    def test_one_op_solves_the_duals_and_coefficients_once(self, monkeypatch):
+        builds, calls = [], []
+        box_keys = dual_module._box_keys
+        monkeypatch.setattr(dual_module, "_box_keys", lambda *a: builds.append(a) or box_keys(*a))
+
+        class Counted(ProductBernoulliFn):
+            def fourier_coeff(self, h):
+                calls.append(len(h))
+                return super().fourier_coeff(h)
+
+        rule, f, box = self.RULES[0], Counted(3), TruncationBox(4)
+        series_hex(rule, f, box)
+        assert len(builds) == 1 and calls == [len(dual_points(rule, box))]
 
 
 class TestShiftErrorSeries:
@@ -487,6 +570,36 @@ class TestThirdMomentSeries:
             value = third_moment_series(rule, f, TruncationBox(H)).value
             assert value.hex() == pairwise_third_moment(duals, f, H).hex()
 
+    def test_subnormal_products_keep_their_bits(self, monkeypatch):
+        # coefficients below 2^-511 make products of two subnormal, where
+        # (2 c(k)) c(l) may differ from 2 (c(k) c(l)); every term is doubled
+        # after its product, so each inner sum is still the math.fsum of its
+        # ordered terms
+        class Tiny(ArbitraryCoeffFn):
+            @staticmethod
+            def coeff(h):
+                return ArbitraryCoeffFn.coeff(h) * 2.0**-530
+
+        rule, H, f = Rank1Rule(3, GeneratingVector((1, 3), 3)), 8, Tiny(2)
+        duals = dual_points(rule, TruncationBox(H))
+        sums = []
+        monkeypatch.setattr(dual_module, "fsum_rows", lambda t: sums.append(fsum_rows(t)) or sums[-1])
+        third_moment_series(rule, f, TruncationBox(H))
+        coeff, dual_set = Coefficients(f), set(duals)
+        expected = [
+            math.fsum(
+                coeff[k] * coeff[l]
+                for k in duals
+                for l in [tuple(hi - ki for hi, ki in zip(h, k))]
+                if l in dual_set
+            )
+            for h in duals
+        ]
+        # less the two one-row sums over the coefficients
+        inner = np.concatenate(sums[:-2])
+        assert any(0.0 < abs(x) < 2.0**-1022 for x in expected)
+        assert [x.hex() for x in inner.tolist()] == [x.hex() for x in expected]
+
     @pytest.mark.parametrize("budget, lands_on_half", [(58, True), (66, False)])
     def test_block_split_at_the_half_row(self, budget, lands_on_half, monkeypatch):
         # the 44 duals of test_rows_split_across_pair_blocks: a budget of 58
@@ -512,41 +625,58 @@ class TestThirdMomentSeries:
 
     def test_peak_memory_linear_in_duals(self):
         # every nonzero point of |h_i| <= 40 is a dual of the one-node rule.
-        # The pairs would take 8 D^2 bytes (344 MB); the series holds a few
-        # arrays of D entries and one block of pairs, about 155 bytes a dual
-        # and 31 a block pair here
+        # The pairs would take 8 D^2 bytes (344 MB).  With its box built
+        # inside the traced region, the series holds the box's keys and
+        # coefficients, the row windows and the inner sums, 47 bytes a dual
+        # (measured between 3720 and 6560 duals), and one block of pairs,
+        # 25-27 bytes a pair (measured at 2^12-2^14 pairs a block): 590 KB
+        # here, where the parent's 256 bytes a dual allowed 2 MB
         rule = Rank1Rule(0, GeneratingVector((1, 1), 1))
-        box = TruncationBox(40)
-        D = len(dual_points(rule, box))
+        D = len(dual_points(rule, TruncationBox(40)))
         assert D == 6560
         tracemalloc.start()
         try:
-            third_moment_series(rule, ProductBernoulliFn(2), box)
+            third_moment_series(rule, ProductBernoulliFn(2), TruncationBox(40))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 256 * D + 64 * dual_module._PAIR_BLOCK
+        assert peak < 56 * D + 32 * dual_module._PAIR_BLOCK
 
-    def test_error_and_variance_peak_memory_per_dual(self):
-        # the same 6560 duals: each series holds the dual array, its
-        # coefficients and a few float arrays of D entries, under 128 bytes
-        # a dual in all
+    def _error_and_variance_peaks(self, H):
         rule = Rank1Rule(0, GeneratingVector((1, 1), 1))
-        box = TruncationBox(40)
         f = ProductBernoulliFn(2)
-        D = len(dual_points(rule, box))
-        assert D == 6560
+        peaks = []
         for series in (
-            lambda: shift_error_series(rule, f, RealShift((0.3, 0.7)), box),
-            lambda: cp_variance_series(rule, f, box),
+            lambda box: shift_error_series(rule, f, RealShift((0.3, 0.7)), box),
+            lambda box: cp_variance_series(rule, f, box),
         ):
             tracemalloc.start()
             try:
-                series()
-                peak = tracemalloc.get_traced_memory()[1]
+                # the box is built inside the traced region
+                series(TruncationBox(H))
+                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert peak < 128 * D
+        return peaks
+
+    def test_error_and_variance_peak_memory_per_dual(self):
+        # 6560 duals, fewer than one block: building the box's keys and
+        # coefficients and summing one block of terms peaked at 73 bytes a
+        # dual for each series (481 and 479 KB), where the parent allowed 128
+        D = (2 * 40 + 1) ** 2 - 1
+        for peak in self._error_and_variance_peaks(40):
+            assert peak < 80 * D
+
+    def test_error_and_variance_peak_memory_flat_beyond_a_block(self):
+        # past one block, each series holds the box's keys and coefficients,
+        # 16 bytes a dual, besides one block of decoded duals and their terms
+        # and the certified sum's pieces: 16.0 bytes a dual measured between
+        # these sizes, over a fixed 6.3 MB (error) and 3.7 MB (variance) at
+        # 2^16 duals a block, where the whole dual array took 73 and 57
+        D1, D2 = ((2 * H + 1) ** 2 - 1 for H in (300, 400))
+        for p1, p2 in zip(self._error_and_variance_peaks(300), self._error_and_variance_peaks(400)):
+            assert (p2 - p1) / (D2 - D1) < 17
+            assert p2 < 16 * D2 + (7 << 20)
 
     def test_empty_dual_set(self):
         # the multiples of 32 inside |h| <= 1 are 0 only, which is not a dual

@@ -49,3 +49,16 @@ def test_modules_import_only_lower_layers():
         if LAYER_OF[imported] >= LAYER_OF[name]
     }
     assert wrong == set()
+
+
+def test_cli_imports_no_private_name():
+    # the command line reaches the library only through public names
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    private = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private == set()
