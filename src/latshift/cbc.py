@@ -431,7 +431,8 @@ def cbc_construct(
     if m < 0 or sr < 0:
         raise ValueError(f"need m >= 0 and sr >= 0, got m={m}, sr={sr}")
     ext = m + sr
-    guard(1 << ext, "extension nodes")
+    guard(1, "extension nodes", ext)
+    n_base, n_ext = 1 << m, 1 << ext
     if candidate_policy not in ("auto", "full", "sampled"):
         raise ValueError(f"unknown candidate policy {candidate_policy!r}")
     if candidate_policy == "auto":
@@ -444,14 +445,12 @@ def cbc_construct(
     # the normalizers of step d = 2..s are three Korobov merits of d
     # coordinates at each level, so the steps evaluate at least this many
     # node coordinates, about 1.5 s^2 (2^m + 2^ext)
-    guard(3 * (s * (s + 1) // 2 - 1) * ((1 << m) + (1 << ext)), "merit node coordinates")
+    guard(3 * (s * (s + 1) // 2 - 1) * (n_base + n_ext), "merit node coordinates")
 
     t = max(ext, 1)
     if s == 1:
         return GeneratingVector((1,), t)
 
-    n_base = 1 << m
-    n_ext = 1 << ext
     if candidate_policy == "sampled":
         cands = _sample_candidates(n_ext)
     else:

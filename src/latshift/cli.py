@@ -220,7 +220,7 @@ def cmd_estimate(args) -> int:
     # the shifts are drawn into a list before any is evaluated, and every
     # replicate evaluates 2^m nodes of s coordinates
     guard(args.q, "shift replicates")
-    guard((args.q << args.m) * args.s, "replicate node coordinates")
+    guard(args.q * args.s, "replicate node coordinates", args.m)
     shifts = [_draw_shift(args, src) for _ in range(args.q)]
     est = estimate_mean(evaluator, shifts)
     results = {

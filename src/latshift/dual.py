@@ -39,7 +39,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import guard, guard_power
+from .errors import guard
 from .fsum import fsum_blocks, fsum_rows
 from .functions import PeriodicFunction
 from .lattice import NODE_DTYPE_BITS, DyadicPoint, Rank1Rule
@@ -90,7 +90,7 @@ class TruncationBox:
         values of h_s one prefix h_1..h_{s-1} allows."""
         width = 2 * self.H + 1
         per = -(-width >> m)
-        guard_power(width, s - 1, per, "candidate duals over the box prefixes")
+        guard(per, "candidate duals over the box prefixes", s - 1, width)
         return per
 
     def prepare(self, rule: Rank1Rule) -> PreparedBox:
@@ -386,7 +386,7 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     H = box.H
     duals = box.prepare(rule)
     D = len(duals)
-    guard(D**2, "dual pairs")
+    guard(D * D, "dual pairs")
     # D keys and D coefficients, each with its sentinel at index D
     keys, looked_up = duals.keys, duals.coefficients(f)
     coeffs = looked_up[:D]

@@ -14,38 +14,34 @@ class GuardLimitError(ValueError):
     """
 
 
-def _refusal(size, what: str) -> GuardLimitError:
-    return GuardLimitError(f"{size} {what} exceed the 2^{GUARD_BITS} guard")
-
-
-def guard(count: int, what: str) -> None:
+def guard(count: int, what: str, exponent: int = 0, base: int = 2) -> None:
     """Refuse a request for more than 2^GUARD_BITS items, before any is made.
 
-    count is the number of items needed and what names them.
+    The request is count * base**exponent items (exponent >= 0, base >= 2),
+    and what names them.  The check takes O(1) time: no power past 2^128 is
+    formed.  A refusal names the exact count below 2^64, and above it at
+    least 2^floor(log2 count) (for a base other than 2, that floor or one
+    less), or at least 2^(2^k) for an exponent of 2^64 or more.
     """
-    if count > 1 << GUARD_BITS:
-        # str() refuses ints of more than a few thousand digits
-        raise _refusal(count if count < 1 << 64 else f"at least 2^{count.bit_length() - 1}", what)
-
-
-def guard_power(base: int, exponent: int, factor: int, what: str) -> None:
-    """`guard(base**exponent * factor, what)` in O(1) time whatever the exponent.
-
-    base >= 2, exponent >= 0 and factor >= 1.  A count below about 2^128
-    is formed and passed to `guard`; a larger one is refused from its float
-    log2, with the same message.
-    """
+    if count < 1:
+        return
     if exponent >> 64:
         # too large for a float; base >= 2 makes the count at least 2^exponent
-        raise _refusal(f"at least 2^(2^{exponent.bit_length() - 1})", what)
-    bits = exponent * math.log2(base) + math.log2(factor)
-    if bits < 128:
-        guard(base**exponent * factor, what)
-        return
-    # the float sum is within 2^-50 of bits of the exact log2, so its floor
-    # after taking off 2^-48 of bits is floor(log2 count), or one less within
-    # that distance of an integer: still a true "at least"
-    raise _refusal(f"at least 2^{math.floor(bits - bits * 2**-48)}", what)
+        size = f"at least 2^(2^{exponent.bit_length() - 1})"
+    elif base != 2 and (bits := exponent * math.log2(base) + math.log2(count)) >= 128:
+        # the float sum is within 2^-50 of bits of the exact log2, so its floor
+        # after taking off 2^-48 of bits is floor(log2 count), or one less within
+        # that distance of an integer: still a true "at least"
+        size = f"at least 2^{math.floor(bits - bits * 2**-48)}"
+    else:
+        if base != 2:
+            count, exponent = count * base**exponent, 0
+        bits = count.bit_length() - 1 + exponent
+        if bits < 64 and count << exponent <= 1 << GUARD_BITS:
+            return
+        # str() refuses ints of more than a few thousand digits
+        size = count << exponent if bits < 64 else f"at least 2^{bits}"
+    raise GuardLimitError(f"{size} {what} exceed the 2^{GUARD_BITS} guard")
 
 
 class IdentityCheckError(RuntimeError):

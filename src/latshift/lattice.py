@@ -117,9 +117,8 @@ class DyadicPoint:
             raise ValueError(f"bit depth must be >= 0, got {self.t}")
         if not self.nums:
             raise ValueError("point needs at least one coordinate")
-        top = 1 << self.t
         for n in self.nums:
-            if not 0 <= n < top:
+            if n < 0 or n.bit_length() > self.t:
                 raise ValueError(f"numerator {n} outside [0, 2^{self.t})")
 
     @property
@@ -162,6 +161,7 @@ class GeneratingVector:
             raise ValueError(f"bit depth must be >= 1, got {self.t}")
         if not self.components:
             raise ValueError("generating vector needs at least one component")
+        guard(self.s * max(self.t, NODE_DTYPE_BITS), "generating vector bits")
         mod = 1 << self.t
         reduced = []
         for c in self.components:
@@ -211,6 +211,7 @@ def korobov_vector(ell: int, s: int, t: int) -> GeneratingVector:
         raise ValueError(f"dimension must be >= 1, got {s}")
     if t < 1:
         raise ValueError(f"bit depth must be >= 1, got {t}")
+    guard(s * max(t, NODE_DTYPE_BITS), "generating vector bits")
     mod = 1 << t
     return GeneratingVector(tuple(pow(ell, i, mod) for i in range(s)), t)
 

@@ -181,7 +181,7 @@ def moments_grid_shift(rule: Rank1Rule, f: PeriodicFunction, r: int) -> MomentRe
     s = rule.s
     if r < rule.m:
         raise ValueError(f"grid resolution r={r} below rule resolution m={rule.m}")
-    guard(1 << (r * s), "grid shifts")
+    guard(1, "grid shifts", r * s)
 
     blocks = grid_blocks(rule, f, r)
 
@@ -202,8 +202,8 @@ def moments_scalar_shift(pair: EmbeddedPair, f: PeriodicFunction) -> MomentRepor
     rounded sum of the same values, so only cosets 0 .. 2^(sr-1) are
     enumerated and `_report` counts each one strictly between twice.
     """
-    guard(1 << pair.sr, "scalar shifts")
-    guard(1 << pair.ext, "extension nodes")
+    guard(1, "scalar shifts", pair.sr)
+    guard(1, "extension nodes", pair.ext)
     blocks = coset_blocks(pair, f)
 
     def block(lo: int, hi: int) -> np.ndarray:
@@ -229,18 +229,18 @@ def rectangle_rule_mean(f: PeriodicFunction, s: int, r: int) -> float:
         raise ValueError(f"dimension must be >= 1, got {s}")
     if r < 0:
         raise ValueError(f"resolution must be >= 0, got {r}")
-    n = 1 << r
     factor = getattr(f, "factor", None)
     if factor is not None:
-        guard(n, "grid coordinates")
+        guard(1, "grid coordinates", r)
+        n = 1 << r
         coord_mean = float(fsum_rows(factor(np.arange(n) * (1.0 / n))[None, :])[0]) / n
         try:
             return coord_mean**s
         except OverflowError:
             # the generic path's sum overflows to an infinity alike
             return math.copysign(math.inf, coord_mean) if s % 2 else math.inf
-    total = 1 << (r * s)
-    guard(total, "grid points of an integrand with no per-coordinate factorization")
+    guard(1, "grid points of an integrand with no per-coordinate factorization", r * s)
+    n, total = 1 << r, 1 << (r * s)
 
     def block(lo: int) -> np.ndarray:
         idx = np.arange(lo, min(lo + BLOCK_NODES, total), dtype=np.uint64)
@@ -257,7 +257,7 @@ def extended_rule_value(pair: EmbeddedPair, f: PeriodicFunction) -> float:
     but in index order, and summed in one correctly rounded sum: a route
     independent of the coset enumeration whose mean it checks.
     """
+    guard(1, "extension nodes", pair.ext)
     n = 1 << pair.ext
-    guard(n, "extension nodes")
     # fsum_blocks consumes each block before it asks for the next
     return _offset(f) + fsum_blocks(lambda: _index_blocks(pair.z.components, pair.ext, f)) / n

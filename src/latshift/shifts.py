@@ -58,6 +58,7 @@ from .errors import GUARD_BITS
 from .fsum import _fsum
 from .functions import PeriodicFunction
 from .lattice import (
+    NODE_DTYPE_BITS,
     EmbeddedPair,
     Rank1Rule,
     as_uint64,
@@ -84,9 +85,8 @@ class GridShift:
     def __post_init__(self) -> None:
         if self.r < 0:
             raise ValueError(f"resolution must be >= 0, got {self.r}")
-        top = 1 << self.r
         for n in self.nums:
-            if not 0 <= n < top:
+            if n < 0 or n.bit_length() > self.r:
                 raise ValueError(f"shift numerator {n} outside [0, 2^{self.r})")
 
     @property
@@ -98,9 +98,10 @@ class GridShift:
         """The grid shift an s*r-bit word spells, coordinate-major with the
         first coordinate highest: coordinate k is bits k*r .. (k+1)*r - 1
         counted from the top, as `BitSource.draw(s * r)` returns them."""
-        if r < 0 or s < 1 or not 0 <= word < 1 << r * s:
+        if r < 0 or s < 1 or word < 0 or word.bit_length() > r * s:
             raise ValueError(f"need r >= 0, s >= 1 and 0 <= word < 2^(r*s), got {word}, r={r}, s={s}")
-        mask = (1 << r) - 1
+        # no coordinate is longer than the word
+        mask = (1 << min(r, word.bit_length())) - 1
         return cls(tuple((word >> (s - 1 - k) * r) & mask for k in range(s)), r)
 
 
@@ -114,7 +115,7 @@ class ScalarShift:
     def __post_init__(self) -> None:
         if self.sr < 0:
             raise ValueError(f"sr must be >= 0, got {self.sr}")
-        if not 0 <= self.wnum < (1 << self.sr):
+        if self.wnum < 0 or self.wnum.bit_length() > self.sr:
             raise ValueError(f"wnum {self.wnum} outside [0, 2^{self.sr})")
 
 
@@ -257,7 +258,10 @@ def grid_blocks(rule: Rank1Rule, f: PeriodicFunction, r: int) -> DisplacedBlocks
     t = max(m, r); the offset columns are shift numerators over 2^t.
     """
     t = max(rule.m, r)
-    return DisplacedBlocks([c << (t - rule.m) for c in rule.z.components], t, rule.n_points, f)
+    # the kernel reads the steps mod 2^64 and refuses a depth past 64 bits,
+    # so a lift of 64 bits or more, which leaves them 0, is not formed
+    lift = min(t - rule.m, NODE_DTYPE_BITS)
+    return DisplacedBlocks([c << lift for c in rule.z.components], t, rule.n_points, f)
 
 
 def coset_blocks(pair: EmbeddedPair, f: PeriodicFunction) -> DisplacedBlocks:

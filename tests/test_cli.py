@@ -767,6 +767,10 @@ def test_one_command_parser_matches_the_full_parser(monkeypatch, argv):
     assert len(builds) == (0 if full[0] is not None else 1)
 
 
+# 2^40, as a command-line value
+_HUGE = str(1 << 40)
+
+
 def _cap_memory() -> None:
     import resource
 
@@ -783,6 +787,31 @@ def _cap_memory() -> None:
          "error: 100000000 shift replicates exceed the 2^26 guard"),
         (("cbc", "--s", "100000", "--m", "3", "--r", "0"),
          "error: 240002399952 merit node coordinates exceed the 2^26 guard"),
+        # a generating vector of more than 2^26 bits, s * max(t, 64), is
+        # refused before its first component is formed
+        (("moments", "--scheme", "grid", "--s", "30000000", "--m", "0", "--r", "0", "--ell", "1"),
+         "error: 1920000000 generating vector bits exceed the 2^26 guard"),
+        # an --r or --m of 2^40 reaches the guard as an exponent, and no
+        # 2^(2^40) is formed on the way
+        (("moments", "--scheme", "grid", "--s", "2", "--m", "0", "--r", _HUGE, "--ell", "1"),
+         "error: at least 2^2199023255552 grid shifts exceed the 2^26 guard"),
+        (("moments", "--scheme", "scalar", "--s", "2", "--m", "0", "--r", _HUGE, "--ell", "1"),
+         "error: 4398046511104 generating vector bits exceed the 2^26 guard"),
+        (("estimate", "--scheme", "grid", "--s", "2", "--m", "0", "--r", _HUGE, "--ell", "1",
+          "--q", "2", "--bits", "seed:1"),
+         "error: node depth 2^-1099511627776 exceeds the 64-bit node numerators"),
+        (("estimate", "--scheme", "scalar", "--s", "2", "--m", _HUGE, "--r", "0", "--ell", "1",
+          "--q", "2", "--bits", "seed:1"),
+         "error: 2199023255552 generating vector bits exceed the 2^26 guard"),
+        (("estimate", "--scheme", "ideal", "--s", "2", "--m", _HUGE, "--r", "0", "--ell", "1",
+          "--q", "2", "--bits", "seed:1"),
+         "error: 2199023255552 generating vector bits exceed the 2^26 guard"),
+        (("cbc", "--s", "2", "--m", "0", "--r", _HUGE),
+         "error: at least 2^2199023255552 extension nodes exceed the 2^26 guard"),
+        (("cbc", "--s", "2", "--m", _HUGE, "--r", "0"),
+         "error: at least 2^1099511627776 extension nodes exceed the 2^26 guard"),
+        (("dual", "--s", "2", "--m", _HUGE, "--ell", "1", "--H", "1"),
+         "error: 2199023255552 generating vector bits exceed the 2^26 guard"),
     ],
 )
 def test_whole_work_is_refused_before_it_starts(argv, message):

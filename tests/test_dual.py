@@ -28,7 +28,7 @@ from latshift import (
     third_moment_series,
 )
 from latshift import dual as dual_module
-from latshift.errors import guard, guard_power
+from latshift.errors import guard
 from latshift.fsum import fsum_rows
 from latshift.functions import PeriodicFunction
 
@@ -235,12 +235,12 @@ class TestDualPoints:
     def test_huge_candidate_counts_refused_from_their_log2(self):
         # past 2^128 the count is never formed; the message names the same
         # power of two as the exact count's would
-        for base, factor in ((3, 1), (3, 2), (5, 1), (33, 3), (1001, 17)):
+        for base, factor in ((2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (33, 3), (1001, 17)):
             for exponent in (0, 1, 20, 80, 81, 200, 1000, 2999):
                 messages = []
                 for check in (
                     lambda: guard(base**exponent * factor, "items"),
-                    lambda: guard_power(base, exponent, factor, "items"),
+                    lambda: guard(factor, "items", exponent, base),
                 ):
                     try:
                         check()
@@ -254,6 +254,9 @@ class TestDualPoints:
         # an exponent past the float range is refused all the same
         with pytest.raises(GuardLimitError, match=r"at least 2\^\(2\^1328\) candidate duals"):
             TruncationBox(1).guard(10**400, 0)
+        for base in (2, 3):
+            with pytest.raises(GuardLimitError, match=r"^at least 2\^\(2\^64\) items exceed"):
+                guard(3, "items", 2**64 + 5, base)
 
 
 def series_hex(rule, f, box):

@@ -6,6 +6,7 @@ from latshift import (
     DyadicPoint,
     EmbeddedPair,
     GeneratingVector,
+    GuardLimitError,
     Rank1Rule,
     korobov_vector,
 )
@@ -21,6 +22,11 @@ class TestDyadicPoint:
             DyadicPoint((-1,), 2)
         with pytest.raises(ValueError):
             DyadicPoint((), 2)
+
+    def test_deep_point_checked_by_bit_length(self):
+        # the range check never forms 2^t
+        assert DyadicPoint((1,), 10**12).nums == (1,)
+        assert DyadicPoint((3,), 2).nums == (3,)
 
     # rescaling and addition are the test-side reference arithmetic
     def test_rescale_preserves_value(self):
@@ -68,6 +74,15 @@ class TestGeneratingVector:
         back = GeneratingVector.from_json(z.to_json())
         assert back == z
 
+    def test_vector_bits_guarded_before_the_vector(self):
+        # s * max(t, 64) bits: 2^20 components of at most 64 bits, or
+        # 2^26 / s bits of depth, and one more is refused before 2^t is formed
+        assert GeneratingVector((1,), 1 << 26).t == 1 << 26
+        with pytest.raises(GuardLimitError, match="^67108866 generating vector bits exceed the 2"):
+            GeneratingVector((1, 1), (1 << 25) + 1)
+        with pytest.raises(GuardLimitError, match="^1000000000000 generating vector bits exceed the 2"):
+            GeneratingVector((1,), 10**12)
+
 
 class TestKorobovVector:
     def test_identity_base(self):
@@ -86,6 +101,15 @@ class TestKorobovVector:
         direct = korobov_vector(12915, 4, t)
         pre_reduced = korobov_vector(12915 % (1 << t), 4, t)
         assert direct == pre_reduced
+
+    def test_vector_bits_guarded_before_any_component(self):
+        # no 2^t and no per-component loop: each refusal comes at once
+        with pytest.raises(GuardLimitError, match="^2000000000000 generating vector bits exceed the 2"):
+            korobov_vector(1, 2, 10**12)
+        with pytest.raises(GuardLimitError, match="^67108928 generating vector bits exceed the 2"):
+            korobov_vector(1, (1 << 20) + 1, 1)
+        with pytest.raises(GuardLimitError, match="^1920000000 generating vector bits exceed the 2"):
+            korobov_vector(1, 30_000_000, 1)
 
     @pytest.mark.parametrize("ell,s,t", [(2, 3, 8), (0, 3, 8), (-3, 3, 8), (3, 0, 8), (3, 3, 0)])
     def test_rejects_bad_arguments(self, ell, s, t):

@@ -1,4 +1,5 @@
-"""The package's modules import only from the layers below their own."""
+"""The package's modules import only from the layers below their own, and
+hand the work guard no power they have formed."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,24 @@ def test_cli_imports_no_private_name():
         if alias.name.startswith("_")
     }
     assert private == set()
+
+
+def test_no_guard_count_is_a_formed_power():
+    # a power of a count goes to the guard as its exponent, so that no
+    # refusal first builds the number it refuses
+    calls, formed = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", None) != "guard" and getattr(func, "attr", None) != "guard":
+                continue
+            calls += 1
+            counts = node.args[:1] + [k.value for k in node.keywords if k.arg == "count"]
+            formed += [
+                (path.name, node.lineno)
+                for count in counts
+                for sub in ast.walk(count)
+                if isinstance(sub, ast.BinOp) and isinstance(sub.op, (ast.LShift, ast.Pow))
+            ]
+    assert calls >= 15
+    assert formed == []

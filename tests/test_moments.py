@@ -220,6 +220,17 @@ class TestRectangleRuleMean:
         with pytest.raises(GuardLimitError):
             rectangle_rule_mean(ProductBernoulliFn(2), 2, r)
 
+    def test_huge_resolution_refused_without_forming_the_grid_size(self):
+        # the guard takes r and r * s as exponents, so neither 2^r nor
+        # 2^(r*s) is built: each refusal comes at once
+        class Wrapped(ProductBernoulliFn):
+            factor = None
+
+        with pytest.raises(GuardLimitError, match=r"^at least 2\^1000000000000 grid coordinates exceed"):
+            rectangle_rule_mean(ProductBernoulliFn(2), 2, 10**12)
+        with pytest.raises(GuardLimitError, match=r"^at least 2\^2000000000000 grid points of an integrand"):
+            rectangle_rule_mean(Wrapped(2), 2, 10**12)
+
 
 class TestExtendedRuleValue:
     def test_degenerate_extension_is_base_rule(self):

@@ -70,6 +70,17 @@ class TestBitCodecs:
         with pytest.raises(ValueError):
             GridShift.from_word(0, 2, 0)
 
+    def test_deep_shifts_checked_by_bit_length(self):
+        # the range checks never form 2^r, 2^sr or 2^(r*s)
+        assert GridShift((1,), 10**12).nums == (1,)
+        assert ScalarShift(1, 10**12).wnum == 1
+        assert GridShift.from_word(5, 10**12, 2).nums == (0, 5)
+        with pytest.raises(ValueError):
+            GridShift((8,), 3)
+        with pytest.raises(ValueError):
+            ScalarShift(8, 3)
+        assert GridShift((7,), 3).nums == (7,) and ScalarShift(7, 3).wnum == 7
+
     def test_grid_codec_bijective_exhaustive(self):
         r, s = 4, 4  # all 2^16 words; the fold back is the inverse
         for word in range(1 << (r * s)):
