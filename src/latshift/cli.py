@@ -11,13 +11,11 @@ source).
 Exit codes: 0 success, 1 validation error, 2 guard violation, 3 reference
 mismatch in check mode.
 
-`main` parses with a parser that holds only the command argv[0] names:
-argparse spends far more building a subcommand's parser than parsing
-with it.  That parser never prints or exits; on help, version or a usage
-error it hands over to `build_parser()`, the parser of every command, so
-every help and error text (a usage line lists all five commands) and
-exit code is the full parser's.  An argv that does not start with a
-command goes to the full parser directly.
+`main` parses every argv with one full parser, built on first use and
+kept for the life of the process: argparse spends far more building a
+parser than parsing with it.  Each parse gets a fresh `Namespace` and no
+option has a mutable default, so nothing carries over from one argv to
+the next.
 """
 
 from __future__ import annotations
@@ -355,61 +353,32 @@ def _add_cbc(sub) -> None:
 
 
 # the subcommands in the order the usage line lists them
-_COMMANDS = {
-    "tables": _add_tables,
-    "estimate": _add_estimate,
-    "moments": _add_moments,
-    "dual": _add_dual,
-    "cbc": _add_cbc,
-}
-
-
-class _Retry(Exception):
-    """The one-command parser met something it would print or exit on."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    # prints nothing and never exits: help, version and usage errors are
-    # left to the full parser, whose usage line lists every command
-    def _print_message(self, message, file=None):
-        raise _Retry
-
-    def exit(self, status=0, message=None):
-        raise _Retry
-
-    def error(self, message):
-        raise _Retry
-
-    def _get_formatter(self):
-        # argparse formats only to vet each argument's metavar and to name
-        # the subcommand's prog here, never to print, so no terminal query
-        return self.formatter_class(prog=self.prog, width=80)
-
-
-def _build(parser_class: type[argparse.ArgumentParser], commands: Iterable[str]) -> argparse.ArgumentParser:
-    parser = parser_class(prog="latshift", description="Randomized rank-1 lattice quadrature toolkit.")
-    parser.add_argument("--version", action="version", version=f"latshift {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in commands:
-        _COMMANDS[name](sub)
-    return parser
+_COMMANDS = (_add_tables, _add_estimate, _add_moments, _add_dual, _add_cbc)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser, with every subcommand."""
-    return _build(_Parser, _COMMANDS)
+    """A new full parser, with every subcommand.
+
+    `main` parses with one parser of its own; this returns a fresh one
+    for callers that want to modify a parser.
+    """
+    parser = _Parser(prog="latshift", description="Randomized rank-1 lattice quadrature toolkit.")
+    parser.add_argument("--version", action="version", version=f"latshift {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for add in _COMMANDS:
+        add(sub)
+    return parser
+
+
+_parser: argparse.ArgumentParser | None = None
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv with only the named command's parser when argv[0] is a
-    command, and with the full parser whenever that one would print, exit
-    or does not apply, so every help and error text is the full parser's."""
-    if argv and argv[0] in _COMMANDS:
-        try:
-            return _build(_OneCommandParser, argv[:1]).parse_args(argv)
-        except _Retry:
-            pass
-    return build_parser().parse_args(argv)
+    """Parse argv with the full parser, built on the first call only."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    return _parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

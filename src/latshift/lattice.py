@@ -127,12 +127,13 @@ class DyadicPoint:
 
     def as_floats(self) -> tuple[float, ...]:
         # exact for t <= 52 fractional bits, correctly rounded beyond; the
-        # big-int division path avoids float overflow at extreme depths
+        # big-int division path avoids float overflow at extreme depths.  A
+        # value below 2^-1076 rounds to 0.0, so 2^t is formed only when it
+        # is at most 1075 bits longer than the numerator
         if self.t <= 1023:
             scale = 1.0 / (1 << self.t)
             return tuple(n * scale for n in self.nums)
-        den = 1 << self.t
-        return tuple(n / den for n in self.nums)
+        return tuple(0.0 if self.t - n.bit_length() > 1075 else n / (1 << self.t) for n in self.nums)
 
 
 @dataclass(frozen=True)

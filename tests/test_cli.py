@@ -755,16 +755,52 @@ def _parse_outcome(parse, argv) -> tuple:
 
 @pytest.mark.parametrize("argv", _PARSE_CASES)
 def test_one_command_parser_matches_the_full_parser(monkeypatch, argv):
+    """The one parser of every command, cached by `_parse_args`, parses,
+    prints and exits as a freshly built full parser does."""
     from latshift import cli
 
     full = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
     builds = []
     build_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(argv) or build_parser())
-    assert _parse_outcome(cli._parse_args, argv) == full
-    # a parse that succeeds is the one-command parser's; anything printed
-    # comes from the full parser, built once
-    assert len(builds) == (0 if full[0] is not None else 1)
+    monkeypatch.setattr(cli, "_parser", None)
+    # every parse, a help or an error too, is the one cached parser's
+    assert [_parse_outcome(cli._parse_args, argv) for _ in range(3)] == [full] * 3
+    assert len(builds) == 1
+
+
+def test_no_state_crosses_parses(monkeypatch, capsys, tmp_path):
+    # each command line gives in one process, after the others, what it
+    # gives alone in a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")
+    grid = ("moments", "--scheme", "grid", "--s", "2", "--m", "3", "--r", "3")
+    out = str(tmp_path / "cbc.json")
+    sequence = [
+        (*grid, "--z", "1,3"),
+        (*grid, "--ell", "5"),
+        ("tables", "--format", "csv"),
+        ("tables",),
+        ("moments", "--scheme", "bogus", "--s", "2", "--m", "3", "--r", "3"),
+        ("--help",),
+        ("cbc", "--s", "2", "--m", "3", "--r", "2", "--out", out),
+    ]
+    together = []
+    for argv in sequence:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        artifact = Path(out).read_text() if "--out" in argv else None
+        together.append((code, captured.out, captured.err, artifact))
+    assert json.loads(together[1][1])["config"]["z"] is None
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
+    for argv, seen in zip(sequence, together):
+        Path(out).unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "latshift.cli", *argv], env=env, capture_output=True, text=True
+        )
+        artifact = Path(out).read_text() if "--out" in argv else None
+        assert (proc.returncode, proc.stdout, proc.stderr, artifact) == seen, argv
 
 
 # 2^40, as a command-line value

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,27 @@ class TestDyadicPoint:
         # the range check never forms 2^t
         assert DyadicPoint((1,), 10**12).nums == (1,)
         assert DyadicPoint((3,), 2).nums == (3,)
+
+    def test_deep_point_reads_as_zero_in_bounded_memory(self):
+        # a coordinate below 2^-1076 rounds to 0.0 without forming 2^t
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from latshift import DyadicPoint\n"
+            "print(DyadicPoint((1, 0), 10**12).as_floats())\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "(0.0, 0.0)"
+
+    @pytest.mark.parametrize("t", [1100, 2200])
+    def test_deep_point_rounds_correctly_at_the_zero_threshold(self, t):
+        # numerators of b bits with t - b on both sides of the 1075-bit cut
+        for b in range(t - 1080, t - 1069):
+            for n in ((1 << b) - 1, 1 << (b - 1), (1 << (b - 1)) + 1):
+                assert DyadicPoint((n,), t).as_floats() == (float(Fraction(n, 1 << t)),)
 
     # rescaling and addition are the test-side reference arithmetic
     def test_rescale_preserves_value(self):
