@@ -8,8 +8,9 @@ Every artifact embeds the resolved configuration, so re-running with the
 emitted configuration reproduces it byte for byte (given a seeded bit
 source).
 
-Exit codes: 0 success, 1 validation error, 2 guard violation, 3 reference
-mismatch in check mode.
+Exit codes: 0 success, 1 validation error (or a sum past the float range,
+or an allocation past the memory at hand, each reported on one line), 2
+guard violation, 3 reference mismatch in check mode.
 
 `main` parses every argv with one full parser, built on first use and
 kept for the life of the process: argparse spends far more building a
@@ -390,8 +391,8 @@ def main(argv: list[str] | None = None) -> int:
     except GuardLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ValueError, NotImplementedError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, NotImplementedError, OSError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

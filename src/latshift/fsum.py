@@ -25,15 +25,16 @@ A sum is settled when its exact sum is known (r = E = 0: s is then the
 IEEE-rounded sum of two floats, ties to even), or when |t| + |r| + E lies
 below half the gap from s to either neighbour (s is then the nearest
 float to the exact sum), E being the bound on r; `_settled` is that one
-test on every path.  The passes run along the rows when the sums are at
-least as long as they are many, and down the columns otherwise, since
-numpy reduces a contiguous axis fast only for long sums: fsum_rows lays
-out a copy of its rows so, and the block evaluators of `shifts` write
-their values in that layout to begin with.  Both hand the terms to one
-dispatcher, _fsum, which overwrites them and asks its caller to form the
-terms again for a sum the certificate cannot settle.  Sums longer than
-BLOCK_TERMS are reduced a block at a time and the blocks' parts (s, t, r,
-two exact floats and one within its bound) are reduced once more.
+test on every path.  fsum_rows, the one array entry, alone picks the
+pass axis: along the rows when the sums are at least as long as they
+are many, and down the columns otherwise, since numpy reduces a
+contiguous axis fast only for long sums.  It sums a copy laid out so,
+unless the array is laid out already (as `shifts` writes its blocks)
+and its caller gives it up with again(i), a way to form rows i anew: it
+is then summed in place, and again is called only for the sums the
+certificate cannot settle.  Sums longer than BLOCK_TERMS are reduced a
+block at a time and the blocks' parts (s, t, r, two exact floats and
+one within its bound) are reduced once more.
 fsum_blocks first joins the blocks it is fed into whole pieces of
 BLOCK_TERMS, whatever their sizes, so a sum of at most BLOCK_TERMS terms
 fed in several blocks still settles after one extraction, and a longer
@@ -204,34 +205,30 @@ def _short(a: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _fsum(x: np.ndarray, axis: int, terms: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """math.fsum of every sum along axis of the C-contiguous 2-D float array x.
+def fsum_rows(a: np.ndarray, again: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+    """math.fsum of every row of the 2-D float array a, bit for bit.
 
-    Sums along the rows (axis 1) when they are at least as long as they are
-    many, and down the columns (axis 0) otherwise, keep the passes fast.  x
-    is overwritten.  terms(i) must give the original terms of the listed
-    sums again, one sum per row; it is called only for sums the
-    certificate cannot settle.
+    A laid-out copy of a is summed unless a is laid out for the passes
+    (a C-contiguous when its rows are at least as long as they are many,
+    a.T otherwise) and the caller gives it up with again(i), a way to form
+    rows i anew: then a is summed in place, and again is called only for
+    the sums the certificate cannot settle.
     """
-    short = _short(x if axis else x.T)
+    a = np.asarray(a, dtype=np.float64)
+    short = _short(a)
     if short is not None:
         return short
+    axis = 1 if a.shape[1] >= len(a) else 0
+    x = a if axis else a.T
+    in_place = again is not None and x.flags.c_contiguous and x.flags.writeable
+    if not in_place:
+        x = np.array(x, order="C")
     blocks = (slice(lo, lo + BLOCK_TERMS) for lo in range(0, x.shape[axis], BLOCK_TERMS))
     sums, settled = _reduce((x[:, b] if axis else x[b] for b in blocks), axis)
     bad = np.flatnonzero(~settled)
     if len(bad):
-        sums[bad] = [_fallback(row) for row in terms(bad).tolist()]
+        sums[bad] = [_fallback(row) for row in (again(bad) if in_place else a[bad]).tolist()]
     return sums
-
-
-def fsum_rows(a: np.ndarray) -> np.ndarray:
-    """math.fsum of every row of the 2-D float array a, bit for bit."""
-    a = np.asarray(a, dtype=np.float64)
-    rows, n = a.shape
-    # rows at least as long as they are many are reduced along the rows of
-    # a copy, shorter ones down the columns of a transposed copy
-    axis = 1 if n >= rows else 0
-    return _fsum(np.array(a if axis else a.T, order="C"), axis, lambda i: a[i])
 
 
 def _joined(blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:

@@ -16,20 +16,20 @@ routes are exact up to summation rounding.
 
 Both enumerations run through one prepared block evaluator
 (`shifts.grid_blocks`, `shifts.coset_blocks`), built once per
-enumeration, and map it over the shift space in blocks of the width it
-sets itself (about `shifts.BLOCK_NODES` nodes, so that a block's working
-set stays in cache).  Every sum is correctly rounded, bit for bit what
-`math.fsum` returns: the per-shift means are the sums of each block along
-its longer axis (down the columns of a node-major block when the shifts
-outnumber the nodes of one, along the rows otherwise), and the moment
-sums and the identity values come from `fsum.fsum_blocks`, so no result
-depends on the block size.  The grid enumeration visits one shift per
-lattice-translation class only, since every shift in a class gives the
-same rule value.  The scalar enumeration of an f that declares
-`reflection_symmetric` visits cosets 0 .. 2^(sr-1) only, since coset
-2^sr - w holds the reflections of coset w's nodes and so gives the same
-mean; the cosets strictly between are counted twice.  The identity routes
-keep every node.
+enumeration, and map it over the shift space with `shifts.chunked_map`
+in blocks of the width it sets itself (about `shifts.BLOCK_NODES` nodes,
+so that a block's working set stays in cache); the grid enumeration
+spells its shifts with `shifts.grid_offsets`, and so does the generic
+rectangle rule its grid points.  Every sum is correctly rounded, bit for
+bit what `math.fsum` returns: the per-shift means come from
+`fsum.fsum_rows` and the moment sums and the identity values from
+`fsum.fsum_blocks`, so no result depends on the block size.  The grid
+enumeration visits one shift per lattice-translation class only, since
+every shift in a class gives the same rule value.  The scalar
+enumeration of an f that declares `reflection_symmetric` visits cosets
+0 .. 2^(sr-1) only, since coset 2^sr - w holds the reflections of coset
+w's nodes and so gives the same mean; the cosets strictly between are
+counted twice.  The identity routes keep every node.
 """
 
 from __future__ import annotations
@@ -44,35 +44,17 @@ from .errors import GUARD_BITS, IdentityCheckError, guard
 from .fsum import fsum_blocks, fsum_rows
 from .functions import PeriodicFunction
 from .lattice import EmbeddedPair, Rank1Rule
-from .shifts import BLOCK_NODES, _index_blocks, _offset, coset_blocks, coset_offsets, grid_blocks
+from .shifts import (
+    BLOCK_NODES, _index_blocks, _offset, chunked_map, coset_blocks, coset_offsets, grid_blocks, grid_offsets,
+)
 
 MEAN_IDENTITY_RTOL = 1e-12
 
 # nothing in the package calls kahan_sum any more (the sums go through
 # the fsum module); perfbench still binds spans at kahan_sum and
-# chunked_map and reads GUARD_BITS here, so all three names stay
+# chunked_map and reads GUARD_BITS here, so all three names stay, and the
+# enumerations call shifts.chunked_map by its name here, where a span sees it
 kahan_sum = math.fsum
-
-
-def chunked_map(block_values: Callable[[int, int], np.ndarray], n: int, block: int) -> np.ndarray:
-    """block_values(lo, hi) over consecutive blocks of range(n), in order in one float array.
-
-    Each block is written into the result as it comes, so no more than one
-    block is held beside it.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out = np.empty(n)
-    for lo in range(0, n, block):
-        out[lo : lo + block] = block_values(lo, min(lo + block, n))
-    return out
-
-
-def _grid_numerators(idx: np.ndarray, s: int, r: int) -> np.ndarray:
-    """Grid point idx as s numerators over 2^r: consecutive r-bit fields of
-    idx, the first coordinate highest.  Shape (s, len(idx))."""
-    mask = np.uint64((1 << r) - 1)
-    return np.stack([(idx >> np.uint64((s - 1 - k) * r)) & mask for k in range(s)])
 
 
 @dataclass(frozen=True)
@@ -186,7 +168,7 @@ def moments_grid_shift(rule: Rank1Rule, f: PeriodicFunction, r: int) -> MomentRe
     blocks = grid_blocks(rule, f, r)
 
     def block(lo: int, hi: int) -> np.ndarray:
-        return blocks.means(_grid_numerators(np.arange(lo, hi, dtype=np.uint64), s, r))
+        return blocks.means(grid_offsets(np.arange(lo, hi, dtype=np.uint64), s, r))
 
     values = chunked_map(block, 1 << (r * s - rule.m), blocks.width)
     del blocks  # freed before the identity builds its own buffers
@@ -244,7 +226,7 @@ def rectangle_rule_mean(f: PeriodicFunction, s: int, r: int) -> float:
 
     def block(lo: int) -> np.ndarray:
         idx = np.arange(lo, min(lo + BLOCK_NODES, total), dtype=np.uint64)
-        return f.eval_batch(_grid_numerators(idx, s, r) * (1.0 / n))
+        return f.eval_batch(grid_offsets(idx, s, r) * (1.0 / n))
 
     return fsum_blocks(lambda: map(block, range(0, total, BLOCK_NODES))) / total
 

@@ -12,7 +12,8 @@ Three randomizations of a rank-1 rule are implemented:
   the 2^sr cosets of its 2^(m+sr)-point extension.
 
 Both finite schemes read one draw of s*r bits, an int below 2^sr: a scalar
-shift holds it whole, and `GridShift.from_word` splits it into s numerators.
+shift holds it whole, and `GridShift.from_word` (or `grid_offsets`, for an
+array of words) splits it into s numerators: the one grid layout.
 
 The dyadic evaluators, both moment enumerations and the index-order node
 blocks of the extended-rule identity and the CBC merit (`_index_blocks`)
@@ -25,13 +26,14 @@ subtracts If (when the integral is known).  The block is laid out the way
 its sums read it (`lattice.block_layout`): shift-major, (B, n) values,
 when the n nodes of a shift are at least as many as the block's B shifts
 (or cosets), and node-major, (n, B), otherwise, so the inner axis is
-always the longer one.  The sums come from `fsum._fsum` along that axis,
-which rounds correctly (equal to `math.fsum` bit for bit) in a few
-whole-array passes and may overwrite the values, so no block allocates a
-node array or a transposed copy of its own.  If is added back after the
-sum, so a mean does not depend on the order of its nodes.
+always the longer one.  `fsum.fsum_rows` sums a block in place, one row
+a shift (a node-major block transposed), correctly rounded (equal to
+`math.fsum` bit for bit) in a few whole-array passes, so no block
+allocates a node array or a copy of its own.  If is added back after
+the sum, so a mean does not depend on the order of its nodes.
 
-A block evaluator sizes its own blocks (`_Blocks.width`).  The prepared
+A block evaluator sizes its own blocks (`_Blocks.width`) and maps itself
+over them with `chunked_map`, the one block loop.  The prepared
 evaluators `grid_evaluator`, `scalar_evaluator` and `real_evaluator`
 take a sequence of shifts and return their means in order.  Each checks
 every shift first, then evaluates them a block at a time in one buffer,
@@ -55,7 +57,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .errors import GUARD_BITS
-from .fsum import _fsum
+from .fsum import fsum_rows
 from .functions import PeriodicFunction
 from .lattice import (
     NODE_DTYPE_BITS,
@@ -139,6 +141,20 @@ class RealShift:
         return len(self.u)
 
 
+def chunked_map(block_values: Callable[[int, int], np.ndarray], n: int, block: int) -> np.ndarray:
+    """block_values(lo, hi) over consecutive blocks of range(n), in order in one float array.
+
+    Each block is written into the result as it comes, so no more than one
+    block is held beside it.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    out = np.empty(n)
+    for lo in range(0, n, block):
+        out[lo : lo + block] = block_values(lo, min(lo + block, n))
+    return out
+
+
 def _offset(f: PeriodicFunction) -> float:
     return f.known_integral if f.known_integral is not None else 0.0
 
@@ -171,28 +187,20 @@ class _Blocks:
         raise NotImplementedError
 
     def means(self, offsets: np.ndarray) -> np.ndarray:
-        """Mean of f over the nodes of each offset column, one per column.
+        """Mean of f over the nodes of each offset column, one per column;
+        a sum the certificate cannot settle is formed again from its own
+        offset column."""
 
-        The sums run along the block's inner axis and may overwrite the
-        values; a sum the certificate cannot settle is formed again from
-        its own offset column.
-        """
-        n = self.n
-
-        def rows(cols: np.ndarray) -> np.ndarray:
+        def rows(cols: np.ndarray | slice) -> np.ndarray:
+            # a shift's n values, one row each: the transpose of a node-major block
             v = self.values(offsets[:, cols])
-            return v if v.shape[1] == n else v.T
+            return v if v.shape[1] == self.n else v.T
 
-        # a shift's n values run along the rows unless the block is node-major
-        values = self.values(offsets)
-        return self.off + _fsum(values, 1 if values.shape[1] == n else 0, rows) / n
+        return self.off + fsum_rows(rows(slice(None)), rows) / self.n
 
     def all_means(self, offsets: np.ndarray) -> list[float]:
         """`means` of any number of offset columns, width at a time."""
-        out: list[float] = []
-        for lo in range(0, offsets.shape[1], self.width):
-            out += self.means(offsets[:, lo : lo + self.width]).tolist()
-        return out
+        return chunked_map(lambda lo, hi: self.means(offsets[:, lo:hi]), offsets.shape[1], self.width).tolist()
 
 
 class DisplacedBlocks(_Blocks):
@@ -278,6 +286,14 @@ def coset_blocks(pair: EmbeddedPair, f: PeriodicFunction) -> DisplacedBlocks:
 def coset_offsets(pair: EmbeddedPair, cosets: np.ndarray) -> np.ndarray:
     """The offsets w * z (mod 2^64) of the uint64 coset words w, one column each."""
     return as_uint64(pair.z.components)[:, None] * cosets
+
+
+def grid_offsets(words: np.ndarray, s: int, r: int) -> np.ndarray:
+    """The s numerators over 2^r of the uint64 s*r-bit grid words, one
+    column each: the vectorized twin of `GridShift.from_word`, with the
+    same layout (consecutive r-bit fields, the first coordinate highest)."""
+    mask = np.uint64((1 << r) - 1)
+    return np.stack([(words >> np.uint64((s - 1 - k) * r)) & mask for k in range(s)])
 
 
 def _index_blocks(steps: Sequence[int], t: int, f: PeriodicFunction) -> Iterator[np.ndarray]:

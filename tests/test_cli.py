@@ -807,10 +807,10 @@ def test_no_state_crosses_parses(monkeypatch, capsys, tmp_path):
 _HUGE = str(1 << 40)
 
 
-def _cap_memory() -> None:
+def _cap_memory(limit: int = 1 << 30) -> None:
     import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 @pytest.mark.parametrize(
@@ -867,3 +867,35 @@ def test_whole_work_is_refused_before_it_starts(argv, message):
     assert proc.stdout == ""
     assert proc.stderr == message + "\n"
     assert elapsed < 5
+
+
+@pytest.mark.parametrize(
+    "argv,cap",
+    [
+        # every node value is finite, but a shift's sum passes the float range
+        (("moments", "--scheme", "scalar", "--s", "4603", "--m", "13", "--r", "0", "--ell", "1"), 1 << 30),
+        (("estimate", "--scheme", "grid", "--s", "4603", "--m", "13", "--r", "0", "--ell", "1",
+          "--q", "1", "--bits", "seed:1"), 1 << 30),
+        # 6e7 candidate duals, below the guard: with one OpenBLAS thread the
+        # box just fits in 1 GB of address space, and not in 768 MB
+        (("dual", "--s", "1", "--m", "0", "--ell", "1", "--H", "30000000"), 768 << 20),
+    ],
+)
+def test_overflow_and_out_of_memory_end_in_one_line(argv, cap, tmp_path):
+    # below every guard, a sum past the float range (OverflowError) and an
+    # allocation past the address space cap (MemoryError) exit 1 with one
+    # error line, as a validation error does, and write no artifact
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    out = tmp_path / "artifact.json"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "latshift.cli", *argv, "--out", str(out)],
+        env=env, preexec_fn=lambda: _cap_memory(cap), capture_output=True, text=True, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not out.exists()
+    assert elapsed < 10

@@ -25,7 +25,7 @@ from latshift import (
     scalar_evaluator,
 )
 from latshift import fsum as fsum_module
-from latshift.fsum import _fsum, fsum_blocks, fsum_rows
+from latshift.fsum import fsum_blocks, fsum_rows
 
 from conftest import count_calls, index_block_count, set_block_nodes
 
@@ -88,12 +88,13 @@ def test_rows_equal_fsum_bitwise(rows):
         assert bits(fsum_rows(np.array(rows))) == fsum_reference(rows)
 
 
-def column_sums(rows) -> np.ndarray:
-    """_fsum of the rows laid out one sum per column, as node-major blocks
-    hold them, reduced down the columns; the terms are formed again only
-    for a column the certificate cannot settle."""
+def given_up_sums(rows) -> np.ndarray:
+    """fsum_rows of the rows given up in a layout it sums in place: C order
+    when they are at least as long as they are many, and one sum per
+    column otherwise, as a node-major block holds them; the terms are
+    formed again only for a sum the certificate cannot settle."""
     a = np.array(rows)
-    return _fsum(np.array(a.T, order="C"), 0, lambda cols: a[cols])
+    return fsum_rows(np.array(a, order="C" if a.shape[1] >= len(a) else "F"), lambda i: a[i])
 
 
 @PROPERTY
@@ -101,14 +102,14 @@ def column_sums(rows) -> np.ndarray:
 def test_row_and_column_layouts_equal_fsum_bitwise(rows):
     # the drawn rows, mostly at least as long as they are many, go along the
     # rows; the same rows 41 times over, more rows than terms, go down the
-    # columns of a transposed copy.  column_sums takes the same sums one
-    # per column and reduces them down the columns whatever their shape
+    # columns of a transposed copy.  given_up_sums takes the same sums in
+    # place, in the same two layouts
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fsum_module, "SHORT_TERMS", 0)
         assert bits(fsum_rows(np.array(rows))) == fsum_reference(rows)
         assert bits(fsum_rows(np.array(rows * 41))) == fsum_reference(rows) * 41
-        assert bits(column_sums(rows)) == fsum_reference(rows)
-        assert bits(column_sums(rows * 41)) == fsum_reference(rows) * 41
+        assert bits(given_up_sums(rows)) == fsum_reference(rows)
+        assert bits(given_up_sums(rows * 41)) == fsum_reference(rows) * 41
 
 
 @PROPERTY
@@ -119,7 +120,8 @@ def test_blocked_rows_and_streams_equal_fsum_bitwise(rows, block, data):
         mp.setattr(fsum_module, "SHORT_TERMS", 0)
         mp.setattr(fsum_module, "BLOCK_TERMS", block)
         assert bits(fsum_rows(np.array(rows))) == fsum_reference(rows)
-        assert bits(column_sums(rows)) == fsum_reference(rows)
+        assert bits(given_up_sums(rows)) == fsum_reference(rows)
+        assert bits(given_up_sums(rows * 41)) == fsum_reference(rows) * 41
         row = np.array(rows[0])
         cuts = sorted(data.draw(st.lists(st.integers(0, len(row)), max_size=4)))
         pieces = np.split(row, cuts)
@@ -185,12 +187,15 @@ def long_sums(draw):
 @settings(max_examples=100, deadline=None)
 @given(long_sums())
 def test_one_extraction_sums_equal_fsum_bitwise(rows):
-    # sums of one block, along the rows and down the columns: one extraction
-    # where it settles them, a second where it does not
+    # sums of one block, along the rows (copied and in place) and, cut to
+    # 64 terms and repeated, down the columns: one extraction where it
+    # settles them, a second where it does not
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fsum_module, "SHORT_TERMS", 0)
         assert bits(fsum_rows(np.array(rows))) == fsum_reference(rows)
-        assert bits(column_sums(rows)) == fsum_reference(rows)
+        assert bits(given_up_sums(rows)) == fsum_reference(rows)
+        short = [row[:64] for row in rows] * 65
+        assert bits(given_up_sums(short)) == fsum_reference(short)
 
 
 def test_near_midpoint_sums_equal_fsum_bitwise(monkeypatch):
@@ -200,7 +205,7 @@ def test_near_midpoint_sums_equal_fsum_bitwise(monkeypatch):
     rng = np.random.default_rng(19)
     for _ in range(100):
         row = near_midpoint(rng, int(rng.integers(1 << 10, 1 << 13)), int(rng.integers(-800, 800))).tolist()
-        assert bits(fsum_rows(np.array([row]))) == bits(column_sums([row])) == fsum_reference([row])
+        assert bits(fsum_rows(np.array([row]))) == bits(given_up_sums([row])) == fsum_reference([row])
 
 
 def test_long_rows_and_streams():
@@ -281,7 +286,7 @@ def test_empty_and_degenerate_shapes():
 def test_non_finite_rows_go_to_fsum(monkeypatch):
     monkeypatch.setattr(fsum_module, "SHORT_TERMS", 0)
     rows = [[math.inf, 1.0], [1.0, 2.0], [math.nan, 0.0], [1e308, 1e308 * -0.5]]
-    for got in (fsum_rows(np.array(rows)), column_sums(rows)):
+    for got in (fsum_rows(np.array(rows)), given_up_sums(rows)):
         assert got[0] == math.inf and got[1] == 3.0 and math.isnan(got[2])
         assert got[3] == math.fsum(rows[3])
 
@@ -299,17 +304,67 @@ def test_forced_fallback_is_fsum(monkeypatch):
     assert got[:2].tolist() == [1.0 + 2.0**-52, 1.0 - 2.0**-53]
     assert fsum_blocks(lambda: iter([np.array(rows[0])])) == 1.0 + 2.0**-52
     assert len(calls) == 3
-    # the sums overwrite their terms, so the columns are asked for again
+    # rows given up are summed in place, so the rows are asked for again
     # when two of them are unsettled, and only those two
     asked = []
     a = np.array(rows)
 
-    def terms(cols):
-        asked.append(cols.tolist())
-        return a[cols]
+    def terms(i):
+        asked.append(i.tolist())
+        return a[i]
 
-    assert bits(_fsum(np.array(a.T, order="C"), 0, terms)) == fsum_reference(rows)
+    given = a.copy()
+    assert bits(fsum_rows(given, terms)) == fsum_reference(rows)
     assert asked == [[0, 1]] and len(calls) == 5
+    assert not np.array_equal(given, a)
+
+
+# long rows lie laid out for the passes in C order, and short ones in F
+# order (the transpose of a C array)
+LAYOUTS = [((8, 512), "C"), ((512, 8), "F")]
+
+
+@pytest.mark.parametrize("shape, order", LAYOUTS)
+def test_rows_given_up_are_summed_in_place(shape, order):
+    # every sum settles here, so the rows are never asked for again
+    a = np.random.default_rng(11).standard_normal(shape)
+    given = np.array(a, order=order)
+    asked = []
+    assert bits(fsum_rows(given, lambda i: asked.append(i) or a[i])) == fsum_reference(a.tolist())
+    assert asked == [] and not np.array_equal(given, a)
+
+
+@pytest.mark.parametrize("shape, order", LAYOUTS)
+def test_rows_in_another_layout_are_summed_in_a_copy(shape, order):
+    a = np.random.default_rng(12).standard_normal(shape)
+    other = "F" if order == "C" else "C"
+    wide = np.repeat(a, 2, axis=1)
+    locked = np.array(a, order=order)
+    locked.flags.writeable = False
+    # the other order, a strided view and a read-only array are not summed
+    # where they lie, even when given up; nor is any array that is not
+    for given, again in [
+        (np.array(a, order=other), lambda i: a[i]),
+        (wide[:, ::2], lambda i: a[i]),
+        (locked, lambda i: a[i]),
+        (np.array(a, order=order), None),
+    ]:
+        assert bits(fsum_rows(given, again)) == fsum_reference(a.tolist())
+        assert np.array_equal(given, a)
+
+
+@pytest.mark.parametrize("shape, order", LAYOUTS)
+def test_unsettled_rows_given_up_are_formed_again(monkeypatch, shape, order):
+    # the odd rows are left unsettled: again is called once, with just those
+    a = np.random.default_rng(13).standard_normal(shape)
+    settled = fsum_module._settled
+    monkeypatch.setattr(
+        fsum_module, "_settled", lambda *parts: settled(*parts) & (np.arange(len(parts[0])) % 2 == 0)
+    )
+    asked = []
+    got = fsum_rows(np.array(a, order=order), lambda i: asked.append(i.tolist()) or a[i])
+    assert bits(got) == fsum_reference(a.tolist())
+    assert asked == [list(range(1, len(a), 2))]
 
 
 @pytest.mark.parametrize("scheme", ["grid", "scalar"])

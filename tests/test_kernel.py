@@ -333,7 +333,7 @@ class TestBatchedEvaluators:
 
     @pytest.mark.parametrize("m, q, blocks", [
         (4, 1, [(1, 16)]),                       # one shift, shift-major
-        (4, 37, [(16, 37)]),                     # more shifts than nodes: node-major
+        (4, 37, [(37, 16)]),                     # more shifts than nodes: node-major, given transposed
         (12, 7, [(4, 4096), (3, 4096)]),         # q not a multiple of the width 4
         (13, 5, [(2, 8192), (2, 8192), (1, 8192)]),
         (14, 3, [(1, 16384)] * 3),               # width 1 at m = 14
@@ -351,7 +351,7 @@ class TestBatchedEvaluators:
         ]
         # the last shift repeats the first (or is the only one)
         triples.append(triples[0] if triples else (GridShift((3, 9), r), ScalarShift(77, s * r), RealShift((0.25, 0.8))))
-        sums = count_calls(monkeypatch, shifts_module, "_fsum")
+        sums = count_calls(monkeypatch, shifts_module, "fsum_rows")
         batched = [ev(list(xs)) for ev, xs in zip(_prepared(rule, pair, f, r), zip(*triples))]
         assert [args[0].shape for args in sums] == blocks * 3
         monkeypatch.undo()

@@ -1,5 +1,6 @@
-"""The package's modules import only from the layers below their own, and
-hand the work guard no power they have formed."""
+"""The package's modules import only from the layers below their own, read
+no private name of the certified sum, and hand the work guard no power
+they have formed."""
 
 import ast
 from pathlib import Path
@@ -62,6 +63,23 @@ def test_cli_imports_no_private_name():
         for alias in node.names
         if alias.name.startswith("_")
     }
+    assert private == set()
+
+
+def test_no_module_reads_a_private_fsum_name():
+    # the certified sum is reached through its public entries only, so the
+    # layout of its passes is decided in fsum alone
+    private = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "fsum":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "fsum":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "fsum":
+                names = [node.attr]
+            private |= {(path.name, name) for name in names if name.startswith("_")}
     assert private == set()
 
 

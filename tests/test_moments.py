@@ -28,9 +28,9 @@ from latshift import (
 )
 
 from latshift import moments as moments_module
-from latshift.moments import _grid_numerators, _report, chunked_map
+from latshift.moments import _report, chunked_map
 from latshift.reference import REFERENCE_CELLS
-from latshift.shifts import coset_blocks, coset_offsets, grid_blocks
+from latshift.shifts import coset_blocks, coset_offsets, grid_blocks, grid_offsets
 
 from conftest import count_calls, index_block_count, rel_err, set_block_nodes
 
@@ -125,7 +125,7 @@ def full_grid_report(rule: Rank1Rule, f: ProductBernoulliFn, r: int):
     blocks = grid_blocks(rule, f, r)
 
     def block(lo, hi):
-        return blocks.means(_grid_numerators(np.arange(lo, hi, dtype=np.uint64), s, r))
+        return blocks.means(grid_offsets(np.arange(lo, hi, dtype=np.uint64), s, r))
 
     values = chunked_map(block, 1 << (r * s), blocks.width)
     return _report("grid-shift", values, f, rectangle_rule_mean(f, s, r), 1 << (r * s))
@@ -202,7 +202,7 @@ class TestRectangleRuleMean:
         f = Wrapped(2)
         for r in range(7):
             n = 1 << r
-            xs = _grid_numerators(np.arange(n * n, dtype=np.uint64), 2, r) * (1.0 / n)
+            xs = grid_offsets(np.arange(n * n, dtype=np.uint64), 2, r) * (1.0 / n)
             expected = math.fsum(f.eval_batch(xs).tolist()) / (n * n)
             assert rectangle_rule_mean(f, 2, r).hex() == expected.hex()
 
@@ -332,7 +332,7 @@ class TestBlockSizes:
         else:
             rule = Rank1Rule(m, korobov_vector(17797, s, max(m, 1)))
             # one shift per lattice-translation class, as moments_grid_shift enumerates
-            nums = _grid_numerators(np.arange(1 << (r * s - m), dtype=np.uint64), s, r)
+            nums = grid_offsets(np.arange(1 << (r * s - m), dtype=np.uint64), s, r)
             values = [eval_grid_shifted(rule, f, GridShift(tuple(v), r)) for v in nums.T.tolist()]
             check = rectangle_rule_mean(f, s, r)
             moments = lambda: moments_grid_shift(rule, f, r)  # noqa: E731

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from latshift import (
@@ -23,6 +24,8 @@ from latshift import (
     rectangle_rule_mean,
     scalar_evaluator,
 )
+
+from latshift.shifts import grid_offsets
 
 from conftest import rel_err
 
@@ -80,6 +83,15 @@ class TestBitCodecs:
         with pytest.raises(ValueError):
             ScalarShift(8, 3)
         assert GridShift((7,), 3).nums == (7,) and ScalarShift(7, 3).wnum == 7
+
+    @pytest.mark.parametrize("s, r", [(1, 0), (3, 0), (1, 1), (1, 64), (2, 5), (3, 7), (4, 16), (8, 8), (16, 4)])
+    def test_grid_offsets_split_words_as_from_word(self, s, r):
+        # the vectorized split of a whole array of words, field by field
+        rng = random.Random(31 * s + r)
+        words = [0, (1 << r * s) - 1] + [rng.getrandbits(r * s) for _ in range(200)]
+        got = grid_offsets(np.array(words, dtype=np.uint64), s, r)
+        assert got.dtype == np.uint64 and got.shape == (s, len(words))
+        assert [tuple(col) for col in got.T.tolist()] == [GridShift.from_word(w, r, s).nums for w in words]
 
     def test_grid_codec_bijective_exhaustive(self):
         r, s = 4, 4  # all 2^16 words; the fold back is the inverse
