@@ -21,7 +21,10 @@ bytes a dual, so the four calls of one op on one box (`dual_points` and the
 three series) solve the duals once and call `fourier_coeff` once.  The
 error and variance series stream blocks of terms through `fsum_blocks`,
 the `dual` command writes its rows a block at a time, and the third-moment
-series reads only keys and coefficients.  Every sum is correctly rounded,
+series reads only keys and coefficients, and finds the dual h - k by one
+read of a dense table over the keys where that table is small against the
+pairs formed (2 bytes a key, at most 8 MB), by a binary search over the
+sorted keys elsewhere.  Every sum is correctly rounded,
 bit for bit as `math.fsum`, so no result depends on the order or the
 blocking of its terms.  The third-moment series forms each unordered pair
 {k, h - k} once, a block of h rows at a time, and for even coefficients
@@ -60,6 +63,21 @@ _PAIR_BLOCK = 1 << 13
 
 # above every key, and above every difference of two keys
 _SENTINEL_KEY = np.iinfo(np.int64).max
+
+# the third-moment series reads the index of h - k from a dense int16 table
+# over the keys -K..K when the table has at most _INDEX_PER_PAIR entries a
+# pair in the summed rows' windows and at most _INDEX_ENTRIES (8 MB), and
+# binary-searches the sorted keys otherwise.  Series time on a 2-core Xeon,
+# table against search: 1.5-1.9x faster at 0.1-5.3 entries a pair (every
+# 3-D benchmark shape), 1.1-1.4x at 7-70 entries a pair above 1800 pairs,
+# but 9-22 us slower under 120 pairs (18-2500 entries a pair) and 2.2-2.9x
+# slower at 4700.  8 takes the table on no shape measured slower by more
+# than the noise, and holds it to 16 bytes a pair.  At (3,11,64) 8.5M
+# entries still won 17% and at (3,12,80) 16.5M lost 8%; the cap holds the
+# table to 8 MB, against about 0.6 MB for the rest of the series at the
+# 8192 duals the pair guard admits
+_INDEX_PER_PAIR = 8
+_INDEX_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -348,9 +366,15 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     are refused before any is formed.
 
     The keys of the prepared box (`PreparedBox`) are linear and order like
-    the duals, so key(h) - key(k) names h - k, and one binary search over
-    the sorted keys finds every l; zero is not a box dual, so l = 0 is never
-    found.
+    the duals, so key(h) - key(k) names h - k, and every dual key lies in
+    [-K, K], K the largest.  Where it is small against the work, a dense
+    int16 table over the keys -K..K, with one pad entry past each end, holds
+    the index of each dual and D elsewhere, and one read finds every l: it
+    is built when its 2K + 3 entries (2 bytes each) are at most
+    `_INDEX_PER_PAIR` a pair in the summed rows' windows and at most
+    `_INDEX_ENTRIES` (8 MB); elsewhere, as for sparse rules of large m, one
+    binary search over the sorted keys finds every l.  Zero is not a box
+    dual, so l = 0 is never found.
 
     The term c(k) c(l) is the same float as c(l) c(k), so row h takes each
     unordered pair once: twice for key(k) < key(l), once on the diagonal
@@ -401,14 +425,36 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     R = (4 * H + 1) ** (rule.s - 1)
     lo = np.searchsorted(keys[:D], keys[:D] - (H * R + (R - 1) // 2))
 
+    # row D - 1 - i is -h_i; with even coefficients its inner sum is row i's
+    rows = (D + 1) // 2 if np.array_equal(coeffs, coeffs[::-1]) else D
+    # every dual key lies in [-K, K]: the duals are closed under negation
+    K = int(keys[D - 1]) if D else 0
+    windowed = int(np.maximum(hi[:rows] - lo[:rows], 0).sum())
+    if 2 * K + 1 <= min(_INDEX_PER_PAIR * windowed, _INDEX_ENTRIES):
+        # entry K + 1 + key(l) holds l's index, or D where key(l) names no
+        # dual, as does one pad entry past each end, onto which the take
+        # clips every key beyond +-K
+        table = np.full(2 * K + 3, D, dtype=np.int16)
+        table[keys[:D] + (K + 1)] = np.arange(D)
+
+        def index(diff: np.ndarray) -> np.ndarray:
+            diff += K + 1
+            diff[...] = np.take(table, diff, mode="clip")
+            return diff
+
+    else:
+
+        def index(diff: np.ndarray) -> np.ndarray:
+            idx = np.searchsorted(keys[:D], diff)
+            np.putmask(idx, np.take(keys, idx) != diff, D)
+            return idx
+
     def block_sums(r0: int, r1: int) -> np.ndarray:
         c0, c1 = lo[r0], max(lo[r0], hi[r1 - 1])
-        diff = keys[r0:r1, None] - keys[c0:c1]  # key of h - k, one row per h
-        idx = np.searchsorted(keys[:D], diff)
-        # no dual l, or l before k (k past its row's window): the sentinel
-        miss = np.take(keys, idx) != diff
-        miss |= idx < np.arange(c0, c1)
-        np.putmask(idx, miss, D)
+        # the index of l = h - k, or D where l is no dual, one row per h
+        idx = index(keys[r0:r1, None] - keys[c0:c1])
+        # l before k (k past its row's window): the sentinel
+        np.putmask(idx, idx < np.arange(c0, c1), D)
         terms = np.take(looked_up, idx)
         terms *= coeffs[c0:c1]
         # off the diagonal a term stands for both orders of its pair
@@ -417,18 +463,17 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
         once = terms[at]
         terms *= 2.0
         terms[at] = once
-        del diff, idx, miss  # freed before fsum_rows copies the terms
+        del idx  # freed before fsum_rows copies the terms
         return fsum_rows(terms)
 
-    # row D - 1 - i is -h_i; with even coefficients its inner sum is row i's
-    rows = (D + 1) // 2 if np.array_equal(coeffs, coeffs[::-1]) else D
     inner = np.zeros(D)
     r0 = 0
     while r0 < rows:
         # the most rows from r0 whose spanned pairs stay within _PAIR_BLOCK
-        span = np.maximum(hi[r0 : min(r0 + _PAIR_BLOCK, rows)] - lo[r0], 0)
-        pairs = np.arange(1, len(span) + 1) * span
+        pairs = np.maximum(hi[r0 : min(r0 + _PAIR_BLOCK, rows)] - lo[r0], 0)
+        pairs *= np.arange(1, len(pairs) + 1)
         r1 = r0 + max(1, int(np.searchsorted(pairs, _PAIR_BLOCK, "right")))
+        del pairs  # freed before the block's pairs are formed
         inner[r0:r1] = block_sums(r0, r1)
         r0 = r1
     inner[rows:] = inner[: D - rows][::-1]

@@ -645,6 +645,98 @@ class TestThirdMomentSeries:
             tracemalloc.stop()
         assert peak < 56 * D + 32 * dual_module._PAIR_BLOCK
 
+    def test_peak_memory_with_the_key_table(self):
+        # the largest benchmark shape reads h - k from the dense key table:
+        # besides the per-dual arrays and one block of pairs, the series
+        # holds the table's 2K + 3 int16 entries (331 KB in all before the
+        # table, 596 KB with it)
+        rule = Rank1Rule(5, korobov_vector(17797, 3, 5))
+        duals = TruncationBox(16).prepare(rule)
+        D, K = len(duals), int(duals.keys[len(duals) - 1])
+        assert (D, K) == (1122, 68640)
+        tracemalloc.start()
+        try:
+            third_moment_series(rule, ProductBernoulliFn(3), TruncationBox(16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 56 * D + 2 * (2 * K + 3) + 32 * dual_module._PAIR_BLOCK
+
+    @pytest.mark.parametrize(
+        "s, m, H, table",
+        [(3, 5, 16, True), (2, 4, 16, True), (2, 6, 16, False)],
+    )
+    def test_key_table_or_binary_search(self, s, m, H, table, monkeypatch):
+        # the index of h - k is read from the dense key table where its
+        # 2K + 3 entries are few against the pairs formed, and searched for
+        # in the sorted keys elsewhere: (2,6,16) has 2K + 1 = 26 times its
+        # 78 windowed pairs.  The benchmark's shapes take both lookups
+        rule = Rank1Rule(m, korobov_vector(17797, s, m))
+        f = ProductBernoulliFn(s)
+        box = TruncationBox(H)
+        duals = dual_points(rule, box)
+        searched = []
+        search = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda a, v, *args, **kw: searched.append(np.ndim(v)) or search(a, v, *args, **kw))
+        value = third_moment_series(rule, f, box).value
+        # only the lookup of h - k searches a 2-D array of needles
+        assert (2 in searched) != table
+        if (s, m, H) in self.PARENT_HEX:
+            assert value.hex() == self.PARENT_HEX[s, m, H]
+        else:
+            assert value.hex() == pairwise_third_moment(duals, f, H).hex()
+
+    @pytest.mark.parametrize(
+        "rule, H",
+        [
+            (Rank1Rule(4, korobov_vector(17797, 3, 4)), 4),
+            (Rank1Rule(0, GeneratingVector((1, 1), 1)), 6),
+            (Rank1Rule(5, korobov_vector(17797, 3, 5)), 16),
+            (Rank1Rule(6, korobov_vector(1267, 2, 6)), 16),
+        ],
+    )
+    def test_key_table_and_binary_search_agree_bitwise(self, rule, H, monkeypatch):
+        # every inner sum is the correctly rounded sum of one multiset of
+        # terms whichever lookup finds h - k, also for coefficients that
+        # take every row
+        values = {}
+        for per_pair, entries in ((0, 0), (1 << 62, 1 << 62)):
+            monkeypatch.setattr(dual_module, "_INDEX_PER_PAIR", per_pair)
+            monkeypatch.setattr(dual_module, "_INDEX_ENTRIES", entries)
+            values[per_pair] = [
+                third_moment_series(rule, f, TruncationBox(H)).value.hex()
+                for f in (ProductBernoulliFn(rule.s), ArbitraryCoeffFn(rule.s))
+            ]
+        assert values[0] == values[1 << 62]
+
+    @pytest.mark.parametrize(
+        "m, z, H, D",
+        [
+            (20, (1, 12345), 4096, 62),
+            (24, (1, 3001, 70001), 300, 24),
+            (30, (1, 123456789), 1 << 15, 4),
+        ],
+    )
+    def test_sparse_rules_with_large_keys_build_no_table(self, m, z, H, D):
+        # few duals with keys up to 6.7e7, 3.9e8 and 4.1e9: a key table
+        # would take 2 bytes a key and dwarf the pairs, so the series
+        # searches the sorted keys and holds far less than 2K + 1 bytes
+        rule = Rank1Rule(m, GeneratingVector(z, m))
+        f = ProductBernoulliFn(len(z))
+        box = TruncationBox(H)
+        duals = box.prepare(rule)
+        duals.coefficients(f)
+        K = int(duals.keys[len(duals) - 1])
+        assert len(duals) == D and K > 6 * 10**7
+        tracemalloc.start()
+        try:
+            value = third_moment_series(rule, f, box).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1000 * peak < 2 * K + 1
+        assert value.hex() == pairwise_third_moment(dual_points(rule, box), f, H).hex()
+
     def _error_and_variance_peaks(self, H):
         rule = Rank1Rule(0, GeneratingVector((1, 1), 1))
         f = ProductBernoulliFn(2)
