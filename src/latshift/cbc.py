@@ -9,7 +9,7 @@ two per-level merits, each normalized by the best Korobov baseline merit
 at that level.
 
 `merit` runs on the extended-rule identity's index-order node path
-(`shifts._index_blocks`) and sums as one `np.sum` over all nodes would:
+(`shifts.index_blocks`) and sums as one `np.sum` over all nodes would:
 deterministic bit for bit, but unlike the moment sums not correctly rounded.
 
 The construction is greedy: component d is chosen from the odd candidates
@@ -55,7 +55,7 @@ from .bits import SplitMix64
 from .errors import GuardLimitError, guard
 from .functions import ProductBernoulliFn
 from .lattice import GeneratingVector, korobov_vector, lattice_numerators
-from .shifts import _index_blocks
+from .shifts import index_blocks
 
 # merits at a level are normalized by the best Korobov merit at that level
 BASELINE_ELLS = (17797, 1267, 12915)
@@ -95,7 +95,10 @@ _CIRCULANT_INDEX = _circulant_index()
 
 @dataclass(frozen=True)
 class MeritValue:
-    """Reference-integrand rule error at one level: strictly positive."""
+    """Reference-integrand rule error at one level: strictly positive.
+
+    level holds the level's node count 2^t, as `merit` stores it, not t.
+    """
 
     value: float
     level: int
@@ -134,7 +137,7 @@ def merit(z: GeneratingVector, n_points: int) -> MeritValue:
     # down to 128-term leaves, so while the node blocks are powers of two of
     # at least 128 nodes, halving their sums pairwise gives np.sum over all
     # nodes bit for bit
-    sums = [np.sum(b) for b in _index_blocks(comps, t, ProductBernoulliFn(len(comps)))]
+    sums = [np.sum(b) for b in index_blocks(comps, t, ProductBernoulliFn(len(comps)))]
     while len(sums) > 1:
         sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
     return MeritValue(float(sums[0]) / n_points, n_points)
@@ -422,9 +425,11 @@ def cbc_construct(
         Dimension, base resolution, and extension bits (levels 2^m and
         2^(m+sr)).
     candidate_policy : str
-        "full" scans every odd candidate (only up to 2^16 extension
-        points); "sampled" scans a fixed seeded draw of 4096 odd
-        candidates; "auto" picks "full" when it is allowed.
+        "full" scans every odd candidate of the lower half (only up to
+        2^16 extension points); "sampled" scans a fixed seeded draw of
+        SAMPLE_SIZE = 4096 of them where the lower half holds more, and
+        every one otherwise, so it returns the "full" vector up to
+        extension 14; "auto" picks "full" when it is allowed.
     """
     if s < 1:
         raise ValueError(f"dimension must be >= 1, got {s}")
@@ -451,10 +456,12 @@ def cbc_construct(
     if s == 1:
         return GeneratingVector((1,), t)
 
-    if candidate_policy == "sampled":
+    # the lower half's odd candidates; a draw from SAMPLE_SIZE or fewer takes all
+    half = n_ext // 4 or n_ext // 2
+    if candidate_policy == "sampled" and half > SAMPLE_SIZE:
         cands = _sample_candidates(n_ext)
     else:
-        cands = 2 * np.arange(n_ext // 4 or n_ext // 2, dtype=np.int64) + 1
+        cands = 2 * np.arange(half, dtype=np.int64) + 1
     if len(cands) == 0:
         raise ValueError("empty candidate set at dimension 2")
     we = ProductBernoulliFn(1).factor(np.arange(n_ext) / n_ext)

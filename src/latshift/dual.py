@@ -17,8 +17,10 @@ checks the box guard once, solves the congruence in closed form for the
 last coordinate over blocks of candidates, and keeps each dual as one
 sorted int64 key, 8 bytes a dual, from which it decodes rows a block at a
 time.  It also keeps the coefficients of the last integrand asked for, 8
-bytes a dual, so the four calls of one op on one box (`dual_points` and the
-three series) solve the duals once and call `fourier_coeff` once.  The
+bytes a dual, and one 0.0 after them, the term of an index that names no
+dual, so the four calls of one op on one box (`dual_points` and the three
+series) solve the duals once and call `fourier_coeff` once.  The error
+series takes its shift as None, a `RealShift` or a `GridShift`.  The
 error and variance series stream blocks of terms through `fsum_blocks`,
 the `dual` command writes its rows a block at a time, and the third-moment
 series reads only keys and coefficients, and finds the dual h - k by one
@@ -60,9 +62,6 @@ _DUAL_BLOCK = 1 << 16
 # a few arrays of that many entries, so memory stays flat whatever the dual
 # count
 _PAIR_BLOCK = 1 << 13
-
-# above every key, and above every difference of two keys
-_SENTINEL_KEY = np.iinfo(np.int64).max
 
 # the third-moment series reads the index of h - k from a dense int16 table
 # over the keys -K..K when the table has at most _INDEX_PER_PAIR entries a
@@ -138,11 +137,11 @@ class PreparedBox:
     last integrand asked for are kept, so a prepared box holds 16 bytes a
     dual.
 
-    `keys` and `coefficients(f)` are read-only arrays of D + 1 entries: the
-    D duals' in increasing key order, then a sentinel at index D, a key
-    above every key and every difference of two keys, and a zero
-    coefficient.  A lookup that finds no dual can so be pointed at index D
-    and read a zero term.
+    `keys` is a read-only array of the D duals' keys in increasing order.
+    `coefficients(f)` is a read-only array of D + 1 entries: the D duals'
+    in key order, then 0.0 at index D, the term of an index that names no
+    dual, so a lookup that finds no dual can point at index D and read a
+    zero term.
     """
 
     def __init__(self, rule: Rank1Rule, box: TruncationBox) -> None:
@@ -153,7 +152,7 @@ class PreparedBox:
         self._last: tuple[PeriodicFunction, np.ndarray] | None = None
 
     def __len__(self) -> int:
-        return len(self.keys) - 1
+        return len(self.keys)
 
     def blocks(self) -> Iterator[slice]:
         """Consecutive slices of the duals, `_DUAL_BLOCK` at a time."""
@@ -172,7 +171,7 @@ class PreparedBox:
         return out
 
     def coefficients(self, f: PeriodicFunction) -> np.ndarray:
-        """f's Fourier coefficient at every dual, then the zero sentinel, from
+        """f's Fourier coefficient at every dual, then 0.0 at index D, from
         one `fourier_coeff` call a block; kept for f (the same object) until
         another f is asked for."""
         last = self._last
@@ -180,7 +179,7 @@ class PreparedBox:
             # the last integrand's are let go first, so one array is held,
             # and the new ones are kept only once complete
             self._last = last = None
-            coeffs = np.zeros(len(self.keys))
+            coeffs = np.zeros(len(self) + 1)
             for block in self.blocks():
                 coeffs[block] = f.fourier_coeff(self.rows(block))
             coeffs.flags.writeable = False
@@ -242,7 +241,7 @@ def mean_cumulants(single: CumulantSet, q: int) -> CumulantSet:
 
 
 def _box_keys(rule: Rank1Rule, H: int, per: int) -> np.ndarray:
-    """The sorted keys of the box duals of rule, then `_SENTINEL_KEY`.
+    """The sorted keys of the box duals of rule.
 
     The congruence h . z = 0 (mod 2^m) is solved for the last coordinate:
     every component of z is odd, hence invertible mod 2^m, so a prefix
@@ -282,7 +281,6 @@ def _box_keys(rule: Rank1Rule, H: int, per: int) -> np.ndarray:
         hs = offset[prefix] - H + step * j
         key = prefix_key[prefix] + hs
         keys.append(key[(hs <= H) & (key != 0)])
-    keys.append(np.array([_SENTINEL_KEY]))
     return np.concatenate(keys)
 
 
@@ -302,17 +300,15 @@ def _fsum(terms: np.ndarray) -> float:
     return float(fsum_rows(terms.reshape(1, -1))[0])
 
 
-def _shift_floats(shift, s: int) -> tuple[float, ...]:
+def _shift_floats(shift: RealShift | GridShift | None, s: int) -> tuple[float, ...]:
     if shift is None:
         return (0.0,) * s
     if isinstance(shift, RealShift):
         c = shift.u
     elif isinstance(shift, GridShift):
         c = DyadicPoint(shift.nums, shift.r).as_floats()
-    elif isinstance(shift, DyadicPoint):
-        c = shift.as_floats()
     else:
-        c = tuple(float(x) for x in shift)
+        raise TypeError(f"shift must be None, a RealShift or a GridShift, got {type(shift).__name__}")
     if len(c) != s:
         raise ValueError(f"shift dimension {len(c)} does not match rule dimension {s}")
     return c
@@ -321,15 +317,16 @@ def _shift_floats(shift, s: int) -> tuple[float, ...]:
 def shift_error_series(
     rule: Rank1Rule,
     f: PeriodicFunction,
-    shift,
+    shift: RealShift | GridShift | None,
     box: TruncationBox,
 ) -> SeriesResult:
     """Truncated dual series for the shifted-rule error Q_c f - If.
 
     For a real-valued integrand the coefficients at h and -h are conjugate,
     so the imaginary parts cancel over the symmetric box and only the cosine
-    part is accumulated; the result is real.  The shift may be None (zero),
-    a RealShift, a GridShift, a DyadicPoint, or a float sequence.
+    part is accumulated; the result is real.  The shift is None (zero), a
+    RealShift, or a GridShift, read as its dyadic point's floats; any other
+    value raises TypeError.
     """
     c = _shift_floats(shift, rule.s)
     duals = box.prepare(rule)
@@ -386,7 +383,7 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     windows; it takes as many rows as fit `_PAIR_BLOCK` pairs.  A k past
     its row's window (where key(l) < key(k)), and a k whose l is not found
     (as for a k before its window's start, whose l is not in the box), take
-    the zero sentinel coefficient in place of c(l); a zero term leaves an
+    the coefficients' 0.0 at index D in place of c(l); a zero term leaves an
     exact sum unchanged.  Every term is doubled after its product is
     rounded, which is exact short of overflow, and each row's one diagonal
     term is then put back as it was.  So each inner sum from `fsum_rows` is
@@ -411,19 +408,19 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     duals = box.prepare(rule)
     D = len(duals)
     guard(D * D, "dual pairs")
-    # D keys and D coefficients, each with its sentinel at index D
+    # D keys; D coefficients, then the 0.0 a k takes where l is no dual
     keys, looked_up = duals.keys, duals.coefficients(f)
     coeffs = looked_up[:D]
     # row h's window of k is [lo[h], hi[h]), empty where lo[h] >= hi[h];
     # hi >= 1, since the least key is negative and twice it is below every key
-    hi = np.searchsorted(2 * keys[:D], keys[:D], "right")
+    hi = np.searchsorted(2 * keys, keys, "right")
     # the rows whose window ends with the diagonal pair k = l = h / 2
     halves = keys[hi - 1]
     halves *= 2
-    diagonal = np.flatnonzero(halves == keys[:D])
+    diagonal = np.flatnonzero(halves == keys)
     del halves
     R = (4 * H + 1) ** (rule.s - 1)
-    lo = np.searchsorted(keys[:D], keys[:D] - (H * R + (R - 1) // 2))
+    lo = np.searchsorted(keys, keys - (H * R + (R - 1) // 2))
 
     # row D - 1 - i is -h_i; with even coefficients its inner sum is row i's
     rows = (D + 1) // 2 if np.array_equal(coeffs, coeffs[::-1]) else D
@@ -435,7 +432,7 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
         # dual, as does one pad entry past each end, onto which the take
         # clips every key beyond +-K
         table = np.full(2 * K + 3, D, dtype=np.int16)
-        table[keys[:D] + (K + 1)] = np.arange(D)
+        table[keys + (K + 1)] = np.arange(D)
 
         def index(diff: np.ndarray) -> np.ndarray:
             diff += K + 1
@@ -445,15 +442,16 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     else:
 
         def index(diff: np.ndarray) -> np.ndarray:
-            idx = np.searchsorted(keys[:D], diff)
-            np.putmask(idx, np.take(keys, idx) != diff, D)
+            # a search past every key clips to the largest, below diff
+            idx = np.searchsorted(keys, diff)
+            np.putmask(idx, np.take(keys, idx, mode="clip") != diff, D)
             return idx
 
     def block_sums(r0: int, r1: int) -> np.ndarray:
         c0, c1 = lo[r0], max(lo[r0], hi[r1 - 1])
         # the index of l = h - k, or D where l is no dual, one row per h
         idx = index(keys[r0:r1, None] - keys[c0:c1])
-        # l before k (k past its row's window): the sentinel
+        # l before k (k past its row's window): index D, a zero term
         np.putmask(idx, idx < np.arange(c0, c1), D)
         terms = np.take(looked_up, idx)
         terms *= coeffs[c0:c1]

@@ -14,7 +14,6 @@ against.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -178,17 +177,6 @@ class GeneratingVector:
     @property
     def s(self) -> int:
         return len(self.components)
-
-    def to_json(self) -> str:
-        return json.dumps({"s": self.s, "t": self.t, "z": list(self.components)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeneratingVector":
-        obj = json.loads(text)
-        z = tuple(int(c) for c in obj["z"])
-        if len(z) != int(obj["s"]):
-            raise ValueError("component count disagrees with dimension field")
-        return cls(z, int(obj["t"]))
 
 
 def korobov_vector(ell: int, s: int, t: int) -> GeneratingVector:

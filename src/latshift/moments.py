@@ -45,7 +45,7 @@ from .fsum import fsum_blocks, fsum_rows
 from .functions import PeriodicFunction
 from .lattice import EmbeddedPair, Rank1Rule
 from .shifts import (
-    BLOCK_NODES, _index_blocks, _offset, chunked_map, coset_blocks, coset_offsets, grid_blocks, grid_offsets,
+    BLOCK_NODES, chunked_map, coset_blocks, coset_offsets, grid_blocks, grid_offsets, index_blocks, integral_offset,
 )
 
 MEAN_IDENTITY_RTOL = 1e-12
@@ -92,7 +92,7 @@ def _report(
     doubled: exact short of overflow, which makes every sum the correctly
     rounded sum of the same n terms as without mirroring.
     """
-    offset = _offset(f)
+    offset = integral_offset(f)
     k = len(values)
     n = 2 * (k - 1) if mirrored else k
 
@@ -242,4 +242,4 @@ def extended_rule_value(pair: EmbeddedPair, f: PeriodicFunction) -> float:
     guard(1, "extension nodes", pair.ext)
     n = 1 << pair.ext
     # fsum_blocks consumes each block before it asks for the next
-    return _offset(f) + fsum_blocks(lambda: _index_blocks(pair.z.components, pair.ext, f)) / n
+    return integral_offset(f) + fsum_blocks(lambda: index_blocks(pair.z.components, pair.ext, f)) / n

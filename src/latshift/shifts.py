@@ -16,7 +16,7 @@ shift holds it whole, and `GridShift.from_word` (or `grid_offsets`, for an
 array of words) splits it into s numerators: the one grid layout.
 
 The dyadic evaluators, both moment enumerations and the index-order node
-blocks of the extended-rule identity and the CBC merit (`_index_blocks`)
+blocks of the extended-rule identity and the CBC merit (`index_blocks`)
 share one prepared block evaluator, `DisplacedBlocks`.  It builds the
 unshifted base node numerators once (`lattice.lattice_numerators`, the
 one node guard) and one node buffer.  A block adds its offset columns
@@ -155,7 +155,9 @@ def chunked_map(block_values: Callable[[int, int], np.ndarray], n: int, block: i
     return out
 
 
-def _offset(f: PeriodicFunction) -> float:
+def integral_offset(f: PeriodicFunction) -> float:
+    """If where f declares it, else 0.0: the blocks evaluate f - If, and a
+    mean adds it back after the sum."""
     return f.known_integral if f.known_integral is not None else 0.0
 
 
@@ -174,7 +176,7 @@ class _Blocks:
     def __init__(self, s: int, n: int, f: PeriodicFunction) -> None:
         self.n, self.f = n, f
         self.width = max(1, min(BLOCK_NODES, (1 << GUARD_BITS) // s) // n)
-        self.off = _offset(f)
+        self.off = integral_offset(f)
         self._buf = np.empty(0, dtype=np.uint64)
 
     def _buffer(self, size: int) -> np.ndarray:
@@ -296,7 +298,7 @@ def grid_offsets(words: np.ndarray, s: int, r: int) -> np.ndarray:
     return np.stack([(words >> np.uint64((s - 1 - k) * r)) & mask for k in range(s)])
 
 
-def _index_blocks(steps: Sequence[int], t: int, f: PeriodicFunction) -> Iterator[np.ndarray]:
+def index_blocks(steps: Sequence[int], t: int, f: PeriodicFunction) -> Iterator[np.ndarray]:
     """f - If at the nodes k * steps mod 2^t, k < 2^t, in index order.
 
     The nodes go through one `DisplacedBlocks`, BLOCK_NODES at a time, as

@@ -145,5 +145,5 @@ def set_block_nodes(monkeypatch, block: int) -> None:
 
 
 def index_block_count(t: int) -> int:
-    """The number of node blocks `_index_blocks` yields for 2^t nodes."""
-    return sum(1 for _ in shifts_module._index_blocks([1], t, ProductBernoulliFn(1)))
+    """The number of node blocks `index_blocks` yields for 2^t nodes."""
+    return sum(1 for _ in shifts_module.index_blocks([1], t, ProductBernoulliFn(1)))

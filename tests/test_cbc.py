@@ -526,6 +526,18 @@ class TestSampledPolicy:
         assert int(a.max()) <= n_ext // 2
         assert sorted(set(int(c) for c in a)) == [int(c) for c in a]
 
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_sampled_equals_full_up_to_extension_14(self, monkeypatch, s):
+        # up to extension 14 the lower half holds at most SAMPLE_SIZE odd
+        # candidates, so a draw would give all of them: the sampled policy
+        # scans them without drawing, also at extension 1
+        draws = count_calls(monkeypatch, cbc_module, "SplitMix64")
+        for ext in range(1, 15):
+            m = ext // 2
+            full = cbc_construct(s, m, ext - m, candidate_policy="full")
+            assert cbc_construct(s, m, ext - m, candidate_policy="sampled") == full
+        assert draws == []
+
     def test_small_space_sample_covers_everything(self):
         n_ext = 1 << 8
         a = _sample_candidates(n_ext)

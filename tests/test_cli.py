@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -498,6 +499,65 @@ class TestCbcCommand:
         assert code == 0
         header = out.splitlines()[0]
         assert header == "s,m,sr,z1,z2,base_merit,extended_merit,combined"
+
+    def test_sampled_policy_at_extension_1_scans_the_one_candidate(self, capsys):
+        # the lower half of 2 extension nodes holds the one candidate 1,
+        # which the sampled policy scans as the full one does
+        code, out, err = run(capsys, "cbc", "--s", "2", "--m", "1", "--r", "0", "--policy", "sampled")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["z"] == [1, 1]
+
+
+# sha256 of the artifact each command line writes with --out, recorded
+# from the package as it stood when these command lines were chosen
+_RECORDED_DIGESTS = {
+    ("tables", "--check"): "58ab74a8d790b97aa4abb059a07d8aafd3aeb6b2e20cdc65372a2f2694a9c3d3",
+    ("tables", "--check", "--format", "csv"): "a6cfb2cc3e907e8e7c9ef7f95d7cc6567777f341f30483e0a2e29c48ab1d7803",
+    (
+        "moments", "--scheme", "grid", "--s", "3", "--m", "4", "--r", "4", "--ell", "17797",
+        "--format", "csv",
+    ): "2f19d0a11a2c3c396b707d8c99f90afc832bac5e7f8287693697e294bc23c1f4",
+    (
+        "moments", "--scheme", "scalar", "--s", "3", "--m", "0", "--r", "6", "--ell", "12915",
+        "--format", "csv",
+    ): "b831dd3441267803d369d064ee2caf852035aa4f5822caa2e07c6b1a5bb63c0c",
+    (
+        "estimate", "--scheme", "grid", "--s", "3", "--m", "10", "--r", "12", "--ell", "17797",
+        "--q", "8", "--bits", "seed:11",
+    ): "c53d7e3870b58a284238e49e3592c3896296f4067ea3b73bc23caee676d74d12",
+    (
+        "estimate", "--scheme", "scalar", "--s", "3", "--m", "10", "--r", "4", "--ell", "17797",
+        "--q", "8", "--bits", "seed:11",
+    ): "d820573b7d6a5864fc05c0c9e79aaa554c9b546570866207a2dc59e021414b53",
+    (
+        "estimate", "--scheme", "ideal", "--s", "3", "--m", "10", "--r", "12", "--ell", "17797",
+        "--q", "8", "--bits", "seed:11",
+    ): "7ba0038fc9747c04aeb94eb2f289ca347a564e761a53fc543be30a889cd87d65",
+    ("dual", "--s", "3", "--m", "4", "--ell", "17797", "--H", "8"):
+        "7a2a1af8e59514f16069808749b26c9dfb91a0275256d27e4f3b1010e15f136a",
+    ("dual", "--s", "2", "--m", "6", "--z", "1,23", "--H", "16"):
+        "a8d022f9766e194408df2c879e8fb0a23b05f6a9ed9e6ad753a6b0a8464c24c8",
+    ("cbc", "--s", "3", "--m", "4", "--r", "3", "--policy", "full"):
+        "a94494bd9c9113573122cb677dbef6e4bd474934081d05e8c5d77def6aa6cc83",
+}
+
+
+def test_artifacts_match_recorded_digests(capsys, tmp_path):
+    """Every command writes the artifact it wrote when its digest was
+    recorded, byte for byte (floats in repr, so bit for bit): a change
+    that means to leave the output alone keeps all of these.  A change
+    that alters an artifact on purpose updates its digest here, and says
+    in CHANGES.md which bytes moved and why."""
+    out = tmp_path / "artifact"
+    start = time.perf_counter()
+    seen = {}
+    for argv in _RECORDED_DIGESTS:
+        code = main([*argv, "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (0, ""), argv
+        seen[argv] = hashlib.sha256(out.read_bytes()).hexdigest()
+        out.unlink()
+    assert seen == _RECORDED_DIGESTS
+    assert time.perf_counter() - start < 2.0
 
 
 class TestTablesCommand:

@@ -305,10 +305,10 @@ class TestPreparedBox:
             coeffs = box.prepare(first).coefficients(f)
             expected = [f.fourier_coeff(h) for h in dual_points(first, box)] + [0.0]
             assert [c.hex() for c in coeffs.tolist()] == [float(c).hex() for c in expected]
-        # keys and coefficients end in their sentinels and cannot be written
+        # one key a dual, one coefficient more (0.0), and neither writeable
         prepared = box.prepare(first)
-        assert len(prepared.keys) == len(prepared) + 1 == len(dual_points(first, box)) + 1
-        assert prepared.keys[-1] > prepared.keys[-2] - prepared.keys[0]
+        assert len(prepared.keys) == len(prepared) == len(dual_points(first, box))
+        assert len(coeffs) == len(prepared) + 1 and coeffs[-1] == 0.0
         assert not prepared.keys.flags.writeable and not coeffs.flags.writeable
         # the prepared duals take no part in the box's value
         assert box == TruncationBox(4) and hash(box) == hash(TruncationBox(4))
@@ -359,10 +359,10 @@ class TestShiftErrorSeries:
     def test_nonzero_shift_against_direct_evaluation(self):
         f = ProductBernoulliFn(2)
         rule = Rank1Rule(3, GeneratingVector((1, 3), 3))
-        shift = DyadicPoint((3, 11), 4)
         from latshift import GridShift, eval_grid_shifted
 
-        direct = eval_grid_shifted(rule, f, GridShift((3, 11), 4)) - 1.0
+        shift = GridShift((3, 11), 4)
+        direct = eval_grid_shifted(rule, f, shift) - 1.0
         res = shift_error_series(rule, f, shift, TruncationBox(256))
         assert abs(res.value - direct) <= res.tail_bound
         assert abs(res.value - direct) <= 2e-3 * abs(direct)
@@ -374,9 +374,14 @@ class TestShiftErrorSeries:
         rule = Rank1Rule(3, GeneratingVector((1, 3), 3))
         box = TruncationBox(32)
         base = shift_error_series(rule, f, GridShift((3, 11), 4), box).value
-        assert shift_error_series(rule, f, DyadicPoint((3, 11), 4), box).value == base
         assert shift_error_series(rule, f, RealShift((3 / 16, 11 / 16)), box).value == base
-        assert shift_error_series(rule, f, (3 / 16, 11 / 16), box).value == base
+        assert shift_error_series(rule, f, RealShift((0.0, 0.0)), box).value == shift_error_series(
+            rule, f, None, box
+        ).value
+        # a bare point or float sequence is no shift form the series takes
+        for shift in (DyadicPoint((3, 11), 4), (3 / 16, 11 / 16)):
+            with pytest.raises(TypeError, match="None, a RealShift or a GridShift"):
+                shift_error_series(rule, f, shift, box)
 
     def test_missing_model_fails_fast(self):
         rule = Rank1Rule(3, GeneratingVector((1, 3), 3))

@@ -34,7 +34,6 @@ from latshift.moments import chunked_map
 from latshift.shifts import (
     BLOCK_NODES,
     DisplacedBlocks,
-    _index_blocks,
     _RealBlocks,
     coset_blocks,
     coset_offsets,
@@ -140,7 +139,7 @@ def test_blocks_size_themselves_and_are_refused_only_above_the_guard(monkeypatch
     monkeypatch.setattr(shifts_module, "DisplacedBlocks", Recorded)
 
     def index_blocks(m):
-        next(_index_blocks(z.components, m, f))
+        next(shifts_module.index_blocks(z.components, m, f))
         return made[-1]
 
     for m in [0, 1, 4, 8, 14, 15]:

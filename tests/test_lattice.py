@@ -94,11 +94,6 @@ class TestGeneratingVector:
         z = GeneratingVector((1, 17,), 4)
         assert z.components == (1, 1)
 
-    def test_json_round_trip(self):
-        z = GeneratingVector((1, 17797, 63257), 16)
-        back = GeneratingVector.from_json(z.to_json())
-        assert back == z
-
     def test_vector_bits_guarded_before_the_vector(self):
         # s * max(t, 64) bits: 2^20 components of at most 64 bits, or
         # 2^26 / s bits of depth, and one more is refused before 2^t is formed

@@ -1,6 +1,6 @@
 """The package's modules import only from the layers below their own, read
-no private name of the certified sum, and hand the work guard no power
-they have formed."""
+no private name of another module, and hand the work guard no power they
+have formed."""
 
 import ast
 from pathlib import Path
@@ -80,6 +80,27 @@ def test_no_module_reads_a_private_fsum_name():
             elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "fsum":
                 names = [node.attr]
             private |= {(path.name, name) for name in names if name.startswith("_")}
+    assert private == set()
+
+
+def test_no_module_reads_another_modules_private_name():
+    # a module reaches the others through their public names only, so what
+    # is private to a module (the layout of the certified sum's passes, a
+    # block evaluator's buffers) is decided in that module alone; dunders
+    # such as __version__ are public
+    private = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.ImportFrom) and node.module and (node.level or node.module.startswith("latshift.")):
+                names = [(node.module.split(".")[-1], alias.name) for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in LAYER_OF:
+                names = [(node.value.id, node.attr)]
+            private |= {
+                (path.stem, module, name)
+                for module, name in names
+                if module != path.stem and name.startswith("_") and not name.startswith("__")
+            }
     assert private == set()
 
 
