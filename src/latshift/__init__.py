@@ -48,7 +48,6 @@ from .shifts import (
     eval_rule,
     eval_scalar_shifted,
     grid_evaluator,
-    real_evaluator,
     scalar_evaluator,
 )
 
@@ -97,7 +96,6 @@ __all__ = [
     "moments_grid_shift",
     "moments_scalar_shift",
     "parse_bit_source",
-    "real_evaluator",
     "rectangle_rule_mean",
     "scalar_evaluator",
     "shift_error_series",

@@ -40,11 +40,9 @@ from .moments import MomentReport, moments_grid_shift, moments_scalar_shift
 from .reference import REFERENCE_CELLS
 from .shifts import (
     GridShift,
-    RealShift,
     ScalarShift,
     estimate_mean,
     grid_evaluator,
-    real_evaluator,
     scalar_evaluator,
 )
 
@@ -53,7 +51,8 @@ EXIT_VALIDATION = 1
 EXIT_GUARD = 2
 EXIT_CHECK_MISMATCH = 3
 
-# float bits per coordinate when realizing the idealized real-shift scheme
+# bits per coordinate of the grid shift that realizes the idealized
+# real-shift scheme: those of a uniform float in [0, 1)
 IDEAL_BITS_PER_COORD = 53
 
 
@@ -193,34 +192,29 @@ def cmd_tables(args) -> int:
     return EXIT_OK
 
 
-def _draw_shift(args, src: BitSource):
-    """One replicate's shift: s*r bits for a finite scheme, 53 per coordinate for the ideal one."""
-    if args.scheme == "ideal":
-        scale = 2.0**-IDEAL_BITS_PER_COORD
-        return RealShift(tuple(src.draw(IDEAL_BITS_PER_COORD) * scale for _ in range(args.s)))
+def _draw_shift(scheme: str, s: int, r: int, src: BitSource) -> GridShift | ScalarShift:
+    """One replicate's shift, from s*r bits: a scalar shift, or a grid shift."""
     # r = 0 is a valid finite scheme: the empty shift, which draws no bits
-    sr = args.r * args.s
+    sr = r * s
     word = src.draw(sr) if sr else 0
-    return GridShift.from_word(word, args.r, args.s) if args.scheme == "grid" else ScalarShift(word, sr)
+    return ScalarShift(word, sr) if scheme == "scalar" else GridShift.from_word(word, r, s)
 
 
 def cmd_estimate(args) -> int:
     _check_r(args)
     f = ProductBernoulliFn(args.s)
     src = parse_bit_source(args.bits)
+    # an ideal replicate is a grid replicate at 53 bits a coordinate
+    r = IDEAL_BITS_PER_COORD if args.scheme == "ideal" else args.r
     if args.scheme == "scalar":
         evaluator = scalar_evaluator(_pair_from_args(args), f)
     else:
-        rule = _rule_from_args(args)
-        if args.scheme == "grid":
-            evaluator = grid_evaluator(rule, f, args.r)
-        else:
-            evaluator = real_evaluator(rule, f)
+        evaluator = grid_evaluator(_rule_from_args(args), f, r)
     # the shifts are drawn into a list before any is evaluated, and every
     # replicate evaluates 2^m nodes of s coordinates
     guard(args.q, "shift replicates")
     guard(args.q * args.s, "replicate node coordinates", args.m)
-    shifts = [_draw_shift(args, src) for _ in range(args.q)]
+    shifts = [_draw_shift(args.scheme, args.s, r, src) for _ in range(args.q)]
     est = estimate_mean(evaluator, shifts)
     results = {
         "replicates": list(est.values),

@@ -60,7 +60,7 @@ class PeriodicFunction(ABC):
         """Values at the points with coordinates xs[0], xs[1], ... in [0, 1).
 
         xs has shape (s, ...); the result has shape xs.shape[1:].  Dyadic
-        nodes n / 2^t are exact floats for t <= 52.
+        nodes n / 2^t are exact floats for t <= 53.
         """
 
     def eval_real(self, xs: Sequence[float]) -> float:

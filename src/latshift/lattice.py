@@ -14,7 +14,6 @@ against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -62,34 +61,25 @@ def lattice_numerators(steps: Sequence[int], t: int, n: int) -> np.ndarray:
     return nums
 
 
-def block_layout(
-    nums: np.ndarray, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
-    """nums (s, n) and offsets (s, B) as views that broadcast to one block,
-    and the block's shape.
+def displace(nums: np.ndarray, offsets: np.ndarray, t: int, buf: np.ndarray | None = None) -> np.ndarray:
+    """(nums[i, j] + offsets[i, b]) mod 2^t, as one block.
 
-    The block is shift-major, (s, B, n), when n >= B: the n nodes displaced
-    by offset column b run along row b.  Otherwise it is node-major,
-    (s, n, B), and they run down column b.  Either way the longer axis is
-    the inner one, which is the axis a block's sums run along.
+    nums is (s, n) uint64 and offsets (s, B) uint64, each known mod 2^t or
+    mod 2^64: the sum wraps mod 2^64, which 2^t divides, so neither needs
+    reducing first.  The block is shift-major, (s, B, n), when n >= B: the
+    n nodes displaced by offset column b run along row b.  Otherwise it is
+    node-major, (s, n, B), and they run down column b.  Either way the
+    longer axis is the inner one, which is the axis a block's sums run
+    along.  The block is written at the head of the flat uint64 array buf
+    if one is given.
     """
     s, n = nums.shape
     B = offsets.shape[1]
     if n >= B:
-        return nums[:, None, :], offsets[:, :, None], (s, B, n)
-    return nums[:, :, None], offsets[:, None, :], (s, n, B)
-
-
-def displace(nums: np.ndarray, offsets: np.ndarray, t: int, buf: np.ndarray | None = None) -> np.ndarray:
-    """(nums[i, j] + offsets[i, b]) mod 2^t, laid out as `block_layout` says.
-
-    nums is (s, n) uint64 and offsets (s, B) uint64, each known mod 2^t or
-    mod 2^64: the sum wraps mod 2^64, which 2^t divides, so neither needs
-    reducing first.  The block is written at the head of the flat uint64
-    array buf if one is given.
-    """
-    a, b, shape = block_layout(nums, offsets)
-    out = None if buf is None else buf[: math.prod(shape)].reshape(shape)
+        a, b, shape = nums[:, None, :], offsets[:, :, None], (s, B, n)
+    else:
+        a, b, shape = nums[:, :, None], offsets[:, None, :], (s, n, B)
+    out = None if buf is None else buf[: s * n * B].reshape(shape)
     out = np.add(a, b, out=out)
     np.bitwise_and(out, np.uint64((1 << t) - 1), out=out)
     return out
@@ -125,7 +115,7 @@ class DyadicPoint:
         return len(self.nums)
 
     def as_floats(self) -> tuple[float, ...]:
-        # exact for t <= 52 fractional bits, correctly rounded beyond; the
+        # exact for t <= 53 fractional bits, correctly rounded beyond; the
         # big-int division path avoids float overflow at extreme depths.  A
         # value below 2^-1076 rounds to 0.0, so 2^t is formed only when it
         # is at most 1075 bits longer than the numerator

@@ -1,10 +1,11 @@
-"""Shift encodings and the three randomized rule evaluators.
+"""Shift encodings and the randomized rule evaluators.
 
 Three randomizations of a rank-1 rule are implemented:
 
 * a real shift in [0,1)^s -- the idealized scheme; it would need infinitely
-  many random bits, so it is evaluated in plain floating point and kept for
-  reference only;
+  many random bits, so it is estimated as a grid shift of 53 bits a
+  coordinate (the bits of a uniform float draw), and `eval_real_shifted`
+  evaluates a `RealShift` in plain floating point as a reference;
 * a grid shift with r bits per coordinate, the finite-bit realization of the
   same idea, evaluated exactly in dyadic arithmetic;
 * a scalar shift w = wnum / 2^sr applied to the node index of an embedded
@@ -23,7 +24,7 @@ one node guard) and one node buffer.  A block adds its offset columns
 into the buffer as uint64 (`lattice.displace`, mod 2^t), scales them in
 place into its float64 view, evaluates them in one `eval_batch` call and
 subtracts If (when the integral is known).  The block is laid out the way
-its sums read it (`lattice.block_layout`): shift-major, (B, n) values,
+its sums read it (`lattice.displace`): shift-major, (B, n) values,
 when the n nodes of a shift are at least as many as the block's B shifts
 (or cosets), and node-major, (n, B), otherwise, so the inner axis is
 always the longer one.  `fsum.fsum_rows` sums a block in place, one row
@@ -32,20 +33,18 @@ a shift (a node-major block transposed), correctly rounded (equal to
 allocates a node array or a copy of its own.  If is added back after
 the sum, so a mean does not depend on the order of its nodes.
 
-A block evaluator sizes its own blocks (`_Blocks.width`) and maps itself
-over them with `chunked_map`, the one block loop.  The prepared
-evaluators `grid_evaluator`, `scalar_evaluator` and `real_evaluator`
-take a sequence of shifts and return their means in order.  Each checks
-every shift first, then evaluates them a block at a time in one buffer,
-built once: a `DisplacedBlocks` for the dyadic schemes, float base nodes
-for the real shift.  A node is the same integer (or, for the real shift,
-the same float) as a fresh build would give, and every sum is correctly
-rounded, so each mean is bitwise that of the shift evaluated alone.
-Since the buffers are reused, one evaluator must not be called again
-while a call is running (it is not reentrant); the means it returns are
-Python floats and share nothing with it.
-`eval_{grid,scalar,real}_shifted` are single uses of the same
-evaluators.
+A block evaluator sizes its own blocks (`DisplacedBlocks.width`) and maps
+itself over them with `chunked_map`, the one block loop.  The prepared
+evaluators `grid_evaluator` and `scalar_evaluator` take a sequence of
+shifts and return their means in order.  Each checks every shift first,
+then evaluates them a block at a time in one `DisplacedBlocks`, built
+once.  A node is the same integer as a fresh build would give, and every
+sum is correctly rounded, so each mean is bitwise that of the shift
+evaluated alone.  Since the buffers are reused, one evaluator must not
+be called again while a call is running (it is not reentrant); the
+means it returns are Python floats and share nothing with it.
+`eval_grid_shifted` and `eval_scalar_shifted` are single uses of the
+same evaluators.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ from .lattice import (
     EmbeddedPair,
     Rank1Rule,
     as_uint64,
-    block_layout,
     displace,
     lattice_numerators,
 )
@@ -102,9 +100,13 @@ class GridShift:
         counted from the top, as `BitSource.draw(s * r)` returns them."""
         if r < 0 or s < 1 or word < 0 or word.bit_length() > r * s:
             raise ValueError(f"need r >= 0, s >= 1 and 0 <= word < 2^(r*s), got {word}, r={r}, s={s}")
-        # no coordinate is longer than the word
-        mask = (1 << min(r, word.bit_length())) - 1
-        return cls(tuple((word >> (s - 1 - k) * r) & mask for k in range(s)), r)
+        # the fields are cut from the word's binary digits, in time linear
+        # in the word (a shift a coordinate would copy it s times); field k
+        # ends (s - 1 - k) * r digits before the last, and a field above
+        # the word's top bit is empty, so 0
+        bits = format(word, "b")
+        ends = [max(len(bits) - k * r, 0) for k in range(s, -1, -1)]
+        return cls(tuple(int(bits[lo:hi] or "0", 2) for lo, hi in zip(ends, ends[1:])), r)
 
 
 @dataclass(frozen=True)
@@ -161,32 +163,55 @@ def integral_offset(f: PeriodicFunction) -> float:
     return f.known_integral if f.known_integral is not None else 0.0
 
 
-class _Blocks:
-    """Means of f over n nodes of s coordinates displaced by offset columns,
-    in one buffer that grows to the largest block asked for.
+class DisplacedBlocks:
+    """Prepared f - If over the nodes j * steps mod 2^t, j < n, displaced by
+    blocks of offset columns.
 
-    A block takes width = max(1, min(BLOCK_NODES, 2^GUARD_BITS // s) // n)
-    columns: about BLOCK_NODES nodes, fewer where its s * n * width
-    coordinates would pass the guard, and at least one, so a block is
-    within the guard whenever its s * n base coordinates are.  A
-    subclass's values(offsets) gives f - If at the displaced nodes in the
-    `lattice.block_layout`, (B, n) when n >= B and (n, B) otherwise.
+    Built once per enumeration or estimate: the base numerators (s, n),
+    refused as `lattice.lattice_numerators` refuses them, and one node
+    buffer, which grows to the largest block asked for.  A block takes
+    width = max(1, min(BLOCK_NODES, 2^GUARD_BITS // s) // n) columns:
+    about BLOCK_NODES nodes, fewer where its s * n * width coordinates
+    would pass the guard, and at least one, so a block is within the guard
+    whenever its s * n base coordinates are.  A call adds its block's
+    offset columns in place as uint64 (`lattice.displace`), in the layout
+    the sums read (shift-major when n is at least the block's width,
+    node-major otherwise), scales them in place into the buffer's float64
+    view (the integers are spent once scaled), evaluates, and subtracts
+    If; `means` then sums along the block's inner axis with a correctly
+    rounded sum that may overwrite the values.  The buffer is reused, so
+    a call must not start while another runs (not reentrant), and the
+    values a call returns are overwritten by the next.
     """
 
-    def __init__(self, s: int, n: int, f: PeriodicFunction) -> None:
-        self.n, self.f = n, f
-        self.width = max(1, min(BLOCK_NODES, (1 << GUARD_BITS) // s) // n)
+    def __init__(self, steps: Sequence[int], t: int, n: int, f: PeriodicFunction) -> None:
+        self.base = lattice_numerators(steps, t, n)
+        self.n, self.t, self.f = n, t, f
+        self.width = max(1, min(BLOCK_NODES, (1 << GUARD_BITS) // len(steps)) // n)
         self.off = integral_offset(f)
         self._buf = np.empty(0, dtype=np.uint64)
 
-    def _buffer(self, size: int) -> np.ndarray:
-        """The flat uint64 buffer, at least size entries long."""
+    def values(self, offsets: np.ndarray) -> np.ndarray:
+        """f - If at the nodes displaced by each uint64 offset column of the
+        (s, B) offsets, B <= width, in the buffer's float view: (B, n)
+        when n >= B, else (n, B)."""
+        size = self.base.size * offsets.shape[1]
         if self._buf.size < size:
             self._buf = np.empty(size, dtype=np.uint64)
-        return self._buf
-
-    def values(self, offsets: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        nums = displace(self.base, offsets, self.t, self._buf)
+        # a cast in place, then a scaling in place: faster than one multiply
+        # that casts into its own input's memory, with the same floats
+        floats = self._buf.view(np.float64)
+        xs = floats[: nums.size].reshape(nums.shape)
+        np.copyto(xs, nums, casting="unsafe")
+        xs *= 1.0 / (1 << self.t)
+        if self.t > 53:
+            # a numerator within 2^(t-54) of 2^t rounds to 2^t in the cast:
+            # the torus point nearest to it is 0.0, not 1.0
+            xs[xs == 1.0] = 0.0
+        # the coordinates are spent once f is evaluated, so the values take
+        # their place at the head of the buffer
+        return np.subtract(self.f.eval_batch(xs), self.off, out=floats[: nums[0].size].reshape(nums.shape[1:]))
 
     def means(self, offsets: np.ndarray) -> np.ndarray:
         """Mean of f over the nodes of each offset column, one per column;
@@ -203,62 +228,6 @@ class _Blocks:
     def all_means(self, offsets: np.ndarray) -> list[float]:
         """`means` of any number of offset columns, width at a time."""
         return chunked_map(lambda lo, hi: self.means(offsets[:, lo:hi]), offsets.shape[1], self.width).tolist()
-
-
-class DisplacedBlocks(_Blocks):
-    """Prepared f - If over the nodes j * steps mod 2^t, j < n, displaced by
-    blocks of offset columns.
-
-    Built once per enumeration or estimate: the base numerators (s, n),
-    refused as `lattice.lattice_numerators` refuses them, and one node
-    buffer.  A call adds its block's offset columns in place as uint64
-    (`lattice.displace`), in the layout the sums read
-    (`lattice.block_layout`: shift-major when n is at least the block's
-    width, node-major otherwise), scales them in place into the buffer's
-    float64 view (the integers are spent once scaled), evaluates, and
-    subtracts If; `means` then sums along the block's inner axis with a
-    correctly rounded sum that may overwrite the values.  The buffer is
-    reused, so a call must not start while another runs (not reentrant),
-    and the values a call returns are overwritten by the next.
-    """
-
-    def __init__(self, steps: Sequence[int], t: int, n: int, f: PeriodicFunction) -> None:
-        self.base = lattice_numerators(steps, t, n)
-        super().__init__(len(steps), n, f)
-        self.t = t
-
-    def values(self, offsets: np.ndarray) -> np.ndarray:
-        """f - If at the nodes displaced by each uint64 offset column of the
-        (s, B) offsets, B <= width, in the buffer's float view: (B, n)
-        when n >= B, else (n, B)."""
-        buf = self._buffer(self.base.size * offsets.shape[1])
-        nums = displace(self.base, offsets, self.t, buf)
-        # a cast in place, then a scaling in place: faster than one multiply
-        # that casts into its own input's memory, with the same floats
-        floats = buf.view(np.float64)
-        xs = floats[: nums.size].reshape(nums.shape)
-        np.copyto(xs, nums, casting="unsafe")
-        xs *= 1.0 / (1 << self.t)
-        # the coordinates are spent once f is evaluated, so the values take
-        # their place at the head of the buffer
-        return np.subtract(self.f.eval_batch(xs), self.off, out=floats[: nums[0].size].reshape(nums.shape[1:]))
-
-
-class _RealBlocks(_Blocks):
-    """f - If over the rule nodes displaced by blocks of real shifts, taken
-    mod 1 in floating point."""
-
-    def __init__(self, rule: Rank1Rule, f: PeriodicFunction) -> None:
-        self.nodes = lattice_numerators(rule.z.components, rule.m, rule.n_points) * (1.0 / rule.n_points)
-        super().__init__(rule.s, rule.n_points, f)
-
-    def values(self, u: np.ndarray) -> np.ndarray:
-        a, b, shape = block_layout(self.nodes, u)
-        size = math.prod(shape)
-        floats = self._buffer(size).view(np.float64)
-        xs = np.add(a, b, out=floats[:size].reshape(shape))
-        np.subtract(xs, 1.0, out=xs, where=xs >= 1.0)
-        return np.subtract(self.f.eval_batch(xs), self.off, out=floats[: xs[0].size].reshape(shape[1:]))
 
 
 def grid_blocks(rule: Rank1Rule, f: PeriodicFunction, r: int) -> DisplacedBlocks:
@@ -350,25 +319,6 @@ def scalar_evaluator(pair: EmbeddedPair, f: PeriodicFunction) -> Callable[[Seque
     return evaluate
 
 
-def real_evaluator(rule: Rank1Rule, f: PeriodicFunction) -> Callable[[Sequence[RealShift]], list[float]]:
-    """Prepared means of f over the rule nodes displaced by each real shift.
-
-    The idealized estimator: fractional parts are taken in floating point,
-    so unlike the dyadic evaluators this one carries ordinary rounding in
-    its point coordinates.  Every shift is checked before any is
-    evaluated.  Reuses its buffer: not reentrant.
-    """
-    blocks = _RealBlocks(rule, f)
-
-    def evaluate(shifts: Sequence[RealShift]) -> list[float]:
-        for shift in shifts:
-            if shift.s != rule.s:
-                raise ValueError(f"dimension mismatch: shift has {shift.s}, rule has {rule.s}")
-        return blocks.all_means(np.array([shift.u for shift in shifts], dtype=np.float64).reshape(-1, rule.s).T)
-
-    return evaluate
-
-
 def eval_rule(rule: Rank1Rule, f: PeriodicFunction) -> float:
     """Plain (unshifted) rule value: the mean of f over all nodes."""
     return eval_grid_shifted(rule, f, GridShift((0,) * rule.s, 0))
@@ -385,8 +335,19 @@ def eval_scalar_shifted(pair: EmbeddedPair, f: PeriodicFunction, shift: ScalarSh
 
 
 def eval_real_shifted(rule: Rank1Rule, f: PeriodicFunction, shift: RealShift) -> float:
-    """Mean of f over nodes displaced by an arbitrary real shift."""
-    return real_evaluator(rule, f)([shift])[0]
+    """Mean of f over the rule nodes displaced by an arbitrary real shift.
+
+    The float reference of the idealized scheme: the sums x + u are taken
+    mod 1 in floating point, so unlike the dyadic evaluators this one
+    carries ordinary rounding in its point coordinates.
+    """
+    if shift.s != rule.s:
+        raise ValueError(f"dimension mismatch: shift has {shift.s}, rule has {rule.s}")
+    xs = lattice_numerators(rule.z.components, rule.m, rule.n_points) * (1.0 / rule.n_points)
+    xs += np.array(shift.u)[:, None]
+    np.subtract(xs, 1.0, out=xs, where=xs >= 1.0)
+    off = integral_offset(f)
+    return float(off + fsum_rows(f.eval_batch(xs)[None, :] - off)[0] / rule.n_points)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -19,9 +20,12 @@ from latshift import (
     GeneratingVector,
     ProductBernoulliFn,
     Rank1Rule,
+    RealShift,
+    SeededBitSource,
     TruncationBox,
     __version__,
     dual_points,
+    eval_real_shifted,
     eval_rule,
     extended_rule_value,
     korobov_vector,
@@ -357,6 +361,31 @@ def test_estimate_replicates_are_pinned(tmp_path, scheme, source):
     assert got == _PINNED_REPLICATES[scheme, "seed" if source == "seed" else "file"]
 
 
+@pytest.mark.parametrize("ell, seed", [(17797, 11), (1267, 29)])
+def test_ideal_scheme_is_the_grid_scheme_at_53_bits(capsys, ell, seed):
+    # an ideal coordinate is 53 bits times 2^-53: the same bits, in the same
+    # order, spell a 53-bit grid shift, so the two estimates are one
+    s, m, q = 5, 10, 64
+    base = ("--s", str(s), "--m", str(m), "--ell", str(ell), "--q", str(q), "--bits", f"seed:{seed}")
+    results = []
+    for scheme, r in (("ideal", "1"), ("grid", "53")):
+        code, out, _ = run(capsys, "estimate", "--scheme", scheme, "--r", r, *base)
+        assert code == 0
+        results.append(json.loads(out)["results"])
+    ideal, grid = results
+    for key in ("replicates", "mean", "sd", "bits_consumed"):
+        assert ideal[key] == grid[key], key
+    assert ideal["bits_consumed"] == q * s * 53
+    # the float reference rounds each x + u once; the replicates measured
+    # at most 1 ulp from it on this shape and on the benchmark's ideal shapes
+    src, f = SeededBitSource(seed), ProductBernoulliFn(s)
+    rule = Rank1Rule(m, korobov_vector(ell, s, m))
+    for got in ideal["replicates"]:
+        u = RealShift(tuple(src.draw(53) * 2.0**-53 for _ in range(s)))
+        want = eval_real_shifted(rule, f, u)
+        assert abs(got - want) <= 2 * math.ulp(want), (got.hex(), want.hex())
+
+
 # Peak RSS of the running process in kB.  After fork and exec, ru_maxrss
 # still carries the high-water mark of the forking process on Linux, so the
 # kernel's VmHWM of the process's own address space is read where it exists.
@@ -532,7 +561,7 @@ _RECORDED_DIGESTS = {
     (
         "estimate", "--scheme", "ideal", "--s", "3", "--m", "10", "--r", "12", "--ell", "17797",
         "--q", "8", "--bits", "seed:11",
-    ): "7ba0038fc9747c04aeb94eb2f289ca347a564e761a53fc543be30a889cd87d65",
+    ): "4dd8ef4539420f6c9311f10091639a143e823ee32ca2dddb435804b39e76a773",
     ("dual", "--s", "3", "--m", "4", "--ell", "17797", "--H", "8"):
         "7a2a1af8e59514f16069808749b26c9dfb91a0275256d27e4f3b1010e15f136a",
     ("dual", "--s", "2", "--m", "6", "--z", "1,23", "--H", "16"):

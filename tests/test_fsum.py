@@ -12,7 +12,6 @@ from latshift import (
     GridShift,
     ProductBernoulliFn,
     Rank1Rule,
-    RealShift,
     ScalarShift,
     SeededBitSource,
     eval_grid_shifted,
@@ -21,7 +20,6 @@ from latshift import (
     korobov_vector,
     moments_grid_shift,
     moments_scalar_shift,
-    real_evaluator,
     scalar_evaluator,
 )
 from latshift import fsum as fsum_module
@@ -482,11 +480,10 @@ def estimate_replicates(scheme: str, s: int, m: int, r: int, q: int, ell: int, s
     if scheme == "scalar":
         pair = EmbeddedPair(m, s * r, korobov_vector(ell, s, m + s * r))
         return scalar_evaluator(pair, f)([ScalarShift(src.draw(s * r), s * r) for _ in range(q)])
+    # an ideal replicate is a grid replicate at 53 bits a coordinate
+    r = 53 if scheme == "ideal" else r
     rule = Rank1Rule(m, korobov_vector(ell, s, m))
-    if scheme == "grid":
-        return grid_evaluator(rule, f, r)([GridShift.from_word(src.draw(s * r), r, s) for _ in range(q)])
-    shifts = [RealShift(tuple(src.draw(53) * 2.0**-53 for _ in range(s))) for _ in range(q)]
-    return real_evaluator(rule, f)(shifts)
+    return grid_evaluator(rule, f, r)([GridShift.from_word(src.draw(s * r), r, s) for _ in range(q)])
 
 
 def test_estimate_replicates_settle_after_one_extraction(monkeypatch):

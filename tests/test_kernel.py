@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,10 +21,10 @@ from latshift import (
     RealShift,
     ScalarShift,
     eval_grid_shifted,
+    eval_real_shifted,
     eval_scalar_shifted,
     grid_evaluator,
     moments_grid_shift,
-    real_evaluator,
     rectangle_rule_mean,
     scalar_evaluator,
 )
@@ -34,7 +35,6 @@ from latshift.moments import chunked_map
 from latshift.shifts import (
     BLOCK_NODES,
     DisplacedBlocks,
-    _RealBlocks,
     coset_blocks,
     coset_offsets,
     grid_blocks,
@@ -147,7 +147,6 @@ def test_blocks_size_themselves_and_are_refused_only_above_the_guard(monkeypatch
         builders = {
             "grid": lambda: grid_blocks(rule, f, m),
             "coset": lambda: coset_blocks(pair, f),
-            "real": lambda: _RealBlocks(rule, f),
             "index": lambda: index_blocks(m),
         }
         for name, build in builders.items():
@@ -234,7 +233,14 @@ def _real_points(rule: Rank1Rule, u: RealShift):
 
 
 def _prepared(rule: Rank1Rule, pair: EmbeddedPair, f, r: int):
-    return grid_evaluator(rule, f, r), scalar_evaluator(pair, f), real_evaluator(rule, f)
+    return grid_evaluator(rule, f, r), scalar_evaluator(pair, f)
+
+
+def _check_real(rule: Rank1Rule, f, u: RealShift) -> None:
+    """The float reference of the ideal scheme against its per-point reference."""
+    got = eval_real_shifted(rule, f, u)
+    assert type(got) is float
+    assert got == _reference_mean(_real_points(rule, u))
 
 
 class TestPreparedEvaluators:
@@ -249,13 +255,13 @@ class TestPreparedEvaluators:
         for i, (v, w, u) in enumerate(shifts):
             got = [means[i] for means in batched]
             assert all(type(x) is float for x in got)
-            assert got == [ev([x])[0] for ev, x in zip(_prepared(rule, pair, f, r), (v, w, u))]
+            assert got == [ev([x])[0] for ev, x in zip(_prepared(rule, pair, f, r), (v, w))]
             nodes = (
                 [dyadic_add(rule.node(j), DyadicPoint(v.nums, r)).as_floats() for j in range(rule.n_points)],
                 [coset_node(pair, j, w.wnum).as_floats() for j in range(rule.n_points)],
-                _real_points(rule, u),
             )
             assert got == [_reference_mean(points) for points in nodes]
+            _check_real(rule, f, u)
 
     @PROPERTY
     @given(evaluator_cases(), st.integers(0, 3))
@@ -267,12 +273,14 @@ class TestPreparedEvaluators:
         m2 = max(m - dm, 0)
         a = _prepared(Rank1Rule(m, z), EmbeddedPair(m, s * r, z), f, r)
         b = _prepared(Rank1Rule(m2, z), EmbeddedPair(m2, s * r, z), f, r)
-        alone_a = [[ev([x])[0] for ev, x in zip(a, triple)] for triple in shifts]
-        alone_b = [[ev([x])[0] for ev, x in zip(b, triple)] for triple in shifts]
+        # the grid and scalar shifts of each triple; the real one has no evaluator
+        pairs = [triple[:2] for triple in shifts]
+        alone_a = [[ev([x])[0] for ev, x in zip(a, pair)] for pair in pairs]
+        alone_b = [[ev([x])[0] for ev, x in zip(b, pair)] for pair in pairs]
         mixed_a, mixed_b = [], []
-        for triple in reversed(shifts):
-            mixed_b.append([ev([x])[0] for ev, x in zip(b, triple)])
-            mixed_a.append([ev([x])[0] for ev, x in zip(a, triple)])
+        for pair in reversed(pairs):
+            mixed_b.append([ev([x])[0] for ev, x in zip(b, pair)])
+            mixed_a.append([ev([x])[0] for ev, x in zip(a, pair)])
         assert mixed_a[::-1] == alone_a
         assert mixed_b[::-1] == alone_b
 
@@ -281,7 +289,7 @@ class TestPreparedEvaluators:
     def test_mismatched_shifts_raise(self, case):
         s, m, r, z, _ = case
         rule, pair, f = Rank1Rule(m, z), EmbeddedPair(m, s * r, z), ProductBernoulliFn(s)
-        grid, scalar, real = _prepared(rule, pair, f, r)
+        grid, scalar = _prepared(rule, pair, f, r)
         with pytest.raises(ValueError, match="dimension"):
             grid([GridShift((0,) * (s + 1), r)])
         with pytest.raises(ValueError, match="bit-depth"):
@@ -289,12 +297,12 @@ class TestPreparedEvaluators:
         with pytest.raises(ValueError, match="bit-depth"):
             scalar([ScalarShift(0, s * r + 1)])
         with pytest.raises(ValueError, match="dimension"):
-            real([RealShift((0.0,) * (s + 1))])
+            eval_real_shifted(rule, f, RealShift((0.0,) * (s + 1)))
 
     @pytest.mark.parametrize("build", [
         lambda z, f: grid_evaluator(Rank1Rule(40, z), f, 4),
         lambda z, f: scalar_evaluator(EmbeddedPair(40, 4, z), f),
-        lambda z, f: real_evaluator(Rank1Rule(40, z), f),
+        lambda z, f: eval_real_shifted(Rank1Rule(40, z), f, RealShift((0.0,))),
     ])
     def test_construction_above_guard_refused_before_allocating(self, build):
         z, f = GeneratingVector((1,), 44), ProductBernoulliFn(1)
@@ -313,6 +321,26 @@ class TestPreparedEvaluators:
             grid_evaluator(Rank1Rule(2, GeneratingVector((1,), 2)), f, 65)
         with pytest.raises(GuardLimitError, match="64-bit"):
             scalar_evaluator(EmbeddedPair(2, 63, GeneratingVector((1,), 65)), f)
+
+    @pytest.mark.parametrize("t", [52, 53, 54, 60, 64])
+    def test_coordinates_stay_below_one_at_any_depth(self, t):
+        # past 53 bits a numerator within 2^(t-54) of 2^t rounds to 2^t when
+        # cast to a float: the integrand gets the torus point nearest the
+        # true coordinate, 0.0, never 1.0
+        seen = []
+
+        class Recording(ProductBernoulliFn):
+            def eval_batch(self, xs):
+                seen.extend(xs.ravel().tolist())
+                return super().eval_batch(xs)
+
+        f = Recording(1)
+        nums = [(1 << t) - 1, (1 << t) - (1 << max(t - 54, 0)), 1 << (t - 1)]
+        grid_evaluator(Rank1Rule(0, GeneratingVector((1,), 1)), f, t)([GridShift((v,), t) for v in nums])
+        scalar_evaluator(EmbeddedPair(0, t, GeneratingVector((1,), t)), f)([ScalarShift(v, t) for v in nums])
+        nearest = [float(Fraction(v, 1 << t)) for v in nums]
+        assert seen == [x if x < 1.0 else 0.0 for x in nearest] * 2
+        assert max(seen) < 1.0
 
 
 class CountingFn(ProductBernoulliFn):
@@ -352,18 +380,18 @@ class TestBatchedEvaluators:
         triples.append(triples[0] if triples else (GridShift((3, 9), r), ScalarShift(77, s * r), RealShift((0.25, 0.8))))
         sums = count_calls(monkeypatch, shifts_module, "fsum_rows")
         batched = [ev(list(xs)) for ev, xs in zip(_prepared(rule, pair, f, r), zip(*triples))]
-        assert [args[0].shape for args in sums] == blocks * 3
+        assert [args[0].shape for args in sums] == blocks * 2
         monkeypatch.undo()
         for i, (v, w, u) in enumerate(triples):
             got = [means[i] for means in batched]
             assert all(type(x) is float for x in got)
-            assert got == [ev([x])[0] for ev, x in zip(_prepared(rule, pair, f, r), (v, w, u))]
+            assert got == [ev([x])[0] for ev, x in zip(_prepared(rule, pair, f, r), (v, w))]
             nodes = (
                 [dyadic_add(rule.node(j), DyadicPoint(v.nums, r)).as_floats() for j in range(rule.n_points)],
                 [coset_node(pair, j, w.wnum).as_floats() for j in range(rule.n_points)],
-                _real_points(rule, u),
             )
             assert got == [_reference_mean(points) for points in nodes]
+            _check_real(rule, f, u)
 
     @pytest.mark.parametrize("where", [0, 5, 9])
     def test_bad_shift_anywhere_raises_before_any_evaluation(self, where):
@@ -371,12 +399,11 @@ class TestBatchedEvaluators:
         s, m, r = 2, 12, 4
         z = korobov_like(m + s * r)
         f = CountingFn(s)
-        grid, scalar, real = _prepared(Rank1Rule(m, z), EmbeddedPair(m, s * r, z), f, r)
+        grid, scalar = _prepared(Rank1Rule(m, z), EmbeddedPair(m, s * r, z), f, r)
         cases = [
             (grid, GridShift((1, 2), r), GridShift((1, 2, 3), r), "dimension"),
             (grid, GridShift((1, 2), r), GridShift((1, 2), r + 1), "bit-depth"),
             (scalar, ScalarShift(5, s * r), ScalarShift(5, s * r + 1), "bit-depth"),
-            (real, RealShift((0.5, 0.25)), RealShift((0.5,)), "dimension"),
         ]
         for ev, good, bad, message in cases:
             shifts = [good] * 10

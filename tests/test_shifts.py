@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -92,6 +93,18 @@ class TestBitCodecs:
         got = grid_offsets(np.array(words, dtype=np.uint64), s, r)
         assert got.dtype == np.uint64 and got.shape == (s, len(words))
         assert [tuple(col) for col in got.T.tolist()] == [GridShift.from_word(w, r, s).nums for w in words]
+
+    def test_grid_split_takes_time_linear_in_the_word(self):
+        # an ideal estimate at s = 2^17 draws a word of 53 * 2^17 bits: one
+        # shift a coordinate would copy it 2^17 times (about 20 s on a
+        # 2-core Xeon); one pass over its digits takes about 0.1 s
+        s, r = 1 << 17, 53
+        rng = random.Random(5)
+        nums = tuple(rng.getrandbits(r) for _ in range(s))
+        word = int("".join(format(v, f"0{r}b") for v in nums), 2)
+        start = time.perf_counter()
+        assert GridShift.from_word(word, r, s).nums == nums
+        assert time.perf_counter() - start < 2.0
 
     def test_grid_codec_bijective_exhaustive(self):
         r, s = 4, 4  # all 2^16 words; the fold back is the inverse
