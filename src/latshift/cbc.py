@@ -13,11 +13,11 @@ at that level.
 deterministic bit for bit, but unlike the moment sums not correctly rounded.
 
 The construction is greedy: component d is chosen from the odd candidates
-c <= 2^(m+sr-1) to minimize the combined figure of the partial vector,
-with ties broken by the smallest candidate.  The reference integrand is
-reflection symmetric and merits are evaluated in a canonical component
-order, so c and its mirror 2^ext - c have bit-equal merits and only the
-lower half is a candidate.
+c <= max(2^(m+sr-1), 1) to minimize the combined figure of the partial
+vector, with ties broken by the smallest candidate.  The reference
+integrand is reflection symmetric and merits are evaluated in a canonical
+component order, so c and its mirror 2^ext - c have bit-equal merits and
+only the lower half, at least candidate 1, is a candidate.
 
 Each step is one fast CBC scan (Nuyens & Cools, Math. Comp. 75, 2006; for
 embedded pairs Cools, Kuo & Nuyens, SIAM J. Sci. Comput. 28, 2006): the
@@ -395,15 +395,12 @@ def _lazy_min(cands, comb, lo, open_, rescore) -> int:
     return win
 
 
-def _sample_candidates(n_ext: int) -> np.ndarray:
-    """Fixed pseudorandom draw of odd candidates in the lower half."""
-    half_odds = n_ext // 4
-    if half_odds < 1:
-        return np.array([], dtype=np.int64)
+def _sample_candidates(half: int) -> np.ndarray:
+    """Fixed pseudorandom draw of min(SAMPLE_SIZE, half) odd candidates below 2 half."""
     gen = SplitMix64(SAMPLE_SEED)
     chosen: set[int] = set()
-    while len(chosen) < min(SAMPLE_SIZE, half_odds):
-        chosen.add(2 * (gen.next64() % half_odds) + 1)
+    while len(chosen) < min(SAMPLE_SIZE, half):
+        chosen.add(2 * (gen.next64() % half) + 1)
     return np.array(sorted(chosen), dtype=np.int64)
 
 
@@ -425,11 +422,11 @@ def cbc_construct(
         Dimension, base resolution, and extension bits (levels 2^m and
         2^(m+sr)).
     candidate_policy : str
-        "full" scans every odd candidate of the lower half (only up to
-        2^16 extension points); "sampled" scans a fixed seeded draw of
-        SAMPLE_SIZE = 4096 of them where the lower half holds more, and
-        every one otherwise, so it returns the "full" vector up to
-        extension 14; "auto" picks "full" when it is allowed.
+        "full" scans every odd candidate of the lower half, at least
+        candidate 1 (only up to 2^16 extension points); "sampled" scans
+        a fixed seeded draw of SAMPLE_SIZE = 4096 of them where the lower
+        half holds more, and every one otherwise, so it returns the "full"
+        vector up to extension 14; "auto" picks "full" when it is allowed.
     """
     if s < 1:
         raise ValueError(f"dimension must be >= 1, got {s}")
@@ -456,14 +453,12 @@ def cbc_construct(
     if s == 1:
         return GeneratingVector((1,), t)
 
-    # the lower half's odd candidates; a draw from SAMPLE_SIZE or fewer takes all
-    half = n_ext // 4 or n_ext // 2
+    # the lower half's odd candidates, at least 1; a draw from SAMPLE_SIZE or fewer takes all
+    half = max(n_ext // 4, 1)
     if candidate_policy == "sampled" and half > SAMPLE_SIZE:
-        cands = _sample_candidates(n_ext)
+        cands = _sample_candidates(half)
     else:
         cands = 2 * np.arange(half, dtype=np.int64) + 1
-    if len(cands) == 0:
-        raise ValueError("empty candidate set at dimension 2")
     we = ProductBernoulliFn(1).factor(np.arange(n_ext) / n_ext)
     scan = _TwoLevelScan(we, sr, cands)
     # the node product of the first component, 1, is the factor table

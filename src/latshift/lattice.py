@@ -115,14 +115,13 @@ class DyadicPoint:
         return len(self.nums)
 
     def as_floats(self) -> tuple[float, ...]:
-        # exact for t <= 53 fractional bits, correctly rounded beyond; the
-        # big-int division path avoids float overflow at extreme depths.  A
+        # n / 2^t correctly rounded: exact for t <= 53 fractional bits.  A
         # value below 2^-1076 rounds to 0.0, so 2^t is formed only when it
-        # is at most 1075 bits longer than the numerator
-        if self.t <= 1023:
-            scale = 1.0 / (1 << self.t)
-            return tuple(n * scale for n in self.nums)
-        return tuple(0.0 if self.t - n.bit_length() > 1075 else n / (1 << self.t) for n in self.nums)
+        # is at most 1075 bits longer than the numerator.  Past 53 bits a
+        # numerator within 2^(t-54) of 2^t rounds to 1.0, and the torus
+        # point nearest to it is 0.0, as the block kernel reads it
+        xs = (0.0 if self.t - n.bit_length() > 1075 else n / (1 << self.t) for n in self.nums)
+        return tuple(0.0 if x == 1.0 else x for x in xs)
 
 
 @dataclass(frozen=True)

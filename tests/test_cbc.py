@@ -472,9 +472,13 @@ class TestCbcConstruct:
             alt = GeneratingVector((1, cand), m + sr)
             assert chosen <= embedded_merit(alt, m, sr).combined
 
-    def test_empty_candidate_set(self):
-        with pytest.raises(ValueError, match="empty candidate set"):
-            cbc_construct(2, 0, 0)
+    def test_one_point_extension_scans_candidate_one(self):
+        # at extension 0, as at extension 1, the lower half is candidate 1
+        for s in (2, 3, 4):
+            for policy in ("auto", "full", "sampled"):
+                z = cbc_construct(s, 0, 0, candidate_policy=policy)
+                assert (z.components, z.t) == ((1,) * s, 1), (s, policy)
+                assert cbc_construct(s, 1, 0, candidate_policy=policy) == z
 
     def test_guards_and_validation(self):
         with pytest.raises(GuardLimitError):
@@ -518,8 +522,8 @@ class TestSampledPolicy:
 
     def test_sample_is_deterministic_odd_lower_half(self):
         n_ext = 1 << 18
-        a = _sample_candidates(n_ext)
-        b = _sample_candidates(n_ext)
+        a = _sample_candidates(n_ext // 4)
+        b = _sample_candidates(n_ext // 4)
         assert (a == b).all()
         assert len(a) == 4096
         assert all(int(c) % 2 == 1 for c in a)
@@ -540,5 +544,6 @@ class TestSampledPolicy:
 
     def test_small_space_sample_covers_everything(self):
         n_ext = 1 << 8
-        a = _sample_candidates(n_ext)
+        a = _sample_candidates(n_ext // 4)
         assert len(a) == n_ext // 4
+        assert a.tolist() == list(range(1, n_ext // 2, 2))

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -536,6 +538,15 @@ class TestCbcCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["results"]["z"] == [1, 1]
 
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    @pytest.mark.parametrize("policy", ["auto", "full", "sampled"])
+    def test_one_point_extension_returns_the_ones_vector(self, capsys, s, policy):
+        # a 1-point extension scans candidate 1, as extension 1 does
+        code, out, err = run(capsys, "cbc", "--s", str(s), "--m", "0", "--r", "0", "--policy", policy)
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        assert (results["z"], results["t"], results["combined"]) == ([1] * s, 1, 1.0)
+
 
 # sha256 of the artifact each command line writes with --out, recorded
 # from the package as it stood when these command lines were chosen
@@ -988,3 +999,37 @@ def test_overflow_and_out_of_memory_end_in_one_line(argv, cap, tmp_path):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert not out.exists()
     assert elapsed < 10
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _fenced_blocks() -> list[tuple[str, str]]:
+    """(info string, body) of every fenced block of the README."""
+    return re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+
+
+def test_readme_commands_run(capsys, monkeypatch, tmp_path):
+    # every `latshift ...` line of the README, its `\` continuations joined,
+    # exits 0; random.txt feeds the file: example its 10 x 2 x 5 bits
+    argvs = [
+        shlex.split(line)[1:]
+        for _, body in _fenced_blocks()
+        for line in body.replace("\\\n", " ").splitlines()
+        if line.startswith("latshift ")
+    ]
+    assert len(argvs) == 6
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(1)
+    (tmp_path / "random.txt").write_text("".join(rng.choice("01") for _ in range(128)) + "\n")
+    for argv in argvs:
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+
+
+def test_readme_library_example_runs(capsys):
+    text = README.read_text()
+    example = text[text.index("## Library example") :]
+    body = next(body for info, body in _fenced_blocks() if info == "python" and body in example)
+    exec(compile(body, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 2

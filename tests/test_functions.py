@@ -7,9 +7,13 @@ import pytest
 
 from latshift import (
     DyadicPoint,
+    GeneratingVector,
+    GridShift,
     PeriodicFunction,
     ProductBernoulliFn,
+    Rank1Rule,
     bernoulli2,
+    grid_evaluator,
     rectangle_rule_mean,
 )
 from latshift.functions import TWO_PI_SQ
@@ -156,6 +160,26 @@ class TestInterface:
         assert f.eval_real((0.25, 0.5)) == 1.25
         assert f.eval(DyadicPoint((1, 3), 3)) == 0.125 + 0.75
         assert f.eval_batch(np.array([[0.5], [0.25]])).tolist() == [1.0]
+
+    @pytest.mark.parametrize("t", [54, 64])
+    def test_per_point_path_reads_a_deep_coordinate_as_the_kernel_does(self, t):
+        # past 53 bits (2^t - 1) / 2^t rounds to 1.0, the point 0 of the
+        # torus: eval hands the integrand 0.0, as the block kernel does
+        seen = []
+
+        class Recording(PeriodicFunction):
+            s = 1
+
+            def eval_batch(self, xs):
+                seen.extend(xs.ravel().tolist())
+                return xs[0].copy()
+
+        f = Recording()
+        v = (1 << t) - 1
+        assert f.eval(DyadicPoint((v,), t)) == 0.0
+        rule = Rank1Rule(0, GeneratingVector((1,), 1))
+        assert grid_evaluator(rule, f, t)([GridShift((v,), t)]) == [0.0]
+        assert seen == [0.0, 0.0]
 
 
 class TestFourierModel:

@@ -77,6 +77,15 @@ class TestDyadicPoint:
         p = DyadicPoint((11, 1), 4)
         assert p.as_floats() == (11 / 16, 1 / 16)
 
+    @pytest.mark.parametrize("t", [54, 64, 1100, 2000])
+    def test_coordinate_rounding_to_one_reads_as_zero(self, t):
+        # a numerator within 2^(t-54) of 2^t rounds to 1.0, the point 0 of
+        # the torus; 1 - 2^-53 is the float below 1.0 and stays
+        assert DyadicPoint(((1 << t) - 1,), t).as_floats() == (0.0,)
+        assert DyadicPoint(((1 << t) - (1 << (t - 54)),), t).as_floats() == (0.0,)
+        below = (1 << t) - (1 << (t - 53))
+        assert DyadicPoint((below, 1 << (t - 1)), t).as_floats() == (1.0 - 2.0**-53, 0.5)
+
     def test_as_floats_survives_extreme_depth(self):
         t = 1100
         p = DyadicPoint(((1 << (t - 1)) + 1,), t)
