@@ -25,8 +25,8 @@ A sum is settled when its exact sum is known (r = E = 0: s is then the
 IEEE-rounded sum of two floats, ties to even), or when |t| + |r| + E lies
 below half the gap from s to either neighbour (s is then the nearest
 float to the exact sum), E being the bound on r; `_settled` is that one
-test on every path.  fsum_rows, the one array entry, alone picks the
-pass axis: along the rows when the sums are at least as long as they
+test on every path.  fsum_rows, the one array entry, picks the pass
+axis: along the rows when the sums are at least as long as they
 are many, and down the columns otherwise, since numpy reduces a
 contiguous axis fast only for long sums.  It sums a copy laid out so,
 unless the array is laid out already (as `shifts` writes its blocks)
@@ -35,13 +35,17 @@ is then summed in place, and again is called only for the sums the
 certificate cannot settle.  Sums longer than BLOCK_TERMS are reduced a
 block at a time and the blocks' parts (s, t, r, two exact floats and
 one within its bound) are reduced once more.
-fsum_blocks first joins the blocks it is fed into whole pieces of
-BLOCK_TERMS, whatever their sizes, so a sum of at most BLOCK_TERMS terms
-fed in several blocks still settles after one extraction, and a longer
-one takes as few pieces as it can.  Every other sum, including sums
-with a non-finite term or a scale near overflow, goes to math.fsum, and
-so does an input of fewer than SHORT_TERMS terms in all, where the
-passes' fixed cost (some 30-50 numpy calls) exceeds math.fsum's.
+fsum_blocks sums k rows at once, fed as a stream of (k, B) blocks (a
+1-D block is one row).  It first joins the blocks into whole pieces of
+at most BLOCK_TERMS terms over all k rows, whatever the blocks' widths,
+so a stream of at most that many terms fed in several blocks still
+settles after one extraction, and a longer one takes as few pieces as it
+can; it holds one piece and one work array of its size at a time, laid
+out down a column for one row and along the rows for more.  Every other
+sum, including sums with a non-finite term or a scale near overflow, goes
+to math.fsum, and so does a stream of fewer than SHORT_TERMS terms a row,
+where the passes' fixed cost (some 30-50 numpy calls) exceeds
+math.fsum's.
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ import numpy as np
 # terms per sum and pass; longer sums are reduced a block at a time
 BLOCK_TERMS = 1 << 16
 
-# below this many terms in all, math.fsum itself is the faster route
+# below this many terms math.fsum itself is the faster route: in all, for
+# the many rows of fsum_rows, and a row, for the few rows of fsum_blocks
 SHORT_TERMS = 1 << 10
 
 
@@ -88,16 +93,18 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, (a - (s - bv)) + (b - bv)
 
 
-def _first(x: np.ndarray, axis: int) -> tuple[np.ndarray, ...]:
+def _first(x: np.ndarray, axis: int, buf: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """One extraction along axis: (a, sigma, ok, residuals, work array).
 
     ok is False for sums the extraction does not cover (non-finite terms or
     a scale near overflow); they are extracted as sums of zeros, and their
     other entries are meaningless.  x is overwritten, or copied when some
-    sum is not covered.
+    sum is not covered.  buf, a work array of x's shape, is made if not
+    given.
     """
     M = (x.shape[axis] + 1).bit_length()  # ceil(log2(n + 2))
-    buf = np.empty_like(x)
+    if buf is None:
+        buf = np.empty_like(x)
     big = np.abs(x, out=buf).max(axis=axis, keepdims=True)
     # sigma = 2^(M + e) must stay at or below 2^1022 so that sigma + x cannot overflow
     ok = np.isfinite(big) & (big < 2.0 ** (1022 - M))
@@ -121,10 +128,10 @@ def _last(x: np.ndarray, buf: np.ndarray, a: np.ndarray, axis: int) -> tuple[np.
     return s, t, r, err
 
 
-def _parts(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, ...]:
+def _parts(x: np.ndarray, axis: int = 0, buf: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Per sum along axis of x, after two extractions: (s, t, r, E, ok) with
-    the exact sum in s + t + r +- E.  x is overwritten."""
-    a, _, ok, x, buf = _first(x, axis)
+    the exact sum in s + t + r +- E.  x and buf are overwritten."""
+    a, _, ok, x, buf = _first(x, axis, buf)
     return (*_last(x, buf, a, axis), ok)
 
 
@@ -175,18 +182,25 @@ def _settle_once(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return s, settled
 
 
-def _reduce(pieces: Iterable[np.ndarray], axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(sums, settled) per sum of the pieces joined end to end along axis.
+def _reduce(pieces: Iterable[tuple[np.ndarray, bool]], axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, settled) per sum of the pieces joined end to end along axis,
+    given as (piece, last) pairs.
 
     A sum of one piece may settle after one extraction.  The pieces of a
     longer sum take two each: their totals often cancel, and a piece settled
-    by its own bound would leave too wide a bound on the total.
+    by its own bound would leave too wide a bound on the total.  Each piece
+    is dropped once its parts are taken, so one is held at a time.
     """
     pieces = iter(pieces)
-    head = list(islice(pieces, 2))
-    if len(head) == 1:
-        return _settle_once(head[0], axis)
-    parts = [_parts(x, axis) for x in chain(head, pieces)]
+    x, last = next(pieces)
+    if last:
+        return _settle_once(x, axis)
+    # no piece is wider than the first; one work array serves them all, so
+    # that a piece is not freed, and paged in again, together with its own
+    work = np.empty_like(x)
+    parts = [_parts(x, axis, work)]
+    del x
+    parts += map(lambda p: _parts(p[0], axis, work[tuple(map(slice, p[0].shape))]), pieces)
     # the pieces' s and t are exact and r is within its bound, so the
     # column sum is the sum of all three, within the sum of the bounds
     s, t, r, err, ok = _parts(np.concatenate([np.stack(p[:3]) for p in parts]))
@@ -223,59 +237,101 @@ def fsum_rows(a: np.ndarray, again: Callable[[np.ndarray], np.ndarray] | None = 
     in_place = again is not None and x.flags.c_contiguous and x.flags.writeable
     if not in_place:
         x = np.array(x, order="C")
-    blocks = (slice(lo, lo + BLOCK_TERMS) for lo in range(0, x.shape[axis], BLOCK_TERMS))
-    sums, settled = _reduce((x[:, b] if axis else x[b] for b in blocks), axis)
+    n = x.shape[axis]
+    blocks = (slice(lo, lo + BLOCK_TERMS) for lo in range(0, n, BLOCK_TERMS))
+    sums, settled = _reduce(((x[:, b] if axis else x[b], b.stop >= n) for b in blocks), axis)
     bad = np.flatnonzero(~settled)
     if len(bad):
         sums[bad] = [_fallback(row) for row in (again(bad) if in_place else a[bad]).tolist()]
     return sums
 
 
-def _joined(blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """The terms of the 1-D blocks, in order, copied into pieces of
-    BLOCK_TERMS (the last may be shorter), each a new (n, 1) array.
+def _joined(blocks: Iterable[np.ndarray], k: int = 1) -> Iterator[tuple[np.ndarray, bool]]:
+    """(piece, last) pairs: the columns of the (k, B) blocks, in order,
+    copied into pieces of BLOCK_TERMS // k columns (the last may be
+    narrower), each a new array laid out as `_reduce` reads it: (k, P), or
+    (P, 1) for one row, which reduces fastest down its column.
 
-    A piece starts at the size of the terms its first block gives it and
-    grows to BLOCK_TERMS only when a later block adds to it, so a sum fed in
-    one block holds one copy of its terms.  A block is copied before the
-    next is asked for, and no two pieces share memory, since `_reduce` holds
-    two before it reduces either.
+    The first piece starts at the width its first block gives it, and a
+    later block that adds to it grows it to twice its fill or to what that
+    block needs, at most the full width: a sum fed in one block holds one
+    copy of its terms, and a short stream is not held at the full width.
+    Every later piece starts at the full width.  Each block is copied
+    before the next is asked for.  A full piece is handed out once the next
+    block with a column has come, or none has, so that last is known
+    without a second piece: that block is held, not copied, until the
+    piece is reduced.
     """
-    piece, fill = np.empty(0), 0
-    for b in map(np.asarray, blocks):
-        lo = 0
-        while lo < len(b):
-            take = min(len(b) - lo, BLOCK_TERMS - fill)
-            if fill + take > len(piece):
-                grown = np.empty(BLOCK_TERMS if fill else take)
-                grown[:fill] = piece[:fill]
+    full = max(BLOCK_TERMS // k, 1)
+    blocks = map(np.asarray, blocks)
+
+    def fetch() -> np.ndarray | None:
+        # the next block with a column, as (k, B)
+        for b in blocks:
+            if b.size:
+                return b.reshape(k, -1)
+        return None
+
+    b, lo, width = fetch(), 0, 0
+    while b is not None:
+        piece, fill = None, 0
+        while b is not None and fill < full:
+            take = min(b.shape[1] - lo, full - fill)
+            if piece is None:
+                piece = np.empty((k, max(width, take)))
+            elif fill + take > piece.shape[1]:
+                grown = np.empty((k, min(max(2 * fill, fill + take), full)))
+                grown[:, :fill] = piece[:, :fill]
                 piece = grown
-            piece[fill : fill + take] = b[lo : lo + take]
+                del grown  # or it would hold this piece past its reduction
+            piece[:, fill : fill + take] = b[:, lo : lo + take]
             fill += take
             lo += take
-            if fill == BLOCK_TERMS:
-                yield piece.reshape(-1, 1)
-                piece, fill = np.empty(0), 0
-    if fill:
-        yield piece[:fill].reshape(-1, 1)
+            if lo == b.shape[1]:
+                b, lo = fetch(), 0
+        yield (piece[:, :fill].T if k == 1 else piece[:, :fill]), b is None
+        # the stream fills more than one piece: the next takes the full width
+        width = full
 
 
-def fsum_blocks(blocks: Callable[[], Iterable[np.ndarray]]) -> float:
-    """math.fsum of the terms of the 1-D arrays blocks() yields, in order.
+def _popped(items: list) -> Iterator:
+    """The items of the list in order, each dropped from it as it is handed
+    out, so that the list does not hold a piece while it is reduced."""
+    items.reverse()
+    while items:
+        yield items.pop()
 
-    The terms are joined into whole pieces of BLOCK_TERMS, whatever the
-    sizes of the blocks, and reduced a piece at a time, so a sum of at most
-    BLOCK_TERMS terms may settle after one extraction.  blocks() is called
-    a second time, to feed math.fsum, only when the certificate cannot
-    settle the sum.  Both passes copy each block's terms out before they
-    ask for the next block, so blocks() may yield views of one buffer that
+
+def fsum_blocks(blocks: Callable[[], Iterable[np.ndarray]]) -> float | list[float]:
+    """math.fsum of each row of the blocks blocks() yields, in order.
+
+    The blocks are (k, B) arrays of the same k rows, B free, or 1-D arrays,
+    one row each; the k sums come back as a list, or as one float for 1-D
+    blocks (0.0 when no block comes).  The columns are joined into whole
+    pieces of at most BLOCK_TERMS terms over all their rows, whatever the
+    widths of the blocks, and reduced a piece at a time, so a stream of at
+    most BLOCK_TERMS terms may settle after one extraction.  blocks() is
+    called again, to feed math.fsum, once for each row the certificate
+    cannot settle.  Both passes copy each block's terms out before they ask
+    for the next block, so blocks() may yield views of one buffer that
     every block overwrites.
     """
-    pieces = _joined(blocks())
-    head = list(islice(pieces, 2))
-    if len(head) < 2 and sum(x.size for x in head) < SHORT_TERMS:
-        return math.fsum(head[0][:, 0].tolist() if head else ())
-    sums, settled = _reduce(chain(head, pieces))
-    if settled[0]:
-        return float(sums[0])
-    return _fallback(chain.from_iterable(np.ravel(b).tolist() for b in blocks()))
+    stream = iter(blocks())
+    first = next(stream, None)
+    if first is None:
+        return 0.0
+    one_row = np.ndim(first) == 1
+    k = 1 if one_row else len(first)
+    pieces = _joined(chain([first], stream), k)
+    # the chain holds the first block until it is copied, and no longer
+    del first
+    head = list(islice(pieces, 1))
+    if not head or head[0][1] and head[0][0].size < SHORT_TERMS * k:
+        rows = (head[0][0].T if k == 1 else head[0][0]).tolist() if head else [[]] * k
+        sums = list(map(math.fsum, rows))
+    else:
+        s, settled = _reduce(chain(_popped(head), pieces), 0 if k == 1 else 1)
+        sums = s.tolist()
+        for i in np.flatnonzero(~settled).tolist():
+            sums[i] = _fallback(chain.from_iterable(np.reshape(b, (k, -1))[i].tolist() for b in blocks()))
+    return sums[0] if one_row else sums

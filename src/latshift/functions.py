@@ -47,7 +47,7 @@ class PeriodicFunction(ABC):
 
     #: True when f(1 - x) == f(x) bit for bit at dyadic points, every
     #: coordinate reflected (0 to itself); the scalar-shift moments then
-    #: visit only half the cosets
+    #: visit only half the cosets, and the extended rule half its nodes
     reflection_symmetric: bool = False
 
     @property

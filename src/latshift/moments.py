@@ -16,20 +16,28 @@ routes are exact up to summation rounding.
 
 Both enumerations run through one prepared block evaluator
 (`shifts.grid_blocks`, `shifts.coset_blocks`), built once per
-enumeration, and map it over the shift space with `shifts.chunked_map`
-in blocks of the width it sets itself (about `shifts.BLOCK_NODES` nodes,
-so that a block's working set stays in cache); the grid enumeration
-spells its shifts with `shifts.grid_offsets`, and so does the generic
-rectangle rule its grid points.  Every sum is correctly rounded, bit for
+enumeration, and stream it over the shift space in blocks of the width it
+sets itself (about `shifts.BLOCK_NODES` nodes, so that a block's working
+set stays in cache); the grid enumeration spells its shifts with
+`shifts.grid_offsets`, and so does the generic rectangle rule its grid
+points.  A report is one pass: each block of class values feeds the three
+sums of `_report` at once and is dropped, so a report holds one block
+whatever the number of shifts.  Every sum is correctly rounded, bit for
 bit what `math.fsum` returns: the per-shift means come from
 `fsum.fsum_rows` and the moment sums and the identity values from
-`fsum.fsum_blocks`, so no result depends on the block size.  The grid
-enumeration visits one shift per lattice-translation class only, since
-every shift in a class gives the same rule value.  The scalar
-enumeration of an f that declares `reflection_symmetric` visits cosets
-0 .. 2^(sr-1) only, since coset 2^sr - w holds the reflections of coset
-w's nodes and so gives the same mean; the cosets strictly between are
-counted twice.  The identity routes keep every node.
+`fsum.fsum_blocks`, so no result depends on the block size.  The
+variance and the third moment are formed from power sums about the
+identity value, which lies within rounding of the mean, exactly and
+rounded once each.
+
+The grid enumeration visits one shift per lattice-translation class
+only, since every shift in a class gives the same rule value.  For an f
+that declares `reflection_symmetric`, the scalar enumeration visits
+cosets 0 .. 2^(sr-1) only, since coset 2^sr - w holds the reflections of
+coset w's nodes and so gives the same mean, and counts the cosets
+strictly between twice; the extended rule evaluates the reflected half
+of its nodes and counts it twice in the same way.  The identity runs
+before the enumeration's blocks take their node buffer.
 """
 
 from __future__ import annotations
@@ -45,15 +53,23 @@ from .fsum import fsum_blocks, fsum_rows
 from .functions import PeriodicFunction
 from .lattice import EmbeddedPair, Rank1Rule
 from .shifts import (
-    BLOCK_NODES, chunked_map, coset_blocks, coset_offsets, grid_blocks, grid_offsets, index_blocks, integral_offset,
+    BLOCK_NODES,
+    DisplacedBlocks,
+    chunked_map,
+    coset_blocks,
+    coset_offsets,
+    grid_blocks,
+    grid_offsets,
+    index_blocks,
+    integral_offset,
 )
 
 MEAN_IDENTITY_RTOL = 1e-12
 
-# nothing in the package calls kahan_sum any more (the sums go through
-# the fsum module); perfbench still binds spans at kahan_sum and
-# chunked_map and reads GUARD_BITS here, so all three names stay, and the
-# enumerations call shifts.chunked_map by its name here, where a span sees it
+# nothing in the package calls kahan_sum or chunked_map here any more
+# (the sums go through the fsum module, and the reports stream their
+# blocks); perfbench still binds spans at both and reads GUARD_BITS here,
+# so all three names stay
 kahan_sum = math.fsum
 
 
@@ -77,43 +93,63 @@ class MomentReport:
 
 def _report(
     scheme: str,
-    values: np.ndarray,
+    values: Callable[[], Iterator[np.ndarray]],
+    classes: int,
     f: PeriodicFunction,
     check_value: float,
     shift_space_size: int,
     mirrored: bool = False,
 ) -> MomentReport:
-    """Moments of the shift-space distribution that values lists once per class.
+    """Moments of the shift-space distribution, in one pass over its classes.
 
-    values holds one rule value per class of equally likely shifts, each
-    class the same size, so means over values are means over the space.
-    When mirrored, values holds classes 0 .. n/2 of n, and each class
-    strictly between stands for its mirror n - w as well, so its terms are
-    doubled: exact short of overflow, which makes every sum the correctly
-    rounded sum of the same n terms as without mirroring.
+    values() yields the rule value of each of the given number of classes
+    of equally likely shifts, in order and in blocks; each class is the
+    same size, so means over classes are means over the space.  When
+    mirrored, the classes are 0 .. n/2 of n, and each one strictly between
+    stands for its mirror n - w as well, so its terms are doubled: exact
+    short of overflow, which makes every sum the correctly rounded sum of
+    the same n terms as without mirroring.
+
+    Each block feeds three correctly rounded sums at once: S1 of v - If,
+    and the power sums S2 and S3 of v - c about the identity value c,
+    which lies within rounding of the mean.  About c,
+
+        var = S2/n - d^2  and  mu3 = S3/n - 3 d S2/n + 2 d^3,  d = mean - c,
+
+    hold for any c; a c this close keeps them well conditioned, so each is
+    formed exactly from the sums and rounded once.  No value is kept past
+    its block, so a report holds one block whatever the number of classes.
     """
     offset = integral_offset(f)
-    k = len(values)
-    n = 2 * (k - 1) if mirrored else k
+    n = 2 * (classes - 1) if mirrored else classes
 
-    def total(term: Callable[[np.ndarray], np.ndarray]) -> float:
-        # terms are formed a slice at a time, so no full-length temporary is held
-        def slices() -> Iterator[np.ndarray]:
-            for lo in range(0, k, BLOCK_NODES):
-                t = term(values[lo : lo + BLOCK_NODES])
-                if mirrored:
-                    t[max(1 - lo, 0) : k - 1 - lo] *= 2.0
-                yield t
+    def terms() -> Iterator[np.ndarray]:
+        # one buffer for every block: fsum_blocks copies each block out
+        # before it asks for the next
+        buf, lo = np.empty((3, 0)), 0
+        for v in values():
+            if buf.shape[1] < len(v):
+                buf = np.empty((3, len(v)))
+            t = buf[:, : len(v)]
+            np.subtract(v, offset, out=t[0])
+            d = np.subtract(v, check_value, out=t[2])
+            # two IEEE products give the same bits on every host; np.power does not
+            np.multiply(d, d, out=t[1])
+            t[2] *= t[1]
+            if mirrored:
+                t[:, max(1 - lo, 0) : classes - 1 - lo] *= 2.0
+            lo += len(v)
+            yield t
 
-        # a term past the float range is inf (as x + x is for a doubled x),
-        # and a sum with an infinite term is not finite
-        with np.errstate(over="ignore"):
-            return fsum_blocks(slices)
-
+    # a term past the float range is inf (as x + x is for a doubled x), and
+    # a sum with an infinite term is not finite; a non-finite c is refused
+    # below, after the sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1, s2, s3 = fsum_blocks(terms)
     # the mean is accumulated about the known integral, and the bias is kept
     # as that offset sum directly: biases near 1e-9 would otherwise lose
     # digits to the rounding of 1 + bias
-    delta = total(lambda v: v - offset) / n
+    delta = s1 / n
     mean = offset + delta
     if not (math.isfinite(mean) and math.isfinite(check_value)):
         raise ValueError(f"{scheme} mean {mean!r} and its identity value {check_value!r} are not both finite")
@@ -124,14 +160,12 @@ def _report(
             f"{scheme} mean {mean!r} disagrees with its identity value "
             f"{check_value!r} (relative {rel:.3e})"
         )
-    var = total(lambda v: (v - mean) ** 2) / n
-
-    def cube(v: np.ndarray) -> np.ndarray:
-        # two IEEE products give the same bits on every host; np.power does not
-        d = v - mean
-        return d * d * d
-
-    mu3 = total(cube) / n
+    if math.isfinite(s2) and math.isfinite(s3):
+        var, mu3 = _central_moments(offset, check_value, s1, s2, s3, n)
+    else:
+        # a square or a cube past the float range: S2/n and S3/n, the
+        # moments about c, are reported as they are
+        var, mu3 = s2 / n, s3 / n
     bias = delta if f.known_integral is not None else math.nan
     return MomentReport(
         scheme=scheme,
@@ -144,6 +178,42 @@ def _report(
         method="enumeration",
         mean_check_rel_err=rel,
     )
+
+
+def _central_moments(offset: float, c: float, s1: float, s2: float, s3: float, n: int) -> tuple[float, float]:
+    """(var, mu3) = (S2/n - d^2, S3/n - 3 d S2/n + 2 d^3), d = offset + S1/n - c,
+    each formed exactly and rounded once.
+
+    Every float is p/q with q a power of two, so D = n max(q) is a common
+    denominator of all five terms, and each moment is one ratio of
+    integers, which Python divides correctly rounded.
+    """
+    (p0, q0), (p1, q1), (a1, r1), (a2, r2), (a3, r3) = (x.as_integer_ratio() for x in (offset, c, s1, s2, s3))
+    D = max(q0, q1, r1, r2, r3) * n
+    d = p0 * (D // q0) - p1 * (D // q1) + a1 * (D // (r1 * n))
+    m2 = a2 * (D // (r2 * n))
+    m3 = a3 * (D // (r3 * n))
+    # the exact variance of the values is not negative; only the rounding
+    # of their terms could take this below zero
+    return max(m2 * D - d * d, 0) / D**2, (m3 * D * D - 3 * d * m2 * D + 2 * d**3) / D**3
+
+
+def _class_means(
+    blocks: DisplacedBlocks, offsets: Callable[[np.ndarray], np.ndarray], classes: int
+) -> Callable[[], Iterator[np.ndarray]]:
+    """The means of classes 0 .. classes - 1 over the blocks, width at a
+    time, as a stream; offsets(words) gives the classes' offset columns.
+
+    The blocks are built, and refuse as they do, before the identity runs;
+    they hold no node buffer until the stream asks for the first block,
+    which is after the identity has freed its own.
+    """
+
+    def stream() -> Iterator[np.ndarray]:
+        for lo in range(0, classes, blocks.width):
+            yield blocks.means(offsets(np.arange(lo, min(lo + blocks.width, classes), dtype=np.uint64)))
+
+    return stream
 
 
 def moments_grid_shift(rule: Rank1Rule, f: PeriodicFunction, r: int) -> MomentReport:
@@ -164,15 +234,9 @@ def moments_grid_shift(rule: Rank1Rule, f: PeriodicFunction, r: int) -> MomentRe
     if r < rule.m:
         raise ValueError(f"grid resolution r={r} below rule resolution m={rule.m}")
     guard(1, "grid shifts", r * s)
-
-    blocks = grid_blocks(rule, f, r)
-
-    def block(lo: int, hi: int) -> np.ndarray:
-        return blocks.means(grid_offsets(np.arange(lo, hi, dtype=np.uint64), s, r))
-
-    values = chunked_map(block, 1 << (r * s - rule.m), blocks.width)
-    del blocks  # freed before the identity builds its own buffers
-    return _report("grid-shift", values, f, rectangle_rule_mean(f, s, r), 1 << (r * s))
+    classes = 1 << (r * s - rule.m)
+    values = _class_means(grid_blocks(rule, f, r), lambda words: grid_offsets(words, s, r), classes)
+    return _report("grid-shift", values, classes, f, rectangle_rule_mean(f, s, r), 1 << (r * s))
 
 
 def moments_scalar_shift(pair: EmbeddedPair, f: PeriodicFunction) -> MomentReport:
@@ -186,16 +250,10 @@ def moments_scalar_shift(pair: EmbeddedPair, f: PeriodicFunction) -> MomentRepor
     """
     guard(1, "scalar shifts", pair.sr)
     guard(1, "extension nodes", pair.ext)
-    blocks = coset_blocks(pair, f)
-
-    def block(lo: int, hi: int) -> np.ndarray:
-        return blocks.means(coset_offsets(pair, np.arange(lo, hi, dtype=np.uint64)))
-
     mirrored = f.reflection_symmetric and pair.sr > 0
-    cosets = (1 << pair.sr - 1) + 1 if mirrored else 1 << pair.sr
-    values = chunked_map(block, cosets, blocks.width)
-    del blocks  # freed before the identity builds its own buffers
-    return _report("scalar-shift", values, f, extended_rule_value(pair, f), 1 << pair.sr, mirrored)
+    classes = (1 << pair.sr - 1) + 1 if mirrored else 1 << pair.sr
+    values = _class_means(coset_blocks(pair, f), lambda words: coset_offsets(pair, words), classes)
+    return _report("scalar-shift", values, classes, f, extended_rule_value(pair, f), 1 << pair.sr, mirrored)
 
 
 def rectangle_rule_mean(f: PeriodicFunction, s: int, r: int) -> float:
@@ -238,8 +296,35 @@ def extended_rule_value(pair: EmbeddedPair, f: PeriodicFunction) -> float:
     consecutive k, in the same kind of prepared buffers as the enumeration
     but in index order, and summed in one correctly rounded sum: a route
     independent of the coset enumeration whose mean it checks.
+
+    Node n - k is node k reflected.  For an f that declares
+    reflection_symmetric, only nodes 0 and n - k, k = 1 .. n/2 - 1 (the
+    nodes k * -z), are evaluated, every term but node 0's doubled, and
+    node n/2 = (1/2, ..., 1/2) (z is odd) is added once: the correctly
+    rounded sum of the same n terms, short of overflow.  The enumeration
+    keeps cosets 0 .. 2^(sr-1) instead, so the two routes halve different
+    nodes (at m = 0, where a coset is one node, nodes 0 .. n/2), and for
+    an f that is not symmetric a false declaration makes them disagree.
     """
     guard(1, "extension nodes", pair.ext)
     n = 1 << pair.ext
-    # fsum_blocks consumes each block before it asks for the next
-    return integral_offset(f) + fsum_blocks(lambda: index_blocks(pair.z.components, pair.ext, f)) / n
+    off = integral_offset(f)
+    if not (f.reflection_symmetric and n > 1):
+        # fsum_blocks consumes each block before it asks for the next
+        return off + fsum_blocks(lambda: index_blocks(pair.z.components, pair.ext, f)) / n
+    steps = [-c % n for c in pair.z.components]
+
+    def terms() -> Iterator[np.ndarray]:
+        # node n/2 first: the first block then grows its piece to the
+        # width the two need, not to fsum's full piece width
+        yield f.eval_batch(np.full((len(steps), 1), 0.5)) - off
+        blocks = index_blocks(steps, pair.ext, f, n >> 1)
+        first = next(blocks)
+        first[1:] *= 2.0
+        yield first
+        for t in blocks:
+            t *= 2.0
+            yield t
+
+    with np.errstate(over="ignore"):
+        return off + fsum_blocks(terms) / n

@@ -267,14 +267,15 @@ def grid_offsets(words: np.ndarray, s: int, r: int) -> np.ndarray:
     return np.stack([(words >> np.uint64((s - 1 - k) * r)) & mask for k in range(s)])
 
 
-def index_blocks(steps: Sequence[int], t: int, f: PeriodicFunction) -> Iterator[np.ndarray]:
-    """f - If at the nodes k * steps mod 2^t, k < 2^t, in index order.
+def index_blocks(steps: Sequence[int], t: int, f: PeriodicFunction, count: int | None = None) -> Iterator[np.ndarray]:
+    """f - If at the nodes k * steps mod 2^t, k < count (2^t by default),
+    in index order.
 
     The nodes go through one `DisplacedBlocks`, BLOCK_NODES at a time, as
     one shift-major row each.  Each block is a 1-D view of its buffer,
     which the next block overwrites.
     """
-    n = 1 << t
+    n = 1 << t if count is None else count
     blocks = DisplacedBlocks(steps, t, min(n, BLOCK_NODES), f)
     for lo in range(0, n, blocks.n):
         # a short last block drops the nodes past n

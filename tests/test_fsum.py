@@ -244,10 +244,14 @@ def test_blocks_straddling_block_terms_equal_fsum_bitwise(sizes):
 
 
 def test_joined_pieces_are_whole_and_share_no_memory():
-    # _reduce holds two pieces before it reduces either, so a piece that
-    # shared memory with the next would be overwritten under it
+    # the pieces are listed here before any is reduced, so a piece that
+    # shared memory with the next would be overwritten under it.  Only the
+    # last piece is flagged last, also when it ends with a full piece and
+    # an empty block
     blocks = [np.full(1 << 14, float(k)) for k in range(9)] + [np.full(5, 9.0)]
-    pieces = list(fsum_module._joined(iter(blocks)))
+    pieces, last = zip(*fsum_module._joined(iter(blocks)))
+    assert last == (False, False, True)
+    assert [x for _, x in fsum_module._joined(iter(blocks[:8] + [np.zeros(0)]))] == [False, True]
     assert [len(x) for x in pieces] == [1 << 16, 1 << 16, (1 << 14) + 5]
     assert all(x.shape[1:] == (1,) for x in pieces)
     assert not any(np.shares_memory(a, b) for i, a in enumerate(pieces) for b in pieces[i + 1 :])

@@ -28,7 +28,7 @@ from latshift import (
 )
 
 from latshift import moments as moments_module
-from latshift.moments import _report, chunked_map
+from latshift.moments import _class_means, _report, chunked_map
 from latshift.reference import REFERENCE_CELLS
 from latshift.shifts import coset_blocks, coset_offsets, grid_blocks, grid_offsets
 
@@ -121,14 +121,9 @@ class TestExactRationalSpotCheck:
 def full_grid_report(rule: Rank1Rule, f: ProductBernoulliFn, r: int):
     """The grid-shift report over all 2^(r*s) shifts, every class in full."""
     s = rule.s
-
-    blocks = grid_blocks(rule, f, r)
-
-    def block(lo, hi):
-        return blocks.means(grid_offsets(np.arange(lo, hi, dtype=np.uint64), s, r))
-
-    values = chunked_map(block, 1 << (r * s), blocks.width)
-    return _report("grid-shift", values, f, rectangle_rule_mean(f, s, r), 1 << (r * s))
+    size = 1 << (r * s)
+    values = _class_means(grid_blocks(rule, f, r), lambda words: grid_offsets(words, s, r), size)
+    return _report("grid-shift", values, size, f, rectangle_rule_mean(f, s, r), size)
 
 
 def report_bits(rep) -> dict:
@@ -256,6 +251,39 @@ class TestExtendedRuleValue:
         with pytest.raises(GuardLimitError):
             extended_rule_value(EmbeddedPair(14, 13, GeneratingVector((1,), 27)), f)
 
+    @pytest.mark.parametrize("block", [1 << 14, 5, 64])
+    def test_reflection_halves_the_nodes_and_keeps_the_sum(self, block, monkeypatch):
+        # node 0 once, nodes n - k, k = 1 .. n/2 - 1, twice and node n/2
+        # once: the same correctly rounded sum as all n nodes, from n/2 + 1
+        # evaluations
+        set_block_nodes(monkeypatch, block)
+        for ext, z in [(0, (1,)), (1, (1, 3)), (2, (1, 7)), (7, (1, 7)), (12, (1, 5709, 1267)), (15, (1, 17797))]:
+            pair = EmbeddedPair(ext, 0, GeneratingVector(z, max(ext, 1)))
+            half, full = CountedFn(len(z)), CountedFn(len(z), symmetric=False)
+            assert extended_rule_value(pair, half).hex() == extended_rule_value(pair, full).hex(), (ext, z)
+            assert full.points == evaluated(1 << ext, block), (ext, z)
+            assert half.points == (evaluated(1 << ext - 1, block) + 1 if ext else 1), (ext, z)
+
+
+def evaluated(nodes: int, block: int) -> int:
+    """The points evaluated for nodes index-order nodes in blocks of at most
+    block: every block is evaluated in full, a short last one too."""
+    width = min(nodes, block)
+    return -(-nodes // width) * width
+
+
+class CountedFn(ProductBernoulliFn):
+    """The Bernoulli product, counting the points it is evaluated at."""
+
+    def __init__(self, s: int, symmetric: bool = True) -> None:
+        super().__init__(s)
+        self.reflection_symmetric = symmetric
+        self.points = 0
+
+    def eval_batch(self, xs: np.ndarray) -> np.ndarray:
+        self.points += xs[0].size
+        return super().eval_batch(xs)
+
 
 class TestIdentityCrossCheck:
     def test_fires_on_inconsistent_factorization(self):
@@ -300,19 +328,32 @@ class TestGuardsAndValidation:
             moments_grid_shift(rule, f, 5000)
 
 
-def fsum_report_bits(values: list[float], check: float) -> dict:
-    """The report fields _report defines, each a math.fsum over the values."""
-    n = len(values)
-    delta = math.fsum(v - 1.0 for v in values) / n
-    mean = 1.0 + delta
-    d = [v - mean for v in values]
-    return {
-        "mean": mean.hex(),
-        "bias": delta.hex(),
-        "variance": (math.fsum(x * x for x in d) / n).hex(),
-        "mu3": (math.fsum(x * x * x for x in d) / n).hex(),
-        "mean_check_rel_err": (abs(mean - check) / abs(check)).hex(),
-    }
+def exact_moments(values: list[float]) -> tuple[Fraction, Fraction]:
+    """The variance and the third central moment of the values, exactly."""
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    d = [x - mean for x in exact]
+    return sum(x * x for x in d) / len(d), sum(x * x * x for x in d) / len(d)
+
+
+def ulps_off(got: float, exact: Fraction) -> float:
+    """|got - exact| in units of the last place of the float nearest exact."""
+    return float(abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact))))
+
+
+def check_report(rep, values: list[float], check: float, f: PeriodicFunction) -> None:
+    """rep against its definition over the class values: the mean (summed
+    about If), the bias and the identity residual bit for bit as math.fsum
+    forms them, var within 1 ulp and mu3 within 4 ulps of the exact central
+    moments of the values."""
+    n, offset = len(values), f.known_integral
+    delta = math.fsum(v - offset for v in values) / n
+    mean = offset + delta
+    assert (rep.mean.hex(), rep.bias.hex()) == (mean.hex(), delta.hex())
+    assert rep.mean_check_rel_err.hex() == (abs(mean - check) / abs(check)).hex()
+    var, mu3 = exact_moments(values)
+    assert ulps_off(rep.variance, var) <= 1.0
+    assert ulps_off(rep.mu3, mu3) <= 4.0
 
 
 class TestBlockSizes:
@@ -336,7 +377,8 @@ class TestBlockSizes:
             values = [eval_grid_shifted(rule, f, GridShift(tuple(v), r)) for v in nums.T.tolist()]
             check = rectangle_rule_mean(f, s, r)
             moments = lambda: moments_grid_shift(rule, f, r)  # noqa: E731
-        expected = fsum_report_bits(values, check)
+        check_report(moments(), values, check, f)
+        expected = report_bits(moments())
         sizes = [k << m for k in range(1, 8)] + [1 << 16]
         widths = []
         for block in sizes:
@@ -348,8 +390,7 @@ class TestBlockSizes:
                 widths.append(coset_blocks(pair, f).width)
             else:
                 widths.append(grid_blocks(rule, f, r).width)
-            got = report_bits(moments())
-            assert {k: got[k] for k in expected} == expected, block
+            assert report_bits(moments()) == expected, block
         # the patch reaches the block width: each size blocks the shifts its own way
         assert widths == [block >> m for block in sizes]
 
@@ -408,27 +449,38 @@ class TestReflectionSymmetry:
     @pytest.mark.parametrize("s, m, r", CELLS)
     def test_half_and_full_enumerations_give_equal_reports(self, s, m, r, monkeypatch):
         sr = s * r
-        calls = count_calls(monkeypatch, moments_module, "chunked_map")
+        calls = count_calls(monkeypatch, moments_module, "_class_means")
         for ell in (1267, 17797, 5709):
             pair = EmbeddedPair(m, sr, korobov_vector(ell, s, max(m + sr, 1)))
             half = moments_scalar_shift(pair, ProductBernoulliFn(s))
             full = moments_scalar_shift(pair, FullFn(s))
             assert half == full and report_bits(half) == report_bits(full), ell
         half_cosets = (1 << sr - 1) + 1 if sr else 1
-        assert [args[1] for args in calls] == [half_cosets, 1 << sr] * 3
+        assert [args[2] for args in calls] == [half_cosets, 1 << sr] * 3
 
     @pytest.mark.parametrize("s, m, r", [(1, 0, 3), (2, 1, 2), (2, 2, 2), (3, 0, 2), (1, 3, 4)])
     def test_asymmetric_integrand_matches_brute_force(self, s, m, r, monkeypatch):
-        calls = count_calls(monkeypatch, moments_module, "chunked_map")
+        calls = count_calls(monkeypatch, moments_module, "_class_means")
         pair = EmbeddedPair(m, s * r, korobov_vector(1267, s, m + s * r))
         f = SkewFn(s)
         values, check = brute_scalar_values(pair, f)
         # some reflected cosets differ, so halving would change the moments
         assert any(values[w] != values[-w] for w in range(1, len(values)))
-        got = report_bits(moments_scalar_shift(pair, f))
-        expected = fsum_report_bits(values, check)
-        assert {k: got[k] for k in expected} == expected
-        assert [args[1] for args in calls] == [1 << s * r]
+        check_report(moments_scalar_shift(pair, f), values, check, f)
+        assert [args[2] for args in calls] == [1 << s * r]
+
+    @pytest.mark.parametrize("s, m, r", [(1, 0, 3), (1, 2, 2), (2, 0, 2), (2, 2, 2), (3, 1, 2), (2, 4, 3)])
+    def test_false_declaration_fails_the_halved_identity(self, s, m, r):
+        # the identity pairs node k with n - k, and the enumeration pairs
+        # coset w with 2^sr - w: for an f that is not symmetric each halving
+        # misses the mean its own way, so the check still fails
+        from latshift import IdentityCheckError
+
+        pair = EmbeddedPair(m, s * r, korobov_vector(1267, s, m + s * r))
+        lying, honest = SkewFn(s, symmetric=True), SkewFn(s)
+        assert extended_rule_value(pair, lying) != extended_rule_value(pair, honest)
+        with pytest.raises(IdentityCheckError, match="^scalar-shift mean .* disagrees with its identity value"):
+            moments_scalar_shift(pair, lying)
 
     def test_false_declaration_fails_the_identity(self):
         # the extended rule keeps every node, so half the cosets of an f
@@ -440,44 +492,142 @@ class TestReflectionSymmetry:
             moments_scalar_shift(pair, SkewFn(2, symmetric=True))
 
 
+def traced_peak(fn) -> int:
+    """The tracemalloc peak of fn(), after one untraced call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBlockMemory:
     def test_scalar_m0_peak_per_node(self):
-        # s = 4, m = 0: 2^16 one-node cosets.  The values take 8 bytes a
-        # shift; the rest is one block's working set, whatever the cell's
-        # size.  Blocks of 2^16 nodes peaked at 128 bytes a node here.
+        # s = 4, m = 0: 2^16 one-node cosets.  The report holds one block
+        # of class values and their terms, whatever the cell's size.
+        # Blocks of 2^16 nodes peaked at 128 bytes a node here.
         pair = EmbeddedPair(0, 16, korobov_vector(17797, 4, 16))
-        f = ProductBernoulliFn(4)
-        moments_scalar_shift(pair, f)
-        tracemalloc.start()
-        try:
-            moments_scalar_shift(pair, f)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: moments_scalar_shift(pair, ProductBernoulliFn(4)))
         assert peak / (1 << 16) < 64
+
+    def test_scalar_peak_is_flat_in_the_shift_count(self):
+        # s = 2, m = 0: 2^16 and 2^22 one-node cosets; a list of the class
+        # values would take 8 bytes a shift, 17 MB more at 2^22
+        f = ProductBernoulliFn(2)
+        peaks = [
+            traced_peak(lambda: moments_scalar_shift(EmbeddedPair(0, sr, korobov_vector(17797, 2, sr)), f))
+            for sr in (16, 22)
+        ]
+        assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+
+    def test_grid_peak_is_flat_in_the_class_count(self):
+        # s = 2, m = 0: 2^16 and 2^20 classes of one shift each
+        f = ProductBernoulliFn(2)
+        rule = Rank1Rule(0, korobov_vector(17797, 2, 1))
+        peaks = [traced_peak(lambda: moments_grid_shift(rule, f, r)) for r in (8, 10)]
+        assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+
+
+class NoIntegralFn(ProductBernoulliFn):
+    """The Bernoulli product without its known integral: the mean is summed
+    about 0, and the bias is not reported."""
+
+    known_integral = None
+
+
+def scalar_values(pair: EmbeddedPair, f: PeriodicFunction) -> list[float]:
+    """The rule value of every coset, through the enumeration's blocks."""
+    return coset_blocks(pair, f).all_means(coset_offsets(pair, np.arange(1 << pair.sr, dtype=np.uint64)))
+
+
+def grid_values(rule: Rank1Rule, f: PeriodicFunction, r: int) -> list[float]:
+    """The rule value of one shift per lattice-translation class."""
+    words = np.arange(1 << (r * rule.s - rule.m), dtype=np.uint64)
+    return grid_blocks(rule, f, r).all_means(grid_offsets(words, rule.s, r))
+
+
+class TestExactCentralMoments:
+    """var and mu3 against the exact central moments of the class values,
+    formed in rationals: var within 1 ulp, and mu3 within 4 ulps where the
+    integral is declared."""
+
+    # mirrored with m > 0, m = 0, sr = 0, an odd sr, and one unmirrored cell
+    SCALAR = ((3, 4, 4, 17797), (2, 4, 6, 5709), (3, 0, 4, 1267), (2, 0, 7, 12915), (3, 5, 0, 17797),
+              (3, 3, 1, 7163))
+    GRID = ((3, 4, 4, 17797), (2, 5, 5, 1267), (3, 3, 4, 7163), (2, 0, 6, 12915))
+
+    @pytest.mark.parametrize("s, m, r, ell", SCALAR)
+    def test_scalar(self, s, m, r, ell):
+        pair = EmbeddedPair(m, s * r, korobov_vector(ell, s, max(m + s * r, 1)))
+        for f in (ProductBernoulliFn(s), FullFn(s)):
+            check_report(moments_scalar_shift(pair, f), scalar_values(pair, f), extended_rule_value(pair, f), f)
+
+    @pytest.mark.parametrize("s, m, r, ell", GRID)
+    def test_grid(self, s, m, r, ell):
+        rule = Rank1Rule(m, korobov_vector(ell, s, max(m, 1)))
+        f = ProductBernoulliFn(s)
+        check_report(moments_grid_shift(rule, f, r), grid_values(rule, f, r), rectangle_rule_mean(f, s, r), f)
+
+    def test_zero_variance_is_exact(self):
+        # sr = 0: one coset, so var and mu3 are 0 exactly, and so is the sd
+        pair = EmbeddedPair(5, 0, korobov_vector(17797, 3, 5))
+        rep = moments_scalar_shift(pair, ProductBernoulliFn(3))
+        assert (rep.variance, rep.sd, rep.mu3) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("s, m, r, ell", [(3, 4, 4, 17797), (2, 0, 6, 12915), (2, 5, 5, 1267)])
+    def test_without_a_known_integral(self, s, m, r, ell):
+        # the mean is summed about 0, so its rounding is that of the mean,
+        # not of the bias; mu3 is then no worse than about the rounded mean
+        f = NoIntegralFn(s)
+        pair = EmbeddedPair(m, s * r, korobov_vector(ell, s, m + s * r))
+        rule = Rank1Rule(m, korobov_vector(ell, s, max(m, 1)))
+        for rep, values in ((moments_scalar_shift(pair, f), scalar_values(pair, f)),
+                            (moments_grid_shift(rule, f, r), grid_values(rule, f, r))):
+            assert math.isnan(rep.bias)
+            assert rep.mean.hex() == (math.fsum(values) / len(values)).hex()
+            var, mu3 = exact_moments(values)
+            assert ulps_off(rep.variance, var) <= 1.0
+            d = [v - rep.mean for v in values]
+            about_mean = math.fsum(x * x * x for x in d) / len(d)
+            assert ulps_off(rep.mu3, mu3) <= max(4.0, ulps_off(about_mean, mu3))
+
+
+class PointFn(PeriodicFunction):
+    """1 everywhere but at the origin, where it is `origin`; its
+    per-coordinate factor is the constant `factor`."""
+
+    known_integral = 1.0
+    reflection_symmetric = True
+
+    def __init__(self, s: int, origin: float = 1.0, factor: float = 1.0) -> None:
+        self._s, self.origin, self._factor = s, origin, factor
+
+    @property
+    def s(self) -> int:
+        return self._s
+
+    def eval_batch(self, xs: np.ndarray) -> np.ndarray:
+        return np.where((xs == 0.0).all(axis=0), self.origin, 1.0)
+
+    def factor(self, x: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(x), self._factor)
 
 
 class TestReportSums:
-    def test_mu3_is_fsum_of_cubed_deviations(self):
-        # the scalar (2,4,6) cell at ell = 5709: on an AVX-512 host, cubes
-        # taken by np.power put its mu3 one ulp away from this sum
-        pair = EmbeddedPair(4, 12, korobov_vector(5709, 2, 16))
-        f = ProductBernoulliFn(2)
-        rep = moments_scalar_shift(pair, f)
-        values = coset_blocks(pair, f).means(coset_offsets(pair, np.arange(1 << 12, dtype=np.uint64))).tolist()
-        d = [v - rep.mean for v in values]
-        assert rep.mu3.hex() == (math.fsum(x * x * x for x in d) / len(d)).hex()
-        assert rep.variance.hex() == (math.fsum(x * x for x in d) / len(d)).hex()
-
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_mean_or_identity_value_is_refused(self, bad):
-        f = ProductBernoulliFn(2)
+        # the value at the origin reaches both routes; a per-coordinate
+        # factor reaches the rectangle rule alone
+        pair = EmbeddedPair(2, 2, korobov_vector(17797, 2, 4))
         with pytest.raises(ValueError, match=f"^scalar-shift mean {bad!r} and its identity value {bad!r} are not"):
-            _report("scalar-shift", np.array([1.0, bad]), f, bad, 2)
+            moments_scalar_shift(pair, PointFn(2, origin=bad))
+        rule = Rank1Rule(1, korobov_vector(17797, 1, 1))
         with pytest.raises(ValueError, match=f"^grid-shift mean 1.0 and its identity value {bad!r} are not"):
-            _report("grid-shift", np.array([1.0, 1.0]), f, bad, 2)
+            moments_grid_shift(rule, PointFn(1, factor=bad), 2)
         with pytest.raises(ValueError, match=f"^grid-shift mean {bad!r} and its identity value 1.0 are not"):
-            _report("grid-shift", np.array([1.0, bad]), f, 1.0, 2)
+            moments_grid_shift(rule, PointFn(1, origin=bad), 2)
 
     def test_chunked_map_order_and_values(self):
         calls = []
