@@ -8,8 +8,9 @@ Floating point only enters when an integrand is evaluated, so biases at the
 `lattice_numerators` is the vectorized node kernel behind every node set
 the package evaluates: the randomized evaluators, the moment enumerations,
 the extended-rule identity, the CBC merits and the CBC scan's node
-products.  It is also the one node guard.  `Rank1Rule.node` is the per-point reference it is tested
-against.
+products.  It is also the one node guard; `shifts.DisplacedBlocks`
+displaces and lays out its nodes.  `Rank1Rule.node` is the per-point
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ def lattice_numerators(steps: Sequence[int], t: int, n: int) -> np.ndarray:
     """Node numerators j * steps[i] mod 2^t for j < n, shape (s, n).
 
     Row i holds coordinate i.  The three node sets of the package are all
-    of this form, displaced by uint64 offset columns with `displace`:
+    of this form, displaced by uint64 offset columns in
+    `shifts.DisplacedBlocks`:
 
     * rule nodes j * z / 2^m: steps z, depth m;
     * coset w of an embedded pair, extension nodes (j << sr) | w: steps
@@ -59,30 +61,6 @@ def lattice_numerators(steps: Sequence[int], t: int, n: int) -> np.ndarray:
     nums = as_uint64(steps)[:, None] * np.arange(n, dtype=np.uint64)
     np.bitwise_and(nums, np.uint64((1 << t) - 1), out=nums)
     return nums
-
-
-def displace(nums: np.ndarray, offsets: np.ndarray, t: int, buf: np.ndarray | None = None) -> np.ndarray:
-    """(nums[i, j] + offsets[i, b]) mod 2^t, as one block.
-
-    nums is (s, n) uint64 and offsets (s, B) uint64, each known mod 2^t or
-    mod 2^64: the sum wraps mod 2^64, which 2^t divides, so neither needs
-    reducing first.  The block is shift-major, (s, B, n), when n >= B: the
-    n nodes displaced by offset column b run along row b.  Otherwise it is
-    node-major, (s, n, B), and they run down column b.  Either way the
-    longer axis is the inner one, which is the axis a block's sums run
-    along.  The block is written at the head of the flat uint64 array buf
-    if one is given.
-    """
-    s, n = nums.shape
-    B = offsets.shape[1]
-    if n >= B:
-        a, b, shape = nums[:, None, :], offsets[:, :, None], (s, B, n)
-    else:
-        a, b, shape = nums[:, :, None], offsets[:, None, :], (s, n, B)
-    out = None if buf is None else buf[: s * n * B].reshape(shape)
-    out = np.add(a, b, out=out)
-    np.bitwise_and(out, np.uint64((1 << t) - 1), out=out)
-    return out
 
 
 @dataclass(frozen=True)

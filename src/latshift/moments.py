@@ -16,17 +16,19 @@ routes are exact up to summation rounding.
 
 Both enumerations run through one prepared block evaluator
 (`shifts.grid_blocks`, `shifts.coset_blocks`), built once per
-enumeration, and stream it over the shift space in blocks of the width it
-sets itself (about `shifts.BLOCK_NODES` nodes, so that a block's working
-set stays in cache); the grid enumeration spells its shifts with
-`shifts.grid_offsets`, and so does the generic rectangle rule its grid
-points.  A report is one pass: each block of class values feeds the three
-sums of `_report` at once and is dropped, so a report holds one block
-whatever the number of shifts.  Every sum is correctly rounded, bit for
-bit what `math.fsum` returns: the per-shift means come from
-`fsum.fsum_rows` and the moment sums and the identity values from
-`fsum.fsum_blocks`, so no result depends on the block size.  The
-variance and the third moment are formed from power sums about the
+enumeration, and feed the report from its stream
+(`shifts.DisplacedBlocks.stream`), blocks of the width it sets itself
+(about `shifts.BLOCK_NODES` nodes, so that a block's working set stays
+in cache); the grid enumeration spells its shifts with
+`shifts.grid_offsets`.  Every node block is built in `shifts`: the
+generic rectangle rule sums the product grid's blocks of
+`shifts.grid_point_blocks`.  A report is one pass: each block of class
+values feeds the three sums of `_report` at once and is dropped, so a
+report holds one block whatever the number of shifts.  Every sum is
+correctly rounded, bit for bit what `math.fsum` returns: the per-shift
+means come from `fsum.fsum_rows` and the moment sums and the identity
+values from `fsum.fsum_blocks`, so no result depends on the block size.
+The variance and the third moment are formed from power sums about the
 identity value, which lies within rounding of the mean, exactly and
 rounded once each.
 
@@ -53,24 +55,36 @@ from .fsum import fsum_blocks, fsum_rows
 from .functions import PeriodicFunction
 from .lattice import EmbeddedPair, Rank1Rule
 from .shifts import (
-    BLOCK_NODES,
-    DisplacedBlocks,
-    chunked_map,
     coset_blocks,
     coset_offsets,
     grid_blocks,
     grid_offsets,
+    grid_point_blocks,
     index_blocks,
     integral_offset,
 )
 
 MEAN_IDENTITY_RTOL = 1e-12
 
-# nothing in the package calls kahan_sum or chunked_map here any more
-# (the sums go through the fsum module, and the reports stream their
-# blocks); perfbench still binds spans at both and reads GUARD_BITS here,
-# so all three names stay
+# no program path calls kahan_sum or chunked_map (the sums go through the
+# fsum module, and the enumerations stream their blocks through
+# shifts.DisplacedBlocks); perfbench binds spans at both and reads
+# GUARD_BITS here, so the three names stay until ROADMAP 1c deletes them
 kahan_sum = math.fsum
+
+
+def chunked_map(block_values: Callable[[int, int], np.ndarray], n: int, block: int) -> np.ndarray:
+    """block_values(lo, hi) over consecutive blocks of range(n), in order in one float array.
+
+    Each block is written into the result as it comes, so no more than one
+    block is held beside it.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    out = np.empty(n)
+    for lo in range(0, n, block):
+        out[lo : lo + block] = block_values(lo, min(lo + block, n))
+    return out
 
 
 @dataclass(frozen=True)
@@ -198,24 +212,6 @@ def _central_moments(offset: float, c: float, s1: float, s2: float, s3: float, n
     return max(m2 * D - d * d, 0) / D**2, (m3 * D * D - 3 * d * m2 * D + 2 * d**3) / D**3
 
 
-def _class_means(
-    blocks: DisplacedBlocks, offsets: Callable[[np.ndarray], np.ndarray], classes: int
-) -> Callable[[], Iterator[np.ndarray]]:
-    """The means of classes 0 .. classes - 1 over the blocks, width at a
-    time, as a stream; offsets(words) gives the classes' offset columns.
-
-    The blocks are built, and refuse as they do, before the identity runs;
-    they hold no node buffer until the stream asks for the first block,
-    which is after the identity has freed its own.
-    """
-
-    def stream() -> Iterator[np.ndarray]:
-        for lo in range(0, classes, blocks.width):
-            yield blocks.means(offsets(np.arange(lo, min(lo + blocks.width, classes), dtype=np.uint64)))
-
-    return stream
-
-
 def moments_grid_shift(rule: Rank1Rule, f: PeriodicFunction, r: int) -> MomentReport:
     """Exact moments of the grid-shifted rule over all 2^(r*s) shifts.
 
@@ -235,7 +231,11 @@ def moments_grid_shift(rule: Rank1Rule, f: PeriodicFunction, r: int) -> MomentRe
         raise ValueError(f"grid resolution r={r} below rule resolution m={rule.m}")
     guard(1, "grid shifts", r * s)
     classes = 1 << (r * s - rule.m)
-    values = _class_means(grid_blocks(rule, f, r), lambda words: grid_offsets(words, s, r), classes)
+    blocks = grid_blocks(rule, f, r)
+
+    def values() -> Iterator[np.ndarray]:
+        return blocks.stream(lambda lo, hi: grid_offsets(np.arange(lo, hi, dtype=np.uint64), s, r), classes)
+
     return _report("grid-shift", values, classes, f, rectangle_rule_mean(f, s, r), 1 << (r * s))
 
 
@@ -252,7 +252,11 @@ def moments_scalar_shift(pair: EmbeddedPair, f: PeriodicFunction) -> MomentRepor
     guard(1, "extension nodes", pair.ext)
     mirrored = f.reflection_symmetric and pair.sr > 0
     classes = (1 << pair.sr - 1) + 1 if mirrored else 1 << pair.sr
-    values = _class_means(coset_blocks(pair, f), lambda words: coset_offsets(pair, words), classes)
+    blocks = coset_blocks(pair, f)
+
+    def values() -> Iterator[np.ndarray]:
+        return blocks.stream(lambda lo, hi: coset_offsets(pair, np.arange(lo, hi, dtype=np.uint64)), classes)
+
     return _report("scalar-shift", values, classes, f, extended_rule_value(pair, f), 1 << pair.sr, mirrored)
 
 
@@ -263,7 +267,7 @@ def rectangle_rule_mean(f: PeriodicFunction, s: int, r: int) -> float:
     on the array of the 2^r grid coordinates) this is the s-th power of the
     one-dimensional grid mean (cost 2^r instead of 2^(r*s), guarded like
     any node array); otherwise the full grid is enumerated under the usual
-    guard, BLOCK_NODES points at a time, into one correctly rounded sum.
+    guard, `shifts.BLOCK_NODES` points at a time, into one correctly rounded sum.
     """
     if s < 1:
         raise ValueError(f"dimension must be >= 1, got {s}")
@@ -280,19 +284,13 @@ def rectangle_rule_mean(f: PeriodicFunction, s: int, r: int) -> float:
             # the generic path's sum overflows to an infinity alike
             return math.copysign(math.inf, coord_mean) if s % 2 else math.inf
     guard(1, "grid points of an integrand with no per-coordinate factorization", r * s)
-    n, total = 1 << r, 1 << (r * s)
-
-    def block(lo: int) -> np.ndarray:
-        idx = np.arange(lo, min(lo + BLOCK_NODES, total), dtype=np.uint64)
-        return f.eval_batch(grid_offsets(idx, s, r) * (1.0 / n))
-
-    return fsum_blocks(lambda: map(block, range(0, total, BLOCK_NODES))) / total
+    return fsum_blocks(lambda: grid_point_blocks(f, s, r)) / (1 << (r * s))
 
 
 def extended_rule_value(pair: EmbeddedPair, f: PeriodicFunction) -> float:
     """Direct evaluation of the 2^(m+sr)-point extension of the pair.
 
-    The nodes k * z / 2^(m+sr) are evaluated in blocks of BLOCK_NODES
+    The nodes k * z / 2^(m+sr) are evaluated in blocks of `shifts.BLOCK_NODES`
     consecutive k, in the same kind of prepared buffers as the enumeration
     but in index order, and summed in one correctly rounded sum: a route
     independent of the coset enumeration whose mean it checks.

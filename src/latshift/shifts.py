@@ -18,26 +18,22 @@ array of words) splits it into s numerators: the one grid layout.
 
 The dyadic evaluators, both moment enumerations and the index-order node
 blocks of the extended-rule identity and the CBC merit (`index_blocks`)
-share one prepared block evaluator, `DisplacedBlocks`.  It builds the
-unshifted base node numerators once (`lattice.lattice_numerators`, the
-one node guard) and one node buffer.  A block adds its offset columns
-into the buffer as uint64 (`lattice.displace`, mod 2^t), scales them in
-place into its float64 view, evaluates them in one `eval_batch` call and
-subtracts If (when the integral is known).  The block is laid out the way
-its sums read it (`lattice.displace`): shift-major, (B, n) values,
-when the n nodes of a shift are at least as many as the block's B shifts
-(or cosets), and node-major, (n, B), otherwise, so the inner axis is
-always the longer one.  `fsum.fsum_rows` sums a block in place, one row
-a shift (a node-major block transposed), correctly rounded (equal to
-`math.fsum` bit for bit) in a few whole-array passes, so no block
-allocates a node array or a copy of its own.  If is added back after
-the sum, so a mean does not depend on the order of its nodes.
+share one prepared block evaluator, `DisplacedBlocks`, the one owner of
+a node block.  It builds the base node numerators once
+(`lattice.lattice_numerators`, the one node guard) and one node buffer,
+lays out, evaluates and sums each block of displaced nodes, and streams
+itself over any number of offset columns (`DisplacedBlocks.stream`, the
+one loop over them).  `fsum.fsum_rows` sums a block in place, one row a
+shift, correctly rounded (equal to `math.fsum` bit for bit) in a few
+whole-array passes, so no block allocates a node array or a copy of its
+own.  The blocks hold f - If, and If is added back after the sum, so a
+mean does not depend on the order of its nodes.  The one other node
+block, the product grid of the rectangle-rule identity
+(`grid_point_blocks`), holds f itself and is built here too.
 
-A block evaluator sizes its own blocks (`DisplacedBlocks.width`) and maps
-itself over them with `chunked_map`, the one block loop.  The prepared
-evaluators `grid_evaluator` and `scalar_evaluator` take a sequence of
-shifts and return their means in order.  Each checks every shift first,
-then evaluates them a block at a time in one `DisplacedBlocks`, built
+The prepared evaluators `grid_evaluator` and `scalar_evaluator` take a
+sequence of shifts and return their means in order.  Each checks every
+shift first, then streams them through one `DisplacedBlocks`, built
 once.  A node is the same integer as a fresh build would give, and every
 sum is correctly rounded, so each mean is bitwise that of the shift
 evaluated alone.  Since the buffers are reused, one evaluator must not
@@ -58,14 +54,7 @@ import numpy as np
 from .errors import GUARD_BITS
 from .fsum import fsum_rows
 from .functions import PeriodicFunction
-from .lattice import (
-    NODE_DTYPE_BITS,
-    EmbeddedPair,
-    Rank1Rule,
-    as_uint64,
-    displace,
-    lattice_numerators,
-)
+from .lattice import NODE_DTYPE_BITS, EmbeddedPair, Rank1Rule, as_uint64, lattice_numerators
 
 # shifts are evaluated in blocks of about this many nodes, which bounds the
 # node arrays whatever the number of shifts.  A block's working set is about
@@ -143,20 +132,6 @@ class RealShift:
         return len(self.u)
 
 
-def chunked_map(block_values: Callable[[int, int], np.ndarray], n: int, block: int) -> np.ndarray:
-    """block_values(lo, hi) over consecutive blocks of range(n), in order in one float array.
-
-    Each block is written into the result as it comes, so no more than one
-    block is held beside it.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out = np.empty(n)
-    for lo in range(0, n, block):
-        out[lo : lo + block] = block_values(lo, min(lo + block, n))
-    return out
-
-
 def integral_offset(f: PeriodicFunction) -> float:
     """If where f declares it, else 0.0: the blocks evaluate f - If, and a
     mean adds it back after the sum."""
@@ -165,7 +140,7 @@ def integral_offset(f: PeriodicFunction) -> float:
 
 class DisplacedBlocks:
     """Prepared f - If over the nodes j * steps mod 2^t, j < n, displaced by
-    blocks of offset columns.
+    blocks of offset columns: the one owner of a node block.
 
     Built once per enumeration or estimate: the base numerators (s, n),
     refused as `lattice.lattice_numerators` refuses them, and one node
@@ -173,15 +148,16 @@ class DisplacedBlocks:
     width = max(1, min(BLOCK_NODES, 2^GUARD_BITS // s) // n) columns:
     about BLOCK_NODES nodes, fewer where its s * n * width coordinates
     would pass the guard, and at least one, so a block is within the guard
-    whenever its s * n base coordinates are.  A call adds its block's
-    offset columns in place as uint64 (`lattice.displace`), in the layout
-    the sums read (shift-major when n is at least the block's width,
-    node-major otherwise), scales them in place into the buffer's float64
-    view (the integers are spent once scaled), evaluates, and subtracts
-    If; `means` then sums along the block's inner axis with a correctly
-    rounded sum that may overwrite the values.  The buffer is reused, so
-    a call must not start while another runs (not reentrant), and the
-    values a call returns are overwritten by the next.
+    whenever its s * n base coordinates are.  `values` adds a block's
+    offset columns in place as uint64, shift-major (each column's n nodes
+    along a row) when n is at least the block's B columns and node-major
+    (down a column) otherwise, so the inner axis, which the sums run
+    along, is the longer one; it scales them in place into the buffer's
+    float64 view, evaluates and subtracts If.  `means` sums each column's
+    values correctly rounded, and may overwrite them; `stream` runs
+    `means` over any number of columns, width at a time.  The buffer is
+    reused, so a call must not start while another runs (not reentrant),
+    and the values a call returns are overwritten by the next.
     """
 
     def __init__(self, steps: Sequence[int], t: int, n: int, f: PeriodicFunction) -> None:
@@ -195,14 +171,21 @@ class DisplacedBlocks:
         """f - If at the nodes displaced by each uint64 offset column of the
         (s, B) offsets, B <= width, in the buffer's float view: (B, n)
         when n >= B, else (n, B)."""
-        size = self.base.size * offsets.shape[1]
-        if self._buf.size < size:
-            self._buf = np.empty(size, dtype=np.uint64)
-        nums = displace(self.base, offsets, self.t, self._buf)
+        (s, n), B = self.base.shape, offsets.shape[1]
+        if self._buf.size < s * n * B:
+            self._buf = np.empty(s * n * B, dtype=np.uint64)
+        if n >= B:
+            a, b, shape = self.base[:, None, :], offsets[:, :, None], (s, B, n)
+        else:
+            a, b, shape = self.base[:, :, None], offsets[:, None, :], (s, n, B)
+        # the base numerators and the offsets are known mod 2^t or mod 2^64:
+        # the sum wraps mod 2^64, which 2^t divides, so one mask reduces it
+        nums = np.add(a, b, out=self._buf[: s * n * B].reshape(shape))
+        np.bitwise_and(nums, np.uint64((1 << self.t) - 1), out=nums)
         # a cast in place, then a scaling in place: faster than one multiply
         # that casts into its own input's memory, with the same floats
         floats = self._buf.view(np.float64)
-        xs = floats[: nums.size].reshape(nums.shape)
+        xs = floats[: nums.size].reshape(shape)
         np.copyto(xs, nums, casting="unsafe")
         xs *= 1.0 / (1 << self.t)
         if self.t > 53:
@@ -211,7 +194,7 @@ class DisplacedBlocks:
             xs[xs == 1.0] = 0.0
         # the coordinates are spent once f is evaluated, so the values take
         # their place at the head of the buffer
-        return np.subtract(self.f.eval_batch(xs), self.off, out=floats[: nums[0].size].reshape(nums.shape[1:]))
+        return np.subtract(self.f.eval_batch(xs), self.off, out=floats[: n * B].reshape(shape[1:]))
 
     def means(self, offsets: np.ndarray) -> np.ndarray:
         """Mean of f over the nodes of each offset column, one per column;
@@ -225,9 +208,11 @@ class DisplacedBlocks:
 
         return self.off + fsum_rows(rows(slice(None)), rows) / self.n
 
-    def all_means(self, offsets: np.ndarray) -> list[float]:
-        """`means` of any number of offset columns, width at a time."""
-        return chunked_map(lambda lo, hi: self.means(offsets[:, lo:hi]), offsets.shape[1], self.width).tolist()
+    def stream(self, offsets: Callable[[int, int], np.ndarray], count: int) -> Iterator[np.ndarray]:
+        """`means` of the offset columns offsets(lo, hi) for lo < hi <= count,
+        width columns at a time, in order: the one loop over offset columns."""
+        for lo in range(0, count, self.width):
+            yield self.means(offsets(lo, min(lo + self.width, count)))
 
 
 def grid_blocks(rule: Rank1Rule, f: PeriodicFunction, r: int) -> DisplacedBlocks:
@@ -282,6 +267,27 @@ def index_blocks(steps: Sequence[int], t: int, f: PeriodicFunction, count: int |
         yield blocks.values(as_uint64(lo * c for c in steps)[:, None])[0, : n - lo]
 
 
+def grid_point_blocks(f: PeriodicFunction, s: int, r: int) -> Iterator[np.ndarray]:
+    """f at the 2^(r*s) points of the product grid {0..2^r-1}^s / 2^r, in
+    index order (the layout of `grid_offsets`), BLOCK_NODES points at a
+    time; unlike the other blocks, f itself, not f - If."""
+    total = 1 << (r * s)
+    for lo in range(0, total, BLOCK_NODES):
+        idx = np.arange(lo, min(lo + BLOCK_NODES, total), dtype=np.uint64)
+        yield f.eval_batch(grid_offsets(idx, s, r) * (1.0 / (1 << r)))
+
+
+def _evaluator(blocks: DisplacedBlocks, columns: Callable[[Sequence], np.ndarray]) -> Callable[[Sequence], list[float]]:
+    """The prepared evaluator over blocks: the means of the offset columns
+    columns(shifts) gives, in order, once it has checked every shift."""
+
+    def evaluate(shifts: Sequence) -> list[float]:
+        cols = columns(shifts)
+        return [x for means in blocks.stream(lambda lo, hi: cols[:, lo:hi], cols.shape[1]) for x in means.tolist()]
+
+    return evaluate
+
+
 def grid_evaluator(rule: Rank1Rule, f: PeriodicFunction, r: int) -> Callable[[Sequence[GridShift]], list[float]]:
     """Prepared means of f over the rule nodes displaced by each r-bit grid shift.
 
@@ -292,15 +298,15 @@ def grid_evaluator(rule: Rank1Rule, f: PeriodicFunction, r: int) -> Callable[[Se
     blocks = grid_blocks(rule, f, r)
     up = blocks.t - r
 
-    def evaluate(shifts: Sequence[GridShift]) -> list[float]:
+    def columns(shifts: Sequence[GridShift]) -> np.ndarray:
         for shift in shifts:
             if shift.s != rule.s:
                 raise ValueError(f"dimension mismatch: shift has {shift.s}, rule has {rule.s}")
             if shift.r != r:
                 raise ValueError(f"bit-depth mismatch: shift has {shift.r}, evaluator has {r}")
-        return blocks.all_means(as_uint64(v << up for shift in shifts for v in shift.nums).reshape(-1, rule.s).T)
+        return as_uint64(v << up for shift in shifts for v in shift.nums).reshape(-1, rule.s).T
 
-    return evaluate
+    return _evaluator(blocks, columns)
 
 
 def scalar_evaluator(pair: EmbeddedPair, f: PeriodicFunction) -> Callable[[Sequence[ScalarShift]], list[float]]:
@@ -309,15 +315,14 @@ def scalar_evaluator(pair: EmbeddedPair, f: PeriodicFunction) -> Callable[[Seque
     Every shift is checked before any is evaluated.  Refuses as
     DisplacedBlocks does; not reentrant.
     """
-    blocks = coset_blocks(pair, f)
 
-    def evaluate(shifts: Sequence[ScalarShift]) -> list[float]:
+    def columns(shifts: Sequence[ScalarShift]) -> np.ndarray:
         for shift in shifts:
             if shift.sr != pair.sr:
                 raise ValueError(f"bit-depth mismatch: shift has {shift.sr}, pair has {pair.sr}")
-        return blocks.all_means(coset_offsets(pair, as_uint64(shift.wnum for shift in shifts)))
+        return coset_offsets(pair, as_uint64(shift.wnum for shift in shifts))
 
-    return evaluate
+    return _evaluator(coset_blocks(pair, f), columns)
 
 
 def eval_rule(rule: Rank1Rule, f: PeriodicFunction) -> float:

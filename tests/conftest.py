@@ -15,7 +15,6 @@ from latshift import (
     moments_grid_shift,
     moments_scalar_shift,
 )
-from latshift import moments as moments_module
 from latshift import shifts as shifts_module
 
 TABLE_CONFIGS = ((3, 4, 4), (2, 5, 5))
@@ -137,11 +136,10 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
 
 def set_block_nodes(monkeypatch, block: int) -> None:
-    """Run the block layer at blocks of about `block` nodes: `shifts` sizes
-    every node block by BLOCK_NODES, and `moments` slices its moment sums
-    and the generic rectangle rule by the same constant."""
+    """Run the block layer at blocks of about `block` nodes: `shifts` builds
+    every node block, the product grid's of the generic rectangle rule
+    too, and sizes each one by BLOCK_NODES."""
     monkeypatch.setattr(shifts_module, "BLOCK_NODES", block)
-    monkeypatch.setattr(moments_module, "BLOCK_NODES", block)
 
 
 def index_block_count(t: int) -> int:

@@ -30,8 +30,7 @@ from latshift import (
 )
 from latshift import errors as errors_module
 from latshift import shifts as shifts_module
-from latshift.lattice import as_uint64, displace, lattice_numerators
-from latshift.moments import chunked_map
+from latshift.lattice import as_uint64, lattice_numerators
 from latshift.shifts import (
     BLOCK_NODES,
     DisplacedBlocks,
@@ -75,16 +74,14 @@ def test_grid_shifted_nodes_match_dyadic_addition(cfg, data):
     s, m, r, z = cfg
     rule = Rank1Rule(m, z)
     shift = GridShift(tuple(data.draw(st.integers(0, (1 << r) - 1)) for _ in range(s)), r)
-    t = max(m, r)
-    steps = [c << (t - m) for c in z.components]
-    offsets = as_uint64(shift.nums)[:, None] << np.uint64(t - r)
-    nums = displace(lattice_numerators(steps, t, rule.n_points), offsets, t)
+    f = ProductBernoulliFn(s)
+    blocks = grid_blocks(rule, f, r)
+    offsets = as_uint64(shift.nums)[:, None] << np.uint64(blocks.t - r)
     v = DyadicPoint(shift.nums, r)
     points = [dyadic_add(rule.node(j), v) for j in range(rule.n_points)]
-    # one offset column and n >= 1 nodes: the block is shift-major, (s, 1, n)
-    assert nums[:, 0, :].T.tolist() == [list(p.nums) for p in points]
-    f = ProductBernoulliFn(s)
     values = [product_bernoulli_point(p.as_floats()) for p in points]
+    # one offset column and n >= 1 nodes: the block is shift-major, (1, n)
+    assert blocks.values(offsets).tolist() == [[x - 1.0 for x in values]]
     reference = 1.0 + math.fsum(x - 1.0 for x in values) / rule.n_points
     assert eval_grid_shifted(rule, f, shift) == reference
 
@@ -97,14 +94,53 @@ def test_coset_blocks_match_per_point_and_single_shift(cfg, block):
     f = ProductBernoulliFn(s)
     n = 1 << m
     blocks = coset_blocks(pair, f)
-    values = chunked_map(
-        lambda lo, hi: blocks.means(coset_offsets(pair, np.arange(lo, hi, dtype=np.uint64))), 1 << pair.sr, block
-    )
-    for w, value in enumerate(values.tolist()):
+    # the stream at 1 to 9 columns a block, the last one short for most
+    blocks.width = block
+    offsets = lambda lo, hi: coset_offsets(pair, np.arange(lo, hi, dtype=np.uint64))  # noqa: E731
+    values = [x for means in blocks.stream(offsets, 1 << pair.sr) for x in means.tolist()]
+    for w, value in enumerate(values):
         assert value == eval_scalar_shifted(pair, f, ScalarShift(w, pair.sr))
         points = [coset_node(pair, j, w) for j in range(n)]
         reference = 1.0 + math.fsum(product_bernoulli_point(p.as_floats()) - 1.0 for p in points) / n
         assert value == reference
+
+
+@pytest.mark.parametrize("t", [5, 53, 54, 60, 64])
+@pytest.mark.parametrize("n, B", [(8, 3), (4, 4), (2, 7)])
+def test_values_equal_per_point_nodes_in_both_layouts(t, n, B):
+    # shift-major (B, n) where n >= B, node-major (n, B) where n < B; the
+    # first column puts a numerator of 2^t - 1 on every coordinate of node
+    # 0, which past 53 bits rounds to 1.0 and must read 0.0
+    s = 3
+    rng = random.Random(1000 * t + 10 * n + B)
+    z = GeneratingVector(tuple(rng.randrange(1 << t) | 1 for _ in range(s)), t)
+    near_one = [(1 << t) - 1, (1 << t) - (1 << max(t - 54, 0))]
+    cols = [((1 << t) - 1,) * s] + [
+        tuple(rng.choice([*near_one, rng.randrange(1 << t)]) for _ in range(s)) for _ in range(B - 1)
+    ]
+    seen = []
+
+    class Recording(ProductBernoulliFn):
+        def eval_batch(self, xs):
+            seen.append(xs.copy())
+            return super().eval_batch(xs)
+
+    offsets = as_uint64(v for c in cols for v in c).reshape(B, s).T
+    values = DisplacedBlocks(z.components, t, n, Recording(s)).values(offsets)
+    rule = Rank1Rule(t, z)
+    points = [[dyadic_add(rule.node(j), DyadicPoint(c, t)).as_floats() for j in range(n)] for c in cols]
+    (xs,) = seen
+    if n >= B:
+        assert values.shape == (B, n) and xs.shape == (s, B, n)
+        by_column = xs.transpose(1, 2, 0), values
+    else:
+        assert values.shape == (n, B) and xs.shape == (s, n, B)
+        by_column = xs.transpose(2, 1, 0), values.T
+    assert by_column[0].tolist() == [[list(p) for p in column] for column in points]
+    assert by_column[1].tolist() == [[product_bernoulli_point(p) - 1.0 for p in column] for column in points]
+    assert xs.max() < 1.0
+    # node 0 of column 0, in either layout
+    assert xs[:, 0, 0].tolist() == [0.0 if t > 53 else 1.0 - 2.0**-t] * s
 
 
 @PROPERTY

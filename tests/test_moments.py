@@ -27,10 +27,10 @@ from latshift import (
     rectangle_rule_mean,
 )
 
-from latshift import moments as moments_module
-from latshift.moments import _class_means, _report, chunked_map
+from latshift import shifts as shifts_module
+from latshift.moments import _report, chunked_map
 from latshift.reference import REFERENCE_CELLS
-from latshift.shifts import coset_blocks, coset_offsets, grid_blocks, grid_offsets
+from latshift.shifts import DisplacedBlocks, coset_blocks, coset_offsets, grid_blocks, grid_offsets
 
 from conftest import count_calls, index_block_count, rel_err, set_block_nodes
 
@@ -118,12 +118,19 @@ class TestExactRationalSpotCheck:
         assert rel_err(rep.mu3, float(sum((q - mean) ** 3 for q in qs) / len(qs))) < 1e-8
 
 
+def grid_words(s: int, r: int):
+    """The offset columns lo .. hi - 1 of the r-bit grid shifts in s
+    dimensions, for `DisplacedBlocks.stream`."""
+    return lambda lo, hi: grid_offsets(np.arange(lo, hi, dtype=np.uint64), s, r)
+
+
 def full_grid_report(rule: Rank1Rule, f: ProductBernoulliFn, r: int):
     """The grid-shift report over all 2^(r*s) shifts, every class in full."""
     s = rule.s
     size = 1 << (r * s)
-    values = _class_means(grid_blocks(rule, f, r), lambda words: grid_offsets(words, s, r), size)
-    return _report("grid-shift", values, size, f, rectangle_rule_mean(f, s, r), size)
+    blocks = grid_blocks(rule, f, r)
+    return _report("grid-shift", lambda: blocks.stream(grid_words(s, r), size), size, f,
+                   rectangle_rule_mean(f, s, r), size)
 
 
 def report_bits(rep) -> dict:
@@ -193,7 +200,7 @@ class TestRectangleRuleMean:
         class Wrapped(ProductBernoulliFn):
             factor = None
 
-        monkeypatch.setattr(moments_module, "BLOCK_NODES", block)
+        monkeypatch.setattr(shifts_module, "BLOCK_NODES", block)
         f = Wrapped(2)
         for r in range(7):
             n = 1 << r
@@ -449,7 +456,7 @@ class TestReflectionSymmetry:
     @pytest.mark.parametrize("s, m, r", CELLS)
     def test_half_and_full_enumerations_give_equal_reports(self, s, m, r, monkeypatch):
         sr = s * r
-        calls = count_calls(monkeypatch, moments_module, "_class_means")
+        calls = count_calls(monkeypatch, DisplacedBlocks, "stream")
         for ell in (1267, 17797, 5709):
             pair = EmbeddedPair(m, sr, korobov_vector(ell, s, max(m + sr, 1)))
             half = moments_scalar_shift(pair, ProductBernoulliFn(s))
@@ -460,7 +467,7 @@ class TestReflectionSymmetry:
 
     @pytest.mark.parametrize("s, m, r", [(1, 0, 3), (2, 1, 2), (2, 2, 2), (3, 0, 2), (1, 3, 4)])
     def test_asymmetric_integrand_matches_brute_force(self, s, m, r, monkeypatch):
-        calls = count_calls(monkeypatch, moments_module, "_class_means")
+        calls = count_calls(monkeypatch, DisplacedBlocks, "stream")
         pair = EmbeddedPair(m, s * r, korobov_vector(1267, s, m + s * r))
         f = SkewFn(s)
         values, check = brute_scalar_values(pair, f)
@@ -539,13 +546,14 @@ class NoIntegralFn(ProductBernoulliFn):
 
 def scalar_values(pair: EmbeddedPair, f: PeriodicFunction) -> list[float]:
     """The rule value of every coset, through the enumeration's blocks."""
-    return coset_blocks(pair, f).all_means(coset_offsets(pair, np.arange(1 << pair.sr, dtype=np.uint64)))
+    offsets = lambda lo, hi: coset_offsets(pair, np.arange(lo, hi, dtype=np.uint64))  # noqa: E731
+    return np.concatenate(list(coset_blocks(pair, f).stream(offsets, 1 << pair.sr))).tolist()
 
 
 def grid_values(rule: Rank1Rule, f: PeriodicFunction, r: int) -> list[float]:
     """The rule value of one shift per lattice-translation class."""
-    words = np.arange(1 << (r * rule.s - rule.m), dtype=np.uint64)
-    return grid_blocks(rule, f, r).all_means(grid_offsets(words, rule.s, r))
+    classes = 1 << (r * rule.s - rule.m)
+    return np.concatenate(list(grid_blocks(rule, f, r).stream(grid_words(rule.s, r), classes))).tolist()
 
 
 class TestExactCentralMoments:
