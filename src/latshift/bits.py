@@ -51,8 +51,6 @@ class BitSource:
     iid-stream contract.  Use distinct sources on distinct threads.
     """
 
-    kind: str
-
     def __init__(self) -> None:
         self.bits_consumed = 0
 
@@ -91,8 +89,6 @@ class _WordSource(BitSource):
 class SeededBitSource(_WordSource):
     """Reproducible bit stream: SplitMix64 words, most significant bit first."""
 
-    kind = "seeded"
-
     def __init__(self, seed: int) -> None:
         super().__init__()
         self.seed = seed
@@ -105,8 +101,6 @@ class SeededBitSource(_WordSource):
 class OsEntropyBitSource(_WordSource):
     """Bits from the operating system entropy pool, read as big-endian words."""
 
-    kind = "os-entropy"
-
     def _next64(self) -> int:
         return int.from_bytes(os.urandom(8), "big")
 
@@ -117,8 +111,6 @@ class FileBitSource(BitSource):
     Holds the bits as a string of '0'/'1' characters, so a draw parses one
     slice with `int(piece, 2)`, in time linear in the draw.
     """
-
-    kind = "file"
 
     def __init__(self, bits: str, origin: str = "<memory>") -> None:
         super().__init__()

@@ -149,11 +149,6 @@ def _baseline(s: int, level: int) -> float:
     return min(merit(korobov_vector(ell, s, max(level, 1)), 1 << level).value for ell in BASELINE_ELLS)
 
 
-def _normalizers(s: int, m: int, sr: int) -> tuple[float, float]:
-    """The baselines of the levels 2^m and 2^(m+sr), each evaluated once."""
-    return _baseline(s, m), _baseline(s, m + sr)
-
-
 def embedded_merit(z: GeneratingVector, m: int, sr: int) -> EmbeddedMerit:
     """Merits of z at levels 2^m and 2^(m+sr) plus the combined figure.
 
@@ -165,8 +160,7 @@ def embedded_merit(z: GeneratingVector, m: int, sr: int) -> EmbeddedMerit:
         raise ValueError(f"need m >= 0 and sr >= 0, got m={m}, sr={sr}")
     base = merit(z, 1 << m)
     extended = merit(z, 1 << (m + sr)) if sr else base
-    rb, re = _normalizers(z.s, m, sr)
-    return EmbeddedMerit(base, extended, max(base.value / rb, extended.value / re))
+    return EmbeddedMerit(base, extended, max(base.value / _baseline(z.s, m), extended.value / _baseline(z.s, m + sr)))
 
 
 def _powers_of_five(count: int, n: int) -> np.ndarray:
@@ -472,7 +466,7 @@ def cbc_construct(
             f = we[lattice_numerators([comps[-1]], ext, n_ext)[0].view(np.int64)]
             f *= pe
             pe = f
-        rb, re = _normalizers(d, m, sr)
+        rb, re = _baseline(d, m), _baseline(d, m + sr)
         prefix = tuple(comps)
 
         (b, b_err), (e, e_err) = scan.merits(pe, d, (rb, re))

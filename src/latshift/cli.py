@@ -73,12 +73,12 @@ def _parse_z(text: str) -> tuple[int, ...]:
 
 def _vector_from_args(args, t: int) -> GeneratingVector:
     # tested against None, so --ell 0 or an empty --z is refused for its value
-    if getattr(args, "z", None) is not None:
+    if args.z is not None:
         z = _parse_z(args.z)
         if len(z) != args.s:
             raise ValueError(f"--z has {len(z)} components, but --s is {args.s}")
         return GeneratingVector(z, t)
-    if getattr(args, "ell", None) is not None:
+    if args.ell is not None:
         return korobov_vector(args.ell, args.s, t)
     raise ValueError("provide a generating vector via --ell or --z")
 
@@ -97,10 +97,6 @@ def _check_r(args) -> None:
     """Refuse a negative --r before any value is derived from it."""
     if args.r < 0:
         raise ValueError(f"--r must be >= 0, got {args.r}")
-
-
-def _print5(x: float) -> str:
-    return f"{x:.4e}"
 
 
 def _emit(text: str | Iterable[str], out_path: str | None) -> None:
@@ -174,7 +170,7 @@ def cmd_tables(args) -> int:
                         "statistic": stat,
                         "expected": expected,
                         "computed": got,
-                        "computed_5sig": _print5(got),
+                        "computed_5sig": f"{got:.4e}",
                         "rel_err": rel,
                         "rtol": rtol,
                         "match": ok,

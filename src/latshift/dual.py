@@ -28,7 +28,9 @@ read of a dense table over the keys where that table is small against the
 pairs formed (2 bytes a key, at most 8 MB), by a binary search over the
 sorted keys elsewhere.  Every sum is correctly rounded,
 bit for bit as `math.fsum`, so no result depends on the order or the
-blocking of its terms.  The third-moment series forms each unordered pair
+blocking of its terms: the third-moment series sums its inner sums, a
+block of rows at a time, with `fsum_rows`, and its two totals, each a
+stream of one block, with `fsum_blocks`.  It forms each unordered pair
 {k, h - k} once, a block of h rows at a time, and for even coefficients
 (c(-h) = c(h), as for every real integrand with real coefficients) sums
 only the rows of half the duals: the sorted duals are closed under
@@ -49,8 +51,6 @@ from .fsum import fsum_blocks, fsum_rows
 from .functions import PeriodicFunction
 from .lattice import NODE_DTYPE_BITS, DyadicPoint, Rank1Rule
 from .shifts import GridShift, RealShift
-
-DualIndex = tuple[int, ...]
 
 # box duals per block: the candidates a block of the key build solves, and
 # the rows a block decodes, so memory beyond the keys and coefficients (8
@@ -198,15 +198,14 @@ class SeriesResult:
 
 @dataclass(frozen=True)
 class CumulantSet:
-    """Cumulants kappa_2..kappa_4 of a replicate-mean estimator.
+    """Cumulants kappa_2 and kappa_3 of a replicate-mean estimator.
 
     q records how many iid single replicates the described mean averages;
-    central moments follow as mu2 = k2, mu3 = k3, mu4 = k4 + 3 k2^2.
+    the central moments are mu2 = k2 and mu3 = k3.
     """
 
     kappa2: float
     kappa3: float
-    kappa4: float | None = None
     q: int = 1
 
     def __post_init__(self) -> None:
@@ -221,12 +220,6 @@ class CumulantSet:
     def mu3(self) -> float:
         return self.kappa3
 
-    @property
-    def mu4(self) -> float | None:
-        if self.kappa4 is None:
-            return None
-        return self.kappa4 + 3.0 * self.kappa2**2
-
 
 def mean_cumulants(single: CumulantSet, q: int) -> CumulantSet:
     """Cumulants of the mean of q iid replicates: kappa_r scales by q^(1-r)."""
@@ -235,7 +228,6 @@ def mean_cumulants(single: CumulantSet, q: int) -> CumulantSet:
     return CumulantSet(
         kappa2=single.kappa2 / q,
         kappa3=single.kappa3 / q**2,
-        kappa4=None if single.kappa4 is None else single.kappa4 / q**3,
         q=single.q * q,
     )
 
@@ -284,7 +276,7 @@ def _box_keys(rule: Rank1Rule, H: int, per: int) -> np.ndarray:
     return np.concatenate(keys)
 
 
-def dual_points(rule: Rank1Rule, box: TruncationBox) -> list[DualIndex]:
+def dual_points(rule: Rank1Rule, box: TruncationBox) -> list[tuple[int, ...]]:
     """All nonzero h with |h_i| <= H and h . z = 0 (mod 2^m), in lexicographic order.
 
     The duals are solved in closed form (see `_box_keys`) and kept by the
@@ -293,11 +285,6 @@ def dual_points(rule: Rank1Rule, box: TruncationBox) -> list[DualIndex]:
     """
     duals = box.prepare(rule)
     return [h for block in duals.blocks() for h in map(tuple, duals.rows(block).tolist())]
-
-
-def _fsum(terms: np.ndarray) -> float:
-    """math.fsum of the 1-D float array terms, bit for bit."""
-    return float(fsum_rows(terms.reshape(1, -1))[0])
 
 
 def _shift_floats(shift: RealShift | GridShift | None, s: int) -> tuple[float, ...]:
@@ -477,5 +464,5 @@ def third_moment_series(rule: Rank1Rule, f: PeriodicFunction, box: TruncationBox
     inner[rows:] = inner[: D - rows][::-1]
     del lo, hi
     tail1 = f.coefficient_tail_bound(H, 1)
-    tail = 3.0 * tail1 * (_fsum(np.abs(coeffs)) + tail1)
-    return SeriesResult(_fsum(coeffs * inner), tail, H)
+    tail = 3.0 * tail1 * (fsum_blocks(lambda: [np.abs(coeffs)]) + tail1)
+    return SeriesResult(fsum_blocks(lambda: [coeffs * inner]), tail, H)

@@ -25,9 +25,9 @@ A sum is settled when its exact sum is known (r = E = 0: s is then the
 IEEE-rounded sum of two floats, ties to even), or when |t| + |r| + E lies
 below half the gap from s to either neighbour (s is then the nearest
 float to the exact sum), E being the bound on r; `_settled` is that one
-test on every path.  fsum_rows, the one array entry, picks the pass
-axis: along the rows when the sums are at least as long as they
-are many, and down the columns otherwise, since numpy reduces a
+test on every path.  fsum_rows, the entry for a block of rows, picks
+the pass axis: along the rows when the sums are at least as long as
+they are many, and down the columns otherwise, since numpy reduces a
 contiguous axis fast only for long sums.  It sums a copy laid out so,
 unless the array is laid out already (as `shifts` writes its blocks)
 and its caller gives it up with again(i), a way to form rows i anew: it
@@ -36,12 +36,13 @@ certificate cannot settle.  Sums longer than BLOCK_TERMS are reduced a
 block at a time and the blocks' parts (s, t, r, two exact floats and
 one within its bound) are reduced once more.
 fsum_blocks sums k rows at once, fed as a stream of (k, B) blocks (a
-1-D block is one row).  It first joins the blocks into whole pieces of
-at most BLOCK_TERMS terms over all k rows, whatever the blocks' widths,
-so a stream of at most that many terms fed in several blocks still
-settles after one extraction, and a longer one takes as few pieces as it
-can; it holds one piece and one work array of its size at a time, laid
-out down a column for one row and along the rows for more.  Every other
+1-D block is one row, so one array is a stream of one block).  It first
+joins the blocks into whole pieces of at most BLOCK_TERMS terms over all
+k rows, whatever the blocks' widths, so a stream of at most that many
+terms fed in several blocks still settles after one extraction, and a
+longer one takes as few pieces as it can; it holds one piece and one
+work array of its size at a time, laid out down a column for one row
+and along the rows for more.  Every other
 sum, including sums with a non-finite term or a scale near overflow, goes
 to math.fsum, and so does a stream of fewer than SHORT_TERMS terms a row,
 where the passes' fixed cost (some 30-50 numpy calls) exceeds

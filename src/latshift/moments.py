@@ -26,8 +26,8 @@ generic rectangle rule sums the product grid's blocks of
 values feeds the three sums of `_report` at once and is dropped, so a
 report holds one block whatever the number of shifts.  Every sum is
 correctly rounded, bit for bit what `math.fsum` returns: the per-shift
-means come from `fsum.fsum_rows` and the moment sums and the identity
-values from `fsum.fsum_blocks`, so no result depends on the block size.
+means come from `fsum.fsum_rows` in the block evaluator and every other
+sum from `fsum.fsum_blocks`, so no result depends on the block size.
 The variance and the third moment are formed from power sums about the
 identity value, which lies within rounding of the mean, exactly and
 rounded once each.
@@ -51,7 +51,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import GUARD_BITS, IdentityCheckError, guard
-from .fsum import fsum_blocks, fsum_rows
+from .fsum import fsum_blocks
 from .functions import PeriodicFunction
 from .lattice import EmbeddedPair, Rank1Rule
 from .shifts import (
@@ -277,7 +277,7 @@ def rectangle_rule_mean(f: PeriodicFunction, s: int, r: int) -> float:
     if factor is not None:
         guard(1, "grid coordinates", r)
         n = 1 << r
-        coord_mean = float(fsum_rows(factor(np.arange(n) * (1.0 / n))[None, :])[0]) / n
+        coord_mean = fsum_blocks(lambda: [factor(np.arange(n) * (1.0 / n))]) / n
         try:
             return coord_mean**s
         except OverflowError:

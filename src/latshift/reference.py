@@ -29,21 +29,14 @@ class ReferenceCell:
     bias_scalar: float
     sd_grid: float
     sd_scalar: float
-    rtol_bias_grid: float = DEFAULT_RTOL
-    rtol_bias_scalar: float = DEFAULT_RTOL
-    rtol_sd_grid: float = DEFAULT_RTOL
     rtol_sd_scalar: float = DEFAULT_RTOL
-
-    @property
-    def sr(self) -> int:
-        return self.s * self.r
 
     def expectations(self) -> list[tuple[str, str, float, float]]:
         """(scheme, statistic, expected value, relative tolerance) rows."""
         return [
-            ("grid-shift", "bias", self.bias_grid, self.rtol_bias_grid),
-            ("grid-shift", "sd", self.sd_grid, self.rtol_sd_grid),
-            ("scalar-shift", "bias", self.bias_scalar, self.rtol_bias_scalar),
+            ("grid-shift", "bias", self.bias_grid, DEFAULT_RTOL),
+            ("grid-shift", "sd", self.sd_grid, DEFAULT_RTOL),
+            ("scalar-shift", "bias", self.bias_scalar, DEFAULT_RTOL),
             ("scalar-shift", "sd", self.sd_scalar, self.rtol_sd_scalar),
         ]
 

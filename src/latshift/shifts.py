@@ -23,11 +23,12 @@ a node block.  It builds the base node numerators once
 (`lattice.lattice_numerators`, the one node guard) and one node buffer,
 lays out, evaluates and sums each block of displaced nodes, and streams
 itself over any number of offset columns (`DisplacedBlocks.stream`, the
-one loop over them).  `fsum.fsum_rows` sums a block in place, one row a
-shift, correctly rounded (equal to `math.fsum` bit for bit) in a few
-whole-array passes, so no block allocates a node array or a copy of its
-own.  The blocks hold f - If, and If is added back after the sum, so a
-mean does not depend on the order of its nodes.  The one other node
+one loop over them).  A block's values come as one row a shift, and
+`fsum.fsum_rows` sums them in place, correctly rounded (equal to
+`math.fsum` bit for bit) in a few whole-array passes, so no block
+allocates a node array or a copy of its own.  The blocks hold f - If,
+and If is added back after the sum, so a mean does not depend on the
+order of its nodes.  The one other node
 block, the product grid of the rectangle-rule identity
 (`grid_point_blocks`), holds f itself and is built here too.
 
@@ -52,7 +53,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .errors import GUARD_BITS
-from .fsum import fsum_rows
+from .fsum import fsum_blocks, fsum_rows
 from .functions import PeriodicFunction
 from .lattice import NODE_DTYPE_BITS, EmbeddedPair, Rank1Rule, as_uint64, lattice_numerators
 
@@ -153,8 +154,9 @@ class DisplacedBlocks:
     along a row) when n is at least the block's B columns and node-major
     (down a column) otherwise, so the inner axis, which the sums run
     along, is the longer one; it scales them in place into the buffer's
-    float64 view, evaluates and subtracts If.  `means` sums each column's
-    values correctly rounded, and may overwrite them; `stream` runs
+    float64 view, evaluates and subtracts If, and returns one row a column
+    in either layout (a node-major block transposed).  `means` sums each
+    row correctly rounded, and may overwrite it; `stream` runs
     `means` over any number of columns, width at a time.  The buffer is
     reused, so a call must not start while another runs (not reentrant),
     and the values a call returns are overwritten by the next.
@@ -169,8 +171,9 @@ class DisplacedBlocks:
 
     def values(self, offsets: np.ndarray) -> np.ndarray:
         """f - If at the nodes displaced by each uint64 offset column of the
-        (s, B) offsets, B <= width, in the buffer's float view: (B, n)
-        when n >= B, else (n, B)."""
+        (s, B) offsets, B <= width, in the buffer's float view: one row of n
+        a column, (B, n), which is the transpose of a C-contiguous (n, B)
+        block when n < B."""
         (s, n), B = self.base.shape, offsets.shape[1]
         if self._buf.size < s * n * B:
             self._buf = np.empty(s * n * B, dtype=np.uint64)
@@ -194,19 +197,14 @@ class DisplacedBlocks:
             xs[xs == 1.0] = 0.0
         # the coordinates are spent once f is evaluated, so the values take
         # their place at the head of the buffer
-        return np.subtract(self.f.eval_batch(xs), self.off, out=floats[: n * B].reshape(shape[1:]))
+        v = np.subtract(self.f.eval_batch(xs), self.off, out=floats[: n * B].reshape(shape[1:]))
+        return v if n >= B else v.T
 
     def means(self, offsets: np.ndarray) -> np.ndarray:
         """Mean of f over the nodes of each offset column, one per column;
         a sum the certificate cannot settle is formed again from its own
         offset column."""
-
-        def rows(cols: np.ndarray | slice) -> np.ndarray:
-            # a shift's n values, one row each: the transpose of a node-major block
-            v = self.values(offsets[:, cols])
-            return v if v.shape[1] == self.n else v.T
-
-        return self.off + fsum_rows(rows(slice(None)), rows) / self.n
+        return self.off + fsum_rows(self.values(offsets), lambda i: self.values(offsets[:, i])) / self.n
 
     def stream(self, offsets: Callable[[int, int], np.ndarray], count: int) -> Iterator[np.ndarray]:
         """`means` of the offset columns offsets(lo, hi) for lo < hi <= count,
@@ -353,7 +351,7 @@ def eval_real_shifted(rule: Rank1Rule, f: PeriodicFunction, shift: RealShift) ->
     xs += np.array(shift.u)[:, None]
     np.subtract(xs, 1.0, out=xs, where=xs >= 1.0)
     off = integral_offset(f)
-    return float(off + fsum_rows(f.eval_batch(xs)[None, :] - off)[0] / rule.n_points)
+    return off + fsum_blocks(lambda: [f.eval_batch(xs) - off]) / rule.n_points
 
 
 @dataclass(frozen=True)

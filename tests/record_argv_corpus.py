@@ -106,10 +106,14 @@ def _moments() -> list[list[str]]:
         argvs += [["moments", "--scheme", scheme, *_rule(1, 0, r)] for r in (52, 53, 54, 64, 65)]
         # the generating vector guard at s * t = 2^26 - 1, 2^26 and 2^26 + 1
         argvs += [["moments", "--scheme", scheme, *_rule(1, t, t, ("--ell", "1"))] for t in (G - 1, G, G + 1)]
-    # the extension-node guard at 2^27; r below m
+    # the extension-node guard at 2^27; r below m; the two moments
+    # artifacts test_cli.py pins by digest
     argvs += [
         ["moments", "--scheme", "scalar", *_rule(1, 27, 0)],
         ["moments", "--scheme", "grid", *_rule(2, 4, 3)],
+        ["moments", "--scheme", "grid", *_rule(3, 4, 4), "--format", "csv", "--out", "moments.out"],
+        ["moments", "--scheme", "scalar", *_rule(3, 0, 6, ("--ell", "12915")), "--format", "csv", "--out",
+         "moments.out"],
     ]
     return argvs
 
@@ -152,6 +156,11 @@ def _estimate() -> list[list[str]]:
         argvs.append(["estimate", "--scheme", "grid", *_rule(s, 0, 1), "--q", str(q),
                       "--bits", "file:short.txt"])
     argvs += [["estimate", "--scheme", "bogus", *_rule(2, 3, 2)], ["estimate", "--s", "2"]]
+    # the three estimate artifacts test_cli.py pins by digest, at 2^10 nodes
+    argvs += [
+        ["estimate", "--scheme", scheme, *_rule(3, 10, r), "--q", "8", "--bits", "seed:11", "--out", "estimate.out"]
+        for scheme, r in (("grid", 12), ("scalar", 4), ("ideal", 12))
+    ]
     return argvs
 
 

@@ -22,7 +22,7 @@ from latshift import (
     merit,
 )
 import latshift.cbc as cbc_module
-from latshift.cbc import _TwoLevelScan, _normalizers, _sample_candidates
+from latshift.cbc import _TwoLevelScan, _baseline, _sample_candidates
 from latshift.functions import bernoulli2
 
 from conftest import count_calls, index_block_count, rel_err, set_block_nodes
@@ -149,8 +149,7 @@ class TestEmbeddedMerit:
     def test_degenerate_extension_uses_base_only(self):
         z = korobov_vector(17797, 2, 5)
         em = embedded_merit(z, 5, 0)
-        rb, _ = _normalizers(2, 5, 0)
-        assert em.combined == em.base.value / rb
+        assert em.combined == em.base.value / _baseline(2, 5)
         assert em.base == em.extended
 
     def test_each_baseline_merit_is_evaluated_once(self, monkeypatch):
@@ -277,7 +276,7 @@ class TestUnitScan:
         n = 1 << t
         p, w = _node_product(prefix, n)
         rows = 2 * np.arange(max(n // 4, 1)) + 1
-        norms = _normalizers(d, t - sr, sr)
+        norms = _baseline(d, t - sr), _baseline(d, t)
         merits = _TwoLevelScan(w, sr, rows).merits(p, d, norms)
         canonical = [(1 << lev, _canonical_level_merits(prefix, t, lev)) for lev in (t - sr, t)]
         _assert_estimates_bracket(merits, canonical, norms, rows)
@@ -303,7 +302,7 @@ class TestUnitScan:
                 (1 << lev, _canonical_level_merits(prefix, t, lev)) for lev in range(t + 1)
             ]
             for sr in range(t + 1):
-                norms = _normalizers(d, t - sr, sr)
+                norms = _baseline(d, t - sr), _baseline(d, t)
                 merits = _TwoLevelScan(w, sr, rows).merits(q, d, norms)
                 _assert_estimates_bracket(merits, [canonical[t - sr], canonical[t]], norms, rows)
 
@@ -401,7 +400,7 @@ class TestCbcConstruct:
         # here; test_near_ties_are_resolved_lazily catches a smaller factor
         for (s, m, r), *_ in self.BENCHMARK_SHAPES:
             for d in range(2, s + 1):
-                _normalizers(d, m, s * r)
+                _baseline(d, m), _baseline(d, m + s * r)
         counts = {"merit": 0, "embedded_merit": 0, "scan": 0}
         patched = [(cbc_module, "merit"), (cbc_module, "embedded_merit"), (_TwoLevelScan, "scan")]
         for owner, name in patched:
@@ -427,7 +426,7 @@ class TestCbcConstruct:
         # peaks at 35.1 and 43.9 B
         s, m, sr = shape
         for d in range(2, s + 1):
-            _normalizers(d, m, sr)
+            _baseline(d, m), _baseline(d, m + sr)
         cbc_construct(*shape)
         tracemalloc.start()
         try:

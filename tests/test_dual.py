@@ -514,7 +514,6 @@ class TestThirdMomentSeries:
             blocks.clear()
             value = third_moment_series(rule, f, TruncationBox(H)).value
             assert value.hex() == pairwise_third_moment(duals, f, H).hex()
-            del blocks[-2:]  # the one-row sums over the coefficients
             assert rows in blocks and (rows == 1 or blocks[-1] < rows)
 
     def test_each_unordered_pair_formed_once(self, monkeypatch):
@@ -529,8 +528,7 @@ class TestThirdMomentSeries:
         for f in (ProductBernoulliFn(3), ArbitraryCoeffFn(3)):
             terms.clear()
             third_moment_series(rule, f, TruncationBox(16))
-            # less the two sums of D terms over the coefficients
-            formed[type(f)] = sum(terms) - 2 * D
+            formed[type(f)] = sum(terms)
         assert D == 1122 and max(formed.values()) <= 0.45 * D**2
         # even coefficients take half the rows; others take every row
         assert formed[ProductBernoulliFn] <= 0.20 * D**2
@@ -603,8 +601,7 @@ class TestThirdMomentSeries:
             )
             for h in duals
         ]
-        # less the two one-row sums over the coefficients
-        inner = np.concatenate(sums[:-2])
+        inner = np.concatenate(sums)
         assert any(0.0 < abs(x) < 2.0**-1022 for x in expected)
         assert [x.hex() for x in inner.tolist()] == [x.hex() for x in expected]
 
@@ -624,8 +621,7 @@ class TestThirdMomentSeries:
             rows.clear()
             value = third_moment_series(rule, f, TruncationBox(H)).value
             assert value.hex() == pairwise_third_moment(duals, f, H).hex()
-            # the last two calls are the one-row sums over the coefficients
-            ends[type(f)] = list(itertools.accumulate(rows[:-2]))
+            ends[type(f)] = list(itertools.accumulate(rows))
         assert ends[ArbitraryCoeffFn][-1] == len(duals) == 44
         assert (22 in ends[ArbitraryCoeffFn]) == lands_on_half
         assert ends[ProductBernoulliFn][-1] == 22
@@ -804,26 +800,16 @@ class TestThirdMomentSeries:
 
 class TestCumulants:
     def test_identity_at_one_replicate(self):
-        cs = CumulantSet(kappa2=0.3, kappa3=-0.04, kappa4=0.007)
+        cs = CumulantSet(kappa2=0.3, kappa3=-0.04)
         assert mean_cumulants(cs, 1) == cs
-
-    def test_gaussian_fourth_moment_relation(self):
-        sigma2 = 0.81
-        cs = CumulantSet(kappa2=sigma2, kappa3=0.0, kappa4=0.0)
-        assert cs.mu4 == pytest.approx(3.0 * sigma2**2, rel=1e-15)
 
     def test_third_moment_scaling(self):
         cs = CumulantSet(kappa2=0.5, kappa3=0.125)
         for q in (1, 2, 7):
             assert mean_cumulants(cs, q).mu3 == cs.mu3 / q**2
 
-    def test_unknown_kappa4_propagates(self):
-        cs = CumulantSet(kappa2=0.5, kappa3=0.125)
-        assert cs.mu4 is None
-        assert mean_cumulants(cs, 3).mu4 is None
-
     def test_composition(self):
-        cs = CumulantSet(kappa2=0.5, kappa3=0.125, kappa4=0.25)
+        cs = CumulantSet(kappa2=0.5, kappa3=0.125)
         two_steps = mean_cumulants(mean_cumulants(cs, 2), 8)
         one_step = mean_cumulants(cs, 16)
         assert two_steps == one_step

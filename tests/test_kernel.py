@@ -108,9 +108,10 @@ def test_coset_blocks_match_per_point_and_single_shift(cfg, block):
 @pytest.mark.parametrize("t", [5, 53, 54, 60, 64])
 @pytest.mark.parametrize("n, B", [(8, 3), (4, 4), (2, 7)])
 def test_values_equal_per_point_nodes_in_both_layouts(t, n, B):
-    # shift-major (B, n) where n >= B, node-major (n, B) where n < B; the
-    # first column puts a numerator of 2^t - 1 on every coordinate of node
-    # 0, which past 53 bits rounds to 1.0 and must read 0.0
+    # shift-major (B, n) where n >= B, node-major (n, B) where n < B, and
+    # the values one row a column in both; the first column puts a
+    # numerator of 2^t - 1 on every coordinate of node 0, which past 53
+    # bits rounds to 1.0 and must read 0.0
     s = 3
     rng = random.Random(1000 * t + 10 * n + B)
     z = GeneratingVector(tuple(rng.randrange(1 << t) | 1 for _ in range(s)), t)
@@ -130,14 +131,16 @@ def test_values_equal_per_point_nodes_in_both_layouts(t, n, B):
     rule = Rank1Rule(t, z)
     points = [[dyadic_add(rule.node(j), DyadicPoint(c, t)).as_floats() for j in range(n)] for c in cols]
     (xs,) = seen
+    assert values.shape == (B, n)
     if n >= B:
-        assert values.shape == (B, n) and xs.shape == (s, B, n)
-        by_column = xs.transpose(1, 2, 0), values
+        assert xs.shape == (s, B, n) and values.flags.c_contiguous
+        by_column = xs.transpose(1, 2, 0)
     else:
-        assert values.shape == (n, B) and xs.shape == (s, n, B)
-        by_column = xs.transpose(2, 1, 0), values.T
-    assert by_column[0].tolist() == [[list(p) for p in column] for column in points]
-    assert by_column[1].tolist() == [[product_bernoulli_point(p) - 1.0 for p in column] for column in points]
+        # the rows of a node-major block are the transpose of a C-contiguous (n, B) block
+        assert xs.shape == (s, n, B) and values.T.flags.c_contiguous
+        by_column = xs.transpose(2, 1, 0)
+    assert by_column.tolist() == [[list(p) for p in column] for column in points]
+    assert values.tolist() == [[product_bernoulli_point(p) - 1.0 for p in column] for column in points]
     assert xs.max() < 1.0
     # node 0 of column 0, in either layout
     assert xs[:, 0, 0].tolist() == [0.0 if t > 53 else 1.0 - 2.0**-t] * s
